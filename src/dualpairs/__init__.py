@@ -6,10 +6,11 @@ Sp(2n,R) x O(m) on real matrices, and GL(n,R) x GL(m,R) on pairs
 Each pair lives in its own module (``unitary``, ``symplectic``,
 ``general_linear``); ``pairs`` holds the shared instance container and
 verification checks, ``seesaw`` ties the three together through algebra
-embeddings, and ``cli`` is the command-line harness.
+embeddings, and ``cli`` is the command-line harness (imported on demand:
+``from dualpairs import cli``).
 """
 
-from . import cli, general_linear, jsonio, linalg, pairs, seesaw, symplectic, unitary
+from . import general_linear, jsonio, linalg, pairs, seesaw, symplectic, unitary
 from .linalg import DEFAULT_TOL, Tolerances
 from .pairs import (
     PAIR_IDS,
@@ -41,7 +42,6 @@ __all__ = [
     "check_level_invariance",
     "check_lie_weinstein",
     "check_pairing_identity",
-    "cli",
     "general_linear",
     "jsonio",
     "linalg",

@@ -7,8 +7,6 @@ Floats are serialized through repr, which round-trips binary64 exactly.
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
 
@@ -42,14 +40,6 @@ def matrix_from_obj(obj: dict) -> np.ndarray:
     else:
         M = np.array(data, dtype=float).reshape(rows, cols)
     return M
-
-
-def dump_matrix(M: np.ndarray) -> str:
-    return json.dumps(matrix_to_obj(M), indent=2, sort_keys=True)
-
-
-def load_matrix(text: str) -> np.ndarray:
-    return matrix_from_obj(json.loads(text))
 
 
 def report_record(check: str, pair: str, dims, seed: int, residual: float, passed: bool) -> dict:

@@ -42,35 +42,47 @@ def standard_J(n: int) -> np.ndarray:
     return J
 
 
-def omega_real(X: np.ndarray, Y: np.ndarray) -> float:
-    """Constant symplectic form Tr(X^T J Y) on 2n x m real matrices."""
+def omega_real(X: np.ndarray, Y: np.ndarray):
+    """Constant symplectic form Tr(X^T J Y) on 2n x m real matrices.
+
+    Leading axes broadcast, so stacks of matrices give an array of
+    values; a single pair gives a float.
+    """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
-    if X.shape != Y.shape:
+    if X.ndim < 2 or X.shape[-2:] != Y.shape[-2:]:
         raise ValueError(f"shape mismatch: {X.shape} vs {Y.shape}")
-    if X.shape[0] % 2 != 0:
+    if X.shape[-2] % 2 != 0:
         raise ValueError("row count must be even")
-    n = X.shape[0] // 2
+    n = X.shape[-2] // 2
     # Tr(X^T J Y) = Tr(X_top^T Y_bot) - Tr(X_bot^T Y_top)
-    return float(np.sum(X[:n] * Y[n:]) - np.sum(X[n:] * Y[:n]))
+    return _scalar(np.sum(X[..., :n, :] * Y[..., n:, :], axis=(-2, -1))
+                   - np.sum(X[..., n:, :] * Y[..., :n, :], axis=(-2, -1)))
 
 
-def omega_complex(E: np.ndarray, F: np.ndarray) -> float:
-    """Symplectic form Im Tr(E^dagger F) on complex n x m matrices."""
+def omega_complex(E: np.ndarray, F: np.ndarray):
+    """Symplectic form Im Tr(E^dagger F) on complex n x m matrices;
+    leading axes broadcast as in omega_real."""
     E = np.asarray(E, dtype=complex)
     F = np.asarray(F, dtype=complex)
-    if E.shape != F.shape:
+    if E.ndim < 2 or E.shape[-2:] != F.shape[-2:]:
         raise ValueError(f"shape mismatch: {E.shape} vs {F.shape}")
-    return float(np.imag(np.sum(np.conj(E) * F)))
+    return _scalar(np.imag(np.sum(np.conj(E) * F, axis=(-2, -1))))
 
 
-def trace_pairing(a: np.ndarray, b: np.ndarray) -> float:
-    """Trace form Re Tr(ab) identifying matrix algebras with their duals."""
+def trace_pairing(a: np.ndarray, b: np.ndarray):
+    """Trace form Re Tr(ab) identifying matrix algebras with their duals;
+    leading axes broadcast as in omega_real."""
     a = np.asarray(a)
     b = np.asarray(b)
-    if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-2:] != b.shape[-2:] or a.shape[-2] != a.shape[-1]:
         raise ValueError("inputs must be square matrices of equal shape")
-    return float(np.real(np.sum(a * b.T)))
+    return _scalar(np.real(np.sum(a * np.swapaxes(b, -1, -2), axis=(-2, -1))))
+
+
+def _scalar(values):
+    # a float for one pair of matrices, the array for stacks
+    return float(values) if np.ndim(values) == 0 else values
 
 
 def rank_tol(M: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> int:

@@ -83,13 +83,13 @@ def jacobian_rank_right(E: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> int:
     """
     E = np.asarray(E, dtype=complex)
     n, m = E.shape
-    cols = []
-    Ed = np.conj(E).T
-    for i in range(n):
-        for j in range(m):
-            for val in (1.0, 1.0j):
-                X = np.zeros((n, m), dtype=complex)
-                X[i, j] = val
-                T = 0.5j * (np.conj(X).T @ E + Ed @ X)
-                cols.append(np.concatenate([np.real(T).ravel(), np.imag(T).ravel()]))
-    return rank_tol(np.column_stack(cols), tol)
+    # the real basis E_ij, i E_ij of the domain, (i, j) row-major, as one stack
+    a = np.arange(n * m)
+    i, j = np.divmod(a, m)
+    X = np.zeros((n * m, 2, n, m), dtype=complex)
+    X[a, 0, i, j] = 1.0
+    X[a, 1, i, j] = 1.0j
+    X = X.reshape(2 * n * m, n, m)
+    T = 0.5j * (np.swapaxes(np.conj(X), -1, -2) @ E + np.conj(E).T @ X)
+    T = T.reshape(2 * n * m, m * m)
+    return rank_tol(np.concatenate([np.real(T), np.imag(T)], axis=1).T, tol)

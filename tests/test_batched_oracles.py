@@ -1,0 +1,303 @@
+"""The batched structure checks against the per-basis loops they replaced.
+
+The reference functions below keep the loop versions verbatim.  The
+batched code does the same arithmetic in the same order, one basis stack
+at a time, so every result must equal its reference exactly, not merely
+approximately.
+"""
+
+import numpy as np
+import pytest
+
+from dualpairs import general_linear as gl
+from dualpairs import seesaw, symplectic, unitary
+from dualpairs.linalg import DEFAULT_TOL, rank_tol, stream_rng
+from dualpairs.pairs import (
+    DualPairInstance,
+    algebra_basis,
+    algebra_size,
+    algebra_tag,
+    basis_stack,
+    check_lie_weinstein,
+    infinitesimal_action,
+    tangent_omega,
+)
+
+# symplectic m = 1 has a zero-dimensional o(1); (3, 5) and (4, 8) give
+# unitary points with n < m, so zero singular values
+SHAPES = [(2, 1), (3, 2), (4, 4), (6, 3), (8, 6), (3, 5), (4, 8)]
+
+
+# ---------------------------------------------------------------------------
+# reference loops
+
+def _unit(n, i, j, dtype=float):
+    M = np.zeros((n, n), dtype=dtype)
+    M[i, j] = 1
+    return M
+
+
+def _ref_algebra_basis(algebra, size):
+    out = []
+    if algebra == "u":
+        n = size
+        for k in range(n):
+            out.append(1j * _unit(n, k, k, complex))
+        for k in range(n):
+            for l in range(k + 1, n):
+                out.append(_unit(n, k, l, complex) - _unit(n, l, k, complex))
+                out.append(1j * (_unit(n, k, l, complex) + _unit(n, l, k, complex)))
+        return out
+    if algebra == "o":
+        m = size
+        for k in range(m):
+            for l in range(k + 1, m):
+                out.append(_unit(m, k, l) - _unit(m, l, k))
+        return out
+    if algebra == "sp":
+        n = size // 2
+        for i in range(n):
+            for j in range(n):
+                M = np.zeros((size, size))
+                M[i, j] = 1
+                M[n + j, n + i] = -1
+                out.append(M)
+        for i in range(n):
+            for j in range(i, n):
+                M = np.zeros((size, size))
+                M[i, n + j] = 1
+                M[j, n + i] = 1
+                out.append(M)
+        for i in range(n):
+            for j in range(i, n):
+                M = np.zeros((size, size))
+                M[n + i, j] = 1
+                M[n + j, i] = 1
+                out.append(M)
+        return out
+    n = size
+    for i in range(n):
+        for j in range(n):
+            out.append(_unit(n, i, j))
+    return out
+
+
+def _ref_omega_real(X, Y):
+    n = X.shape[0] // 2
+    return float(np.sum(X[:n] * Y[n:]) - np.sum(X[n:] * Y[:n]))
+
+
+def _ref_omega_complex(E, F):
+    return float(np.imag(np.sum(np.conj(E) * F)))
+
+
+def _ref_trace_pairing(a, b):
+    return float(np.real(np.sum(a * b.T)))
+
+
+def _ref_infinitesimal_action(inst, side, xi):
+    if inst.pair_id == "general_linear":
+        Q, P = inst.point.Q, inst.point.P
+        if side == "left":
+            return (xi @ Q, -xi.T @ P)
+        return (Q @ xi, -P @ xi.T)
+    if side == "left":
+        return xi @ inst.point
+    return inst.point @ xi
+
+
+def _ref_tangent_omega(inst, t1, t2):
+    if inst.pair_id == "unitary":
+        return _ref_omega_complex(t1, t2)
+    if inst.pair_id == "symplectic":
+        return _ref_omega_real(t1, t2)
+    return _ref_omega_real(np.vstack(t1), np.vstack(t2))
+
+
+def _ref_vectorize_tangent(inst, t):
+    if inst.pair_id == "unitary":
+        return np.concatenate([np.real(t).ravel(), np.imag(t).ravel()])
+    if inst.pair_id == "symplectic":
+        return np.asarray(t, dtype=float).ravel()
+    return np.concatenate([t[0].ravel(), t[1].ravel()])
+
+
+def _ref_check_lie_weinstein(inst, tol=DEFAULT_TOL):
+    tangents = {}
+    for side in ("left", "right"):
+        basis = _ref_algebra_basis(algebra_tag(inst.pair_id, side), algebra_size(inst, side))
+        tangents[side] = [_ref_infinitesimal_action(inst, side, b) for b in basis]
+    dims = {}
+    for side in ("left", "right"):
+        if not tangents[side]:
+            # zero-dimensional algebra (orthogonal side at m = 1)
+            dims[side] = 0
+            continue
+        cols = np.column_stack([_ref_vectorize_tangent(inst, t) for t in tangents[side]])
+        dims[side] = rank_tol(cols, tol)
+    cross = 0.0
+    for t1 in tangents["left"]:
+        for t2 in tangents["right"]:
+            cross = max(cross, abs(_ref_tangent_omega(inst, t1, t2)))
+    return {
+        "dim_left_orbit": dims["left"],
+        "dim_right_orbit": dims["right"],
+        "ambient_dim": inst.ambient_dim(),
+        "cross_omega_residual": cross,
+    }
+
+
+def _ref_embed_u_to_sp(zeta):
+    z1, z2 = np.real(zeta), np.imag(zeta)
+    return np.block([[z1, -z2], [z2, z1]])
+
+
+def _ref_embed_gl_to_sp(zeta):
+    n = zeta.shape[0]
+    out = np.zeros((2 * n, 2 * n))
+    out[:n, :n] = zeta
+    out[n:, n:] = -zeta.T
+    return out
+
+
+def _ref_check_diagram_sp_u(E, tol=DEFAULT_TOL):
+    E = np.asarray(E, dtype=complex)
+    n = E.shape[0]
+    Er = seesaw.complex_to_real(E)
+    j_sp = symplectic.momentum_left(Er)
+    j_u = unitary.momentum_left(E)
+    left = 0.0
+    for b in _ref_algebra_basis("u", n):
+        left = max(left, abs(_ref_trace_pairing(j_sp, _ref_embed_u_to_sp(b))
+                             - _ref_trace_pairing(j_u, b)))
+    right = float(np.linalg.norm(
+        seesaw.restrict_u_to_o(unitary.momentum_right(E), tol)
+        - symplectic.momentum_right(Er)))
+    return {"left": left, "right": right}
+
+
+def _ref_check_diagram_sp_gl(pt, tol=DEFAULT_TOL):
+    Q = np.asarray(pt.Q, dtype=float)
+    P = np.asarray(pt.P, dtype=float)
+    n = Q.shape[0]
+    Er = np.vstack([Q, P])
+    j_sp = symplectic.momentum_left(Er)
+    j_gl = gl.momentum_left(pt)
+    left = 0.0
+    for b in _ref_algebra_basis("gl", n):
+        left = max(left, abs(_ref_trace_pairing(j_sp, _ref_embed_gl_to_sp(b))
+                             - _ref_trace_pairing(j_gl, b)))
+    right = float(np.linalg.norm(
+        seesaw.restrict_gl_to_o(gl.momentum_right(pt), tol)
+        - symplectic.momentum_right(Er)))
+    return {"left": left, "right": right}
+
+
+def _ref_jacobian_rank_right(E, tol=DEFAULT_TOL):
+    E = np.asarray(E, dtype=complex)
+    n, m = E.shape
+    cols = []
+    Ed = np.conj(E).T
+    for i in range(n):
+        for j in range(m):
+            for val in (1.0, 1.0j):
+                X = np.zeros((n, m), dtype=complex)
+                X[i, j] = val
+                T = 0.5j * (np.conj(X).T @ E + Ed @ X)
+                cols.append(np.concatenate([np.real(T).ravel(), np.imag(T).ravel()]))
+    return rank_tol(np.column_stack(cols), tol)
+
+
+# ---------------------------------------------------------------------------
+# instances
+
+def _complex(rng, n, m):
+    return rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
+
+
+def _instances(n, m, seed):
+    rng = stream_rng(seed, 100 * n + m)
+    out = [DualPairInstance("unitary", n, m, _complex(rng, n, m)),
+           DualPairInstance("symplectic", n, m, rng.standard_normal((2 * n, m)))]
+    if m <= n:
+        pt = gl.CotangentPoint(rng.standard_normal((n, m)), rng.standard_normal((n, m)))
+        out.append(DualPairInstance("general_linear", n, m, pt))
+    return out
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _lift(t, key):
+    return tuple(a[key] for a in t) if isinstance(t, tuple) else t[key]
+
+
+# ---------------------------------------------------------------------------
+# tests
+
+@pytest.mark.parametrize("algebra,sizes", [("u", range(1, 9)), ("o", range(1, 9)),
+                                           ("sp", range(2, 17, 2)), ("gl", range(1, 9))])
+def test_basis_stack_matches_the_loop_basis(algebra, sizes):
+    for size in sizes:
+        ref = _ref_algebra_basis(algebra, size)
+        stack = basis_stack(algebra, size)
+        assert stack.shape == (len(ref), size, size)
+        assert all(_same_bits(a, b) for a, b in zip(ref, stack))
+        assert all(_same_bits(a, b) for a, b in zip(ref, algebra_basis(algebra, size)))
+
+
+@pytest.mark.parametrize("n,m", SHAPES)
+def test_batched_tangents_and_omega_match_per_element_calls(n, m):
+    for inst in _instances(n, m, 7):
+        stacks, k = {}, {}
+        for side in ("left", "right"):
+            basis = basis_stack(algebra_tag(inst.pair_id, side), algebra_size(inst, side))
+            stacks[side], k[side] = infinitesimal_action(inst, side, basis), len(basis)
+            for a, b in enumerate(basis):
+                want = _ref_infinitesimal_action(inst, side, b)
+                got = _lift(stacks[side], a)
+                if inst.pair_id == "general_linear":
+                    assert _same_bits(got[0], want[0]) and _same_bits(got[1], want[1])
+                else:
+                    assert _same_bits(got, want)
+        left, right = stacks["left"], stacks["right"]
+        got = tangent_omega(inst, _lift(left, np.s_[:, np.newaxis]), _lift(right, np.newaxis))
+        want = np.array([[_ref_tangent_omega(inst, _lift(left, a), _lift(right, b))
+                          for b in range(k["right"])] for a in range(k["left"])])
+        assert got.shape == (k["left"], k["right"])
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n,m", SHAPES)
+def test_check_lie_weinstein_equals_the_loop_reference(n, m):
+    for seed in (0, 1):
+        for inst in _instances(n, m, seed):
+            if not inst.full_rank():
+                continue
+            got = check_lie_weinstein(inst)
+            assert got == _ref_check_lie_weinstein(inst)
+            assert isinstance(got["dim_left_orbit"], int)
+            assert isinstance(got["cross_omega_residual"], float)
+
+
+@pytest.mark.parametrize("n,m", SHAPES)
+def test_seesaw_diagrams_equal_the_loop_reference(n, m):
+    rng = stream_rng(31, 100 * n + m)
+    E = _complex(rng, n, m)
+    assert seesaw.check_diagram_sp_u(E) == _ref_check_diagram_sp_u(E)
+    pt = gl.CotangentPoint(rng.standard_normal((n, m)), rng.standard_normal((n, m)))
+    assert seesaw.check_diagram_sp_gl(pt) == _ref_check_diagram_sp_gl(pt)
+
+
+@pytest.mark.parametrize("n,m", SHAPES)
+def test_jacobian_rank_right_equals_the_loop_reference(n, m):
+    rng = stream_rng(37, 100 * n + m)
+    E = _complex(rng, n, m)
+    assert unitary.jacobian_rank_right(E) == _ref_jacobian_rank_right(E)
+    # zero columns leave k = m - rank(D) > 0 zero singular values
+    D = E.copy()
+    D[:, 0] = 0.0
+    D[:, -1] = 0.0
+    assert rank_tol(D) < m
+    assert unitary.jacobian_rank_right(D) == _ref_jacobian_rank_right(D)

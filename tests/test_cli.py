@@ -1,10 +1,15 @@
 """Command-line behavior, driven in process through cli.main."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dualpairs
 from dualpairs import cli
 from dualpairs.jsonio import matrix_from_obj, matrix_to_obj
 
@@ -241,3 +246,24 @@ def test_suite_config_file(tmp_path, capsys):
     assert code == 0
     report = json.loads(out.read_text())
     assert report["config"]["pairs"] == ["general_linear"]
+
+
+# ---------------------------------------------------------------------------
+# entry points, in fresh interpreters
+
+def _fresh_python(*args):
+    src = str(Path(dualpairs.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_module_entry_point_has_no_runpy_warning():
+    proc = _fresh_python("-W", "error::RuntimeWarning", "-m", "dualpairs.cli", "--help")
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_package_import_leaves_cli_unloaded():
+    proc = _fresh_python("-c", "import sys, dualpairs; print('dualpairs.cli' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

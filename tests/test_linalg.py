@@ -68,6 +68,12 @@ def test_omega_real_input_validation():
         omega_real(np.zeros((3, 1)), np.zeros((3, 1)))
     with pytest.raises(ValueError):
         omega_real(np.zeros((4, 1)), np.zeros((4, 2)))
+    with pytest.raises(ValueError):
+        omega_real(np.zeros((5, 4, 1)), np.zeros((5, 4, 2)))
+    with pytest.raises(ValueError):
+        omega_real(np.zeros(4), np.zeros(4))
+    with pytest.raises(ValueError):
+        omega_complex(np.zeros(4), np.zeros(4))
 
 
 def test_omega_complex_vanishes_on_equal_args():
