@@ -19,6 +19,8 @@ canonical values.
 
 from __future__ import annotations
 
+import itertools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -342,7 +344,116 @@ def _chain_to_counts(nullities):
     return counts
 
 
+def _add_blocks(counts, lam: complex, side: str, blocks, nilpotent):
+    """Append the label entries of one eigenvalue's block counts.
+
+    A zero eigenvalue gives nilpotent sizes: size-s blocks of the left
+    value are sizes s >= 2 (size-1 blocks are the kernel), those of the
+    right value are sizes s + 1.  A real eigenvalue gives (lambda, s)
+    and a strictly complex one (lambda, 2 s).
+    """
+    for s, cnt in counts.items():
+        if lam == 0:
+            if side == "left":
+                if s >= 2:
+                    nilpotent.extend([s] * cnt)
+            else:
+                nilpotent.extend([s + 1] * cnt)
+        elif lam.imag == 0:
+            blocks.extend([(lam, s)] * cnt)
+        else:
+            blocks.extend([(lam, 2 * s)] * cnt)
+
+
+def _int_matmul(A, B):
+    """Exact product of integer matrices (lists of rows): in int64 when
+    no entry of the product can overflow, in Python ints otherwise."""
+    bound = (max(map(abs, itertools.chain(*A)), default=0)
+             * max(map(abs, itertools.chain(*B)), default=0) * len(B))
+    if bound < 2 ** 63:
+        return (np.array(A, dtype=np.int64) @ np.array(B, dtype=np.int64)).tolist()
+    cols = list(zip(*B))
+    return [[sum(map(operator.mul, row, col)) for col in cols] for row in A]
+
+
+def _bareiss_rank(rows) -> int:
+    """Rank of an integer matrix by fraction-free elimination (Bareiss
+    1968, Math. Comp. 22).  Each step divides exactly by the previous
+    pivot, so every entry stays an integer minor of the input."""
+    rows = [list(r) for r in rows]
+    rank, prev = 0, 1
+    while rows and rows[0]:
+        nonzero = [i for i, r in enumerate(rows) if r[0]]
+        if not nonzero:
+            rows = [r[1:] for r in rows]
+            continue
+        top = rows.pop(min(nonzero, key=lambda i: abs(rows[i][0])))
+        p, rest = top[0], top[1:]
+        rows = [r[1:] if not r[0] and p == prev
+                else [(p * x - r[0] * y) // prev for x, y in zip(r[1:], rest)]
+                for r in rows]
+        prev = p
+        rank += 1
+    return rank
+
+
+def _exact_chain(A, size: int, step: int):
+    """Nullities of A, A^2, ... divided by step, until they stop growing."""
+    nullities = []
+    power = A
+    while True:
+        nu = (size - _bareiss_rank(power)) // step
+        if nu == (nullities[-1] if nullities else 0):
+            return nullities
+        nullities.append(nu)
+        if nu * step == size:
+            return nullities
+        power = _int_matmul(power, A)
+
+
 def _structure_exact(M_int, side: str, n: int, m: int) -> JordanData:
+    """Exact label of an integral matrix, in integer arithmetic.
+
+    The characteristic polynomial of an integral matrix is monic with
+    integer coefficients, so each of its roots in Q(i) is a Gaussian
+    integer a + bi.  The candidates are the float eigenvalues rounded to
+    Z[i].  A real candidate a gets the nullity chain of (M - aI)^k; a
+    candidate with b > 0 gets half the nullities of
+    ((M - aI)^2 + b^2 I)^k, whose kernel is the sum of the generalized
+    eigenspaces of a + bi and a - bi.  Ranks are exact (Bareiss), and
+    each chain ends at its eigenvalue's algebraic multiplicity.  The
+    label is built only when those multiplicities fill the whole size:
+    that sum certifies that no eigenvalue was missed.  Otherwise the
+    spectrum leaves Z[i] (as for [[0, 2], [1, 0]]) and sympy's exact
+    eigenvalues take over.
+    """
+    size = len(M_int)
+    eigs = np.linalg.eigvals(np.array(M_int, dtype=float).reshape(size, size))
+    candidates = sorted({(int(round(z.real)), abs(int(round(z.imag)))) for z in eigs})
+    blocks = []
+    nilpotent = []
+    filled = 0
+    for a, b in candidates:
+        A = [[x - a if i == j else x for j, x in enumerate(row)]
+             for i, row in enumerate(M_int)]
+        step = 1
+        if b:
+            A = _int_matmul(A, A)
+            for i in range(size):
+                A[i][i] += b * b
+            step = 2
+        nullities = _exact_chain(A, size, step)
+        filled += step * max(nullities, default=0)
+        _add_blocks(_chain_to_counts(nullities), complex(a, b), side,
+                    blocks, nilpotent)
+    if filled != size:
+        return _structure_sympy(M_int, side, n, m)
+    return JordanData(tuple(blocks), tuple(nilpotent), n, m)
+
+
+def _structure_sympy(M_int, side: str, n: int, m: int) -> JordanData:
+    """Exact label from sympy's eigenvalues, for integral matrices whose
+    spectrum leaves the Gaussian integers."""
     import sympy
 
     sm = sympy.Matrix(M_int)
@@ -364,19 +475,11 @@ def _structure_exact(M_int, side: str, n: int, m: int) -> JordanData:
             nullities.append(nu)
             if nu >= alg_mult:
                 break
-        counts = _chain_to_counts(nullities)
-        is_zero = lam.is_zero
-        for s, cnt in counts.items():
-            if is_zero:
-                if side == "left":
-                    if s >= 2:
-                        nilpotent.extend([s] * cnt)
-                else:
-                    nilpotent.extend([s + 1] * cnt)
-            elif abs(lam_c.imag) <= 1e-25:
-                blocks.extend([(complex(lam_c.real, 0.0), s)] * cnt)
-            else:
-                blocks.extend([(lam_c, 2 * s)] * cnt)
+        if lam.is_zero:
+            lam_c = 0j
+        elif abs(lam_c.imag) <= 1e-25:
+            lam_c = complex(lam_c.real, 0.0)
+        _add_blocks(_chain_to_counts(nullities), lam_c, side, blocks, nilpotent)
     return JordanData(tuple(blocks), tuple(nilpotent), n, m)
 
 
@@ -412,6 +515,23 @@ def _cluster_eigenvalues(eigs, delta):
     return clusters
 
 
+class AmbiguousStructureError(ValueError):
+    """Float data whose Jordan structure cannot be read off reliably.
+
+    centers are the eigenvalue cluster centres, gaps[i] the distance
+    from centers[i] to the nearest other centre (inf when alone), and
+    chains maps each centre that was ranked (one of each conjugate
+    pair) to its nullity chain; it is empty when the refusal came
+    before any ranking.
+    """
+
+    def __init__(self, message: str, centers, gaps, chains):
+        super().__init__(message)
+        self.centers = tuple(centers)
+        self.gaps = tuple(gaps)
+        self.chains = dict(chains)
+
+
 def _structure_float(M, side: str, n: int, m: int,
                      tol: Tolerances) -> JordanData:
     """Best-effort structure from floating-point data.
@@ -421,7 +541,10 @@ def _structure_float(M, side: str, n: int, m: int,
     anything wider counts as distinct.  This resolves spectra separated
     beyond the eigensolver's backward error; defective blocks deeper
     than size 4 carried by noisy data can scatter past the guard band
-    and should be supplied as exact integral matrices instead.
+    and should be supplied as exact integral matrices instead.  Nullity
+    chains that are not concave, or whose blocks overfill the m columns
+    or give more than n - m nilpotent blocks, are refused with
+    AmbiguousStructureError instead of being turned into a label.
     """
     size = M.shape[0]
     eigs = np.linalg.eigvals(M)
@@ -429,18 +552,24 @@ def _structure_float(M, side: str, n: int, m: int,
     delta = 1e-6 * scale
     clusters = _cluster_eigenvalues(list(eigs), delta)
     centers = [complex(np.mean(cl)) for cl in clusters]
-    for a in range(len(centers)):
-        for b in range(a + 1, len(centers)):
-            gap = abs(centers[a] - centers[b])
-            if gap < 1e-3 * scale:
-                raise ValueError(
-                    f"eigenvalue clusters {gap:.2e} apart cannot be separated "
-                    "reliably; provide exact integer data or a "
-                    "better-conditioned value"
-                )
+    gaps = [min((abs(c - d) for d in centers if d is not c), default=np.inf)
+            for c in centers]
+    chains = {}
+
+    def refuse(message):
+        shown = ", ".join(f"{c:.6g} (gap {g:.2e}, chain {chains.get(c, [])})"
+                          for c, g in zip(centers, gaps))
+        raise AmbiguousStructureError(
+            f"{message}; eigenvalue centres: {shown}; provide exact integer "
+            "data or a better-conditioned value", centers, gaps, chains)
+
+    if min(gaps, default=np.inf) < 1e-3 * scale:
+        refuse(f"eigenvalue clusters {min(gaps):.2e} apart cannot be "
+               "separated reliably")
     blocks = []
     nilpotent = []
-    for cl, center in zip(clusters, centers):
+    for cl, raw in zip(clusters, centers):
+        center = raw
         if abs(center) <= delta:
             center = 0.0 + 0.0j
         elif abs(center.imag) <= delta:
@@ -449,7 +578,7 @@ def _structure_float(M, side: str, n: int, m: int,
             continue  # handled through the conjugate cluster
         A = M - center * np.eye(size)
         mult = len(cl)
-        nullities = []
+        nullities = chains[raw] = []
         power = np.eye(size, dtype=A.dtype)
         while True:
             power = power @ A
@@ -459,18 +588,16 @@ def _structure_float(M, side: str, n: int, m: int,
             nullities.append(nu)
             if nu >= mult:
                 break
-        counts = _chain_to_counts(nullities)
-        for s, cnt in counts.items():
-            if center == 0:
-                if side == "left":
-                    if s >= 2:
-                        nilpotent.extend([s] * cnt)
-                else:
-                    nilpotent.extend([s + 1] * cnt)
-            elif center.imag == 0:
-                blocks.extend([(center, s)] * cnt)
-            else:
-                blocks.extend([(center, 2 * s)] * cnt)
+        try:
+            counts = _chain_to_counts(nullities)
+        except ValueError:
+            refuse(f"the nullity chain at {center} is not concave")
+        _add_blocks(counts, center, side, blocks, nilpotent)
+    budget = sum(c for _, c in blocks) + sum(d - 1 for d in nilpotent)
+    if budget != m:
+        refuse(f"block sizes fill {budget} columns, expected {m}")
+    if len(nilpotent) > n - m:
+        refuse(f"{len(nilpotent)} nilpotent blocks exceed the limit n - m = {n - m}")
     return JordanData(tuple(blocks), tuple(nilpotent), n, m)
 
 
@@ -480,10 +607,15 @@ def jordan_structure(value: np.ndarray, side: str, n: int = None,
 
     side="left" takes the n x n value (m is its rank); side="right"
     takes the m x m value and needs the ambient row count n.  Exactly
-    integral input is analyzed in exact arithmetic; otherwise
-    eigenvalues are clustered, and the call raises when clusters are
-    too close to tell apart.  Raises ValueError when the value is not
-    a momentum of a full-rank pair (wrong rank profile).
+    integral input is analyzed in exact integer arithmetic: the label
+    is built only when the algebraic multiplicities found at the
+    Gaussian-integer candidates sum to the matrix size, which certifies
+    it, and a spectrum outside Z[i] falls back to sympy (imported only
+    then).  Otherwise eigenvalues are clustered, and the call raises
+    AmbiguousStructureError when clusters are too close to tell apart
+    or the nullity chains do not fit the column budget.  Raises
+    ValueError when the value is not a momentum of a full-rank pair
+    (wrong rank profile).
     """
     value = np.asarray(value, dtype=float)
     if value.ndim != 2 or value.shape[0] != value.shape[1]:

@@ -267,3 +267,27 @@ def test_package_import_leaves_cli_unloaded():
     proc = _fresh_python("-c", "import sys, dualpairs; print('dualpairs.cli' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+# Exact Jordan labels of integral data with Gaussian-integer spectra are
+# computed in integer arithmetic, so these callers never import sympy.
+_SYMPY_FREE = {
+    "suite": "assert cli.main(['suite', '--out', os.path.join(tmp, 'r.json')]) == 0",
+    "orbit": ("assert cli.main(['gen', 'gl', '6', '4', '--seed', '2',"
+              " '--partner', 'normal-form', '--out', os.path.join(tmp, 'g')]) == 0;"
+              " assert cli.main(['orbit', os.path.join(tmp, 'g.json')]) == 0"),
+    "orbit_correspondence": (
+        "from dualpairs import general_linear as gl, pairs;"
+        " jd = gl.JordanData(((1 + 1j, 4), (-2.0, 2)), (2, 3), 11, 9);"
+        " inst = pairs.DualPairInstance('general_linear', 11, 9, gl.build_qp_from_jordan(jd));"
+        " assert pairs.orbit_correspondence(inst) == (jd, jd)"),
+}
+
+
+@pytest.mark.parametrize("caller", sorted(_SYMPY_FREE))
+def test_integral_gl_labels_leave_sympy_unloaded(caller, tmp_path):
+    code = ("import os, sys; from dualpairs import cli; tmp = sys.argv[1]; "
+            f"{_SYMPY_FREE[caller]}; print('sympy' in sys.modules)")
+    proc = _fresh_python("-c", code, str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "False"

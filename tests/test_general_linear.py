@@ -366,8 +366,28 @@ def test_structure_float_path_after_conjugation():
 
 def test_structure_float_ambiguity_raises():
     z = np.diag([1.0, 1.0 + 2e-4, 5.0])
-    with pytest.raises(ValueError):
+    with pytest.raises(gl.AmbiguousStructureError, match="cannot be separated") as err:
         gl.jordan_structure(z, side="left")
+    assert isinstance(err.value, ValueError)
+    assert len(err.value.centers) == len(err.value.gaps) == 3
+    assert min(err.value.gaps) == pytest.approx(2e-4)
+    assert err.value.chains == {}
+
+
+def test_structure_float_overfilled_budget_is_refused():
+    # 1e-14 noise splits the (-2, 7) block into a ring of clusters whose
+    # chains overfill the 12 columns; the refusal must come before
+    # JordanData's own budget check and carry the evidence
+    from dualpairs import cli
+    jd = cli._random_jordan(16, 12, stream_rng(1, 4))
+    zeta, _ = gl.jordan_correspond(jd)
+    noisy = zeta + 1e-14 * np.random.default_rng(1).standard_normal(zeta.shape)
+    with pytest.raises(gl.AmbiguousStructureError,
+                       match="fill 13 columns, expected 12") as err:
+        gl.jordan_structure(noisy, side="left")
+    assert len(err.value.gaps) == len(err.value.centers) > 1
+    assert err.value.chains and set(err.value.chains) <= set(err.value.centers)
+    assert all(chain == sorted(chain) for chain in err.value.chains.values())
 
 
 def test_structure_right_requires_n():
