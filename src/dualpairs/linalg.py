@@ -7,6 +7,13 @@ Conventions fixed here and relied on everywhere else:
 * rank decisions are SVD based with a relative threshold,
 * the canonical form of a skew matrix puts +a in the upper right of
   each 2x2 block, blocks sorted by descending a.
+
+scipy is imported on first use, by matrix_exp (expm) and
+isometry_between (pivoted QR) only, so importing this module loads
+numpy alone.  Among the commands, only suite, the unitary witness, the
+symplectic right witness and the gen partners that draw a symplectic or
+general linear group element ever load it; momentum, orbit, the other
+witnesses and the rest of gen never do.
 """
 
 from __future__ import annotations
@@ -14,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 
 @dataclass(frozen=True)
@@ -222,6 +228,7 @@ def matrix_exp(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("input must be square")
+    import scipy.linalg
     return scipy.linalg.expm(a)
 
 
@@ -330,6 +337,7 @@ def isometry_between(A: np.ndarray, B: np.ndarray, tol: Tolerances = DEFAULT_TOL
             raise ValueError("Gram matrices differ: one input is zero")
         return np.eye(n, dtype=dtype)
 
+    import scipy.linalg
     Rfull, piv = scipy.linalg.qr(A, mode="r", pivoting=True)
     diag = np.abs(np.diagonal(Rfull))
     cutoff = tol.rank_tol_factor * max(A.shape) * np.finfo(float).eps * diag[0]

@@ -334,8 +334,7 @@ def _take(t, key):
 # ---------------------------------------------------------------------------
 # structural checks
 
-def check_equivariance(inst: DualPairInstance, side: str, g: np.ndarray,
-                       tol: Tolerances = DEFAULT_TOL) -> float:
+def check_equivariance(inst: DualPairInstance, side: str, g: np.ndarray) -> float:
     """Relative defect of j(g.x) against conjugation of j(x) by g.
 
     The left momentum transforms as g j g^-1, the right one as
@@ -352,8 +351,8 @@ def check_equivariance(inst: DualPairInstance, side: str, g: np.ndarray,
     return float(np.linalg.norm(j_after - expected) / max(1.0, np.linalg.norm(expected)))
 
 
-def check_level_invariance(inst: DualPairInstance, side: str, g_opposite: np.ndarray,
-                           tol: Tolerances = DEFAULT_TOL) -> float:
+def check_level_invariance(inst: DualPairInstance, side: str,
+                           g_opposite: np.ndarray) -> float:
     """Relative change of j_side under the opposite group's action."""
     other = "right" if side == "left" else "left"
     j_before = momentum(inst, side).value
@@ -362,7 +361,7 @@ def check_level_invariance(inst: DualPairInstance, side: str, g_opposite: np.nda
 
 
 def check_pairing_identity(inst: DualPairInstance, xi: np.ndarray, zeta: np.ndarray,
-                           side: str, tol: Tolerances = DEFAULT_TOL) -> float:
+                           side: str) -> float:
     """|Omega(xi.x, zeta.x) - eps <<j(x), [xi, zeta]>>|, eps = +/-1.
 
     The sign is +1 for the left action and -1 for the right action; the

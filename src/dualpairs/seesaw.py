@@ -15,11 +15,9 @@ momentum-map diagrams and report residuals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .linalg import DEFAULT_TOL, Tolerances, trace_pairing
+from .linalg import trace_pairing
 from .pairs import basis_stack
 from . import general_linear, symplectic, unitary
 
@@ -53,24 +51,6 @@ def embed_gl_to_sp(zeta: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class EmbeddingTag:
-    """Which embedding to apply; kind is 'u_to_sp' or 'gl_to_sp'."""
-
-    kind: str
-    n: int
-
-    def __post_init__(self):
-        if self.kind not in ("u_to_sp", "gl_to_sp"):
-            raise ValueError("kind must be 'u_to_sp' or 'gl_to_sp'")
-        if self.n < 1:
-            raise ValueError("n must be at least 1")
-
-    def apply(self, zeta: np.ndarray) -> np.ndarray:
-        fn = embed_u_to_sp if self.kind == "u_to_sp" else embed_gl_to_sp
-        return fn(zeta)
-
-
 def complex_to_real(E: np.ndarray) -> np.ndarray:
     """Stack [Re E; Im E]; a symplectomorphism onto the real model."""
     E = np.asarray(E, dtype=complex)
@@ -89,7 +69,7 @@ def _check_adjoint_relation(out: np.ndarray, mu: np.ndarray):
         raise ValueError(f"restriction failed its pairing contract ({worst:.3e})")
 
 
-def restrict_u_to_o(mu: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def restrict_u_to_o(mu: np.ndarray) -> np.ndarray:
     """Real part of an anti-Hermitian matrix, the dual of o(m) in u(m)."""
     mu = np.asarray(mu, dtype=complex)
     _require_anti_hermitian(mu, "restrict_u_to_o input")
@@ -98,7 +78,7 @@ def restrict_u_to_o(mu: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray
     return out
 
 
-def restrict_gl_to_o(xi: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def restrict_gl_to_o(xi: np.ndarray) -> np.ndarray:
     """Skew part (xi - xi^T)/2, the dual of o(m) in gl(m,R)."""
     xi = np.asarray(xi, dtype=float)
     if xi.ndim != 2 or xi.shape[0] != xi.shape[1]:
@@ -108,7 +88,7 @@ def restrict_gl_to_o(xi: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarra
     return out
 
 
-def check_diagram_sp_u(E: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> dict:
+def check_diagram_sp_u(E: np.ndarray) -> dict:
     """Residuals of the two momentum identities tying the complex and
     real models of a point.
 
@@ -126,12 +106,12 @@ def check_diagram_sp_u(E: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> dict:
     left = float(np.max(np.abs(trace_pairing(j_sp, embed_u_to_sp(basis))
                                - trace_pairing(j_u, basis))))
     right = float(np.linalg.norm(
-        restrict_u_to_o(unitary.momentum_right(E), tol)
+        restrict_u_to_o(unitary.momentum_right(E))
         - symplectic.momentum_right(Er)))
     return {"left": left, "right": right}
 
 
-def check_diagram_sp_gl(pt, tol: Tolerances = DEFAULT_TOL) -> dict:
+def check_diagram_sp_gl(pt) -> dict:
     """Same two residuals for a (Q, P) point stacked into [Q; P]."""
     Q = np.asarray(pt.Q, dtype=float)
     P = np.asarray(pt.P, dtype=float)
@@ -143,6 +123,6 @@ def check_diagram_sp_gl(pt, tol: Tolerances = DEFAULT_TOL) -> dict:
     left = float(np.max(np.abs(trace_pairing(j_sp, embed_gl_to_sp(basis))
                                - trace_pairing(j_gl, basis))))
     right = float(np.linalg.norm(
-        restrict_gl_to_o(general_linear.momentum_right(pt), tol)
+        restrict_gl_to_o(general_linear.momentum_right(pt))
         - symplectic.momentum_right(Er)))
     return {"left": left, "right": right}

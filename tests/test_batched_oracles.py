@@ -171,7 +171,7 @@ def _ref_check_diagram_sp_u(E, tol=DEFAULT_TOL):
         left = max(left, abs(_ref_trace_pairing(j_sp, _ref_embed_u_to_sp(b))
                              - _ref_trace_pairing(j_u, b)))
     right = float(np.linalg.norm(
-        seesaw.restrict_u_to_o(unitary.momentum_right(E), tol)
+        seesaw.restrict_u_to_o(unitary.momentum_right(E))
         - symplectic.momentum_right(Er)))
     return {"left": left, "right": right}
 
@@ -188,7 +188,7 @@ def _ref_check_diagram_sp_gl(pt, tol=DEFAULT_TOL):
         left = max(left, abs(_ref_trace_pairing(j_sp, _ref_embed_gl_to_sp(b))
                              - _ref_trace_pairing(j_gl, b)))
     right = float(np.linalg.norm(
-        seesaw.restrict_gl_to_o(gl.momentum_right(pt), tol)
+        seesaw.restrict_gl_to_o(gl.momentum_right(pt))
         - symplectic.momentum_right(Er)))
     return {"left": left, "right": right}
 

@@ -76,20 +76,6 @@ def test_embed_gl_rejects_nonsquare():
         seesaw.embed_gl_to_sp(np.zeros((2, 3)))
 
 
-def test_embedding_tag_dispatch():
-    z = np.array([[1j]])
-    np.testing.assert_array_equal(seesaw.EmbeddingTag("u_to_sp", 1).apply(z),
-                                  seesaw.embed_u_to_sp(z))
-    w = np.array([[2.0]])
-    np.testing.assert_array_equal(
-        seesaw.EmbeddingTag("gl_to_sp", 1).apply(w),
-        seesaw.embed_gl_to_sp(w))
-    with pytest.raises(ValueError):
-        seesaw.EmbeddingTag("o_to_sp", 1)
-    with pytest.raises(ValueError):
-        seesaw.EmbeddingTag("u_to_sp", 0)
-
-
 def test_complex_to_real_stacking():
     np.testing.assert_array_equal(seesaw.complex_to_real(np.zeros((2, 1), complex)),
                                   np.zeros((4, 1)))
