@@ -8,12 +8,10 @@ Conventions fixed here and relied on everywhere else:
 * the canonical form of a skew matrix puts +a in the upper right of
   each 2x2 block, blocks sorted by descending a.
 
-scipy is imported on first use, by matrix_exp (expm) and
-isometry_between (pivoted QR) only, so importing this module loads
-numpy alone.  Among the commands, only suite, the unitary witness, the
-symplectic right witness and the gen partners that draw a symplectic or
-general linear group element ever load it; momentum, orbit, the other
-witnesses and the rest of gen never do.
+* random symplectic and general linear elements are Cayley transforms
+  of a normalised algebra element.
+
+numpy is the only library these kernels use.
 """
 
 from __future__ import annotations
@@ -130,10 +128,13 @@ def skew_canonical(xi: np.ndarray, tol: Tolerances = DEFAULT_TOL):
         The values a_i > 0, sorted descending (ties keep first
         occurrence order).
 
-    The computation runs through the symmetric eigenproblem of -xi^2,
-    which avoids complex arithmetic and lets us pin the sign convention:
-    for each unit eigenvector u with eigenvalue a^2 we take v = -xi u / a,
-    so that u^T xi v = +a.
+    The planes come from the symmetric eigenproblem of -xi^2, which
+    avoids complex arithmetic and lets us pin the sign convention: for
+    each unit eigenvector u with eigenvalue a^2 we take v along -xi u,
+    so that u^T xi v > 0.  The value reported is the Rayleigh quotient
+    a = u^T xi v of the normalised plane, not sqrt of the eigenvalue:
+    the eigenvalue carries an absolute error near eps |xi|^2, which the
+    square root would turn into a relative error near eps (|xi| / a)^2.
     """
     xi = np.asarray(xi, dtype=float)
     m = xi.shape[0]
@@ -162,7 +163,7 @@ def skew_canonical(xi: np.ndarray, tol: Tolerances = DEFAULT_TOL):
     # Extract one (u, v) plane per pair.  The pivot is the positive-part
     # eigenvector with the largest residual against the planes already
     # taken, which is well conditioned even when eigenvalues collide;
-    # v = -xi u / a completes the plane and pins the sign convention.
+    # v along -xi u completes the plane and pins the sign convention.
     triples = []
     chosen: list[np.ndarray] = []
     for _ in range(npos // 2):
@@ -172,14 +173,14 @@ def skew_canonical(xi: np.ndarray, tol: Tolerances = DEFAULT_TOL):
             basis = basis - C @ (C.T @ basis)
         norms = np.linalg.norm(basis, axis=0)
         k = int(np.argmax(norms))
-        a = float(np.sqrt(w[k]))
         u = basis[:, k] / norms[k]
-        v = -(xi @ u) / a
+        v = -(xi @ u)
         v = v - u * (u @ v)
         if chosen:
             C = np.column_stack(chosen)
             v = v - C @ (C.T @ v)
         v = v / np.linalg.norm(v)
+        a = float(u @ xi @ v)
         chosen.extend([u, v])
         triples.append((a, u, v))
 
@@ -223,15 +224,6 @@ def block_diag_skew(pairs, m: int) -> np.ndarray:
     return B
 
 
-def matrix_exp(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential (scaling and squaring, delegated to scipy)."""
-    a = np.asarray(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("input must be square")
-    import scipy.linalg
-    return scipy.linalg.expm(a)
-
-
 def stream_rng(seed: int, stream: int = 0) -> np.random.Generator:
     """Counter-based RNG stream keyed by (seed, stream).
 
@@ -246,9 +238,11 @@ def random_group_element(group: str, dim: int, seed: int, stream: int = 0) -> np
     """Pseudorandom element of U(dim), O(dim), Sp(dim,R) or GL(dim,R).
 
     Unitary and orthogonal elements come from QR orthonormalization of a
-    Gaussian matrix with the usual phase fix; symplectic and general
-    linear elements are matrix exponentials of a random algebra element
-    scaled to unit Frobenius norm.  Deterministic in (seed, stream).
+    Gaussian matrix with the usual phase fix.  Symplectic and general
+    linear elements are Cayley transforms (I - X/2)^-1 (I + X/2) of a
+    random algebra element X scaled to unit Frobenius norm: the Cayley
+    map sends sp(2n) into Sp(2n) exactly, and |X/2| <= 1/2 bounds both
+    |g| and |g^-1| by 3, so cond <= 9.  Deterministic in (seed, stream).
     """
     rng = stream_rng(seed, stream)
     if group == "unitary":
@@ -269,46 +263,49 @@ def random_group_element(group: str, dim: int, seed: int, stream: int = 0) -> np
         C = rng.standard_normal((n, n))
         B = (B + B.T) / 2
         C = (C + C.T) / 2
-        xi = np.block([[A, B], [C, -A.T]])
-        return matrix_exp(xi / np.linalg.norm(xi))
+        return _cayley(np.block([[A, B], [C, -A.T]]))
     if group == "general_linear":
-        xi = rng.standard_normal((dim, dim))
-        return matrix_exp(xi / np.linalg.norm(xi))
+        return _cayley(rng.standard_normal((dim, dim)))
     raise ValueError(f"unknown group tag: {group!r}")
+
+
+def _cayley(xi: np.ndarray) -> np.ndarray:
+    # (I - X/2)^-1 (I + X/2) with X = xi / |xi|_F; the two factors commute
+    half = xi / (2.0 * np.linalg.norm(xi))
+    eye = np.eye(xi.shape[0])
+    return np.linalg.solve(eye - half, eye + half)
 
 
 def orthonormal_complement(Q: np.ndarray, total: int | None = None) -> np.ndarray:
     """Deterministic orthonormal basis of the complement of the columns of Q.
 
     Standard basis vectors are scanned in index order and kept whenever
-    their residual against the span built so far is not negligible.  Both
-    real and complex inputs are supported; the result has the same dtype.
+    their residual against the span built so far is not negligible.  The
+    residual takes two passes of classical Gram-Schmidt against all
+    columns at once.  Both real and complex inputs are supported; the
+    result has the same dtype.
     """
-    n = Q.shape[0]
+    n, k0 = Q.shape
     if total is None:
-        total = n - Q.shape[1]
-    cols = [Q[:, k] for k in range(Q.shape[1])]
-    out = []
-    e = np.eye(n, dtype=Q.dtype)
+        total = n - k0
+    C = np.zeros((n, k0 + total), dtype=Q.dtype)
+    C[:, :k0] = Q
+    k = k0
     for i in range(n):
-        if len(out) == total:
+        if k == k0 + total:
             break
-        v = e[:, i].copy()
-        for c in cols:
-            v = v - c * (np.conj(c) @ v)
+        span = C[:, :k]
+        v = -(span @ np.conj(span[i]))  # e_i - C C^H e_i
+        v[i] += 1.0
         # second pass stabilizes near-dependent candidates
-        for c in cols:
-            v = v - c * (np.conj(c) @ v)
+        v -= span @ (np.conj(span).T @ v)
         nv = np.linalg.norm(v)
         if nv > 1e-8:
-            v = v / nv
-            cols.append(v)
-            out.append(v)
-    if len(out) != total:
+            C[:, k] = v / nv
+            k += 1
+    if k != k0 + total:
         raise ValueError("failed to complete orthonormal basis")
-    if out:
-        return np.column_stack(out)
-    return np.zeros((n, 0), dtype=Q.dtype)
+    return C[:, k0:]
 
 
 def isometry_between(A: np.ndarray, B: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -319,9 +316,10 @@ def isometry_between(A: np.ndarray, B: np.ndarray, tol: Tolerances = DEFAULT_TOL
     column_i(B) an isometry of spans, which is extended to the whole
     space by matching deterministic complement bases.
 
-    The column selection is pivoted QR on A, ties resolved by the lowest
-    column index (the LAPACK rule), and the same pivot set is reused on
-    B so the two thin factors line up.
+    The spans are read off A V_r and B V_r, with V_r the leading r right
+    singular vectors of A and r counted by the rank_tol rule.  Their thin
+    QR factors with positive diagonal share R, because the Gram matrices
+    agree, so W maps A V_r onto B V_r and the kernel of A onto that of B.
     """
     A = np.asarray(A)
     B = np.asarray(B)
@@ -337,15 +335,13 @@ def isometry_between(A: np.ndarray, B: np.ndarray, tol: Tolerances = DEFAULT_TOL
             raise ValueError("Gram matrices differ: one input is zero")
         return np.eye(n, dtype=dtype)
 
-    import scipy.linalg
-    Rfull, piv = scipy.linalg.qr(A, mode="r", pivoting=True)
-    diag = np.abs(np.diagonal(Rfull))
-    cutoff = tol.rank_tol_factor * max(A.shape) * np.finfo(float).eps * diag[0]
-    r = int(np.sum(diag > cutoff))
-    sel = piv[:r]
+    _, s, Vh = np.linalg.svd(A, full_matrices=False)
+    cutoff = tol.rank_tol_factor * max(A.shape) * np.finfo(float).eps * s[0]
+    r = int(np.sum(s > cutoff))
+    V_r = np.conj(Vh[:r]).T
 
     def thin_q(M):
-        Q, R = np.linalg.qr(M[:, sel])
+        Q, R = np.linalg.qr(M @ V_r)
         d = np.diagonal(R).copy()
         d = np.where(np.abs(d) == 0, 1.0, d)
         return Q * (d / np.abs(d))  # force positive diagonal in R

@@ -293,10 +293,20 @@ def test_integral_gl_labels_leave_sympy_unloaded(caller, tmp_path):
     assert proc.stdout.strip().splitlines()[-1] == "False"
 
 
-# scipy is imported on first use by matrix_exp and isometry_between only,
-# so importing the package and these commands never load it.
+# The package runs on numpy alone: no command and no kernel loads scipy.
 _GL_INSTANCE = ("assert cli.main(['gen', 'gl', '6', '4', '--seed', '2',"
                 " '--partner', 'normal-form', '--out', os.path.join(tmp, 'g')]) == 0")
+
+
+def _gen_and_witness(pair, partner, side):
+    stem = f"os.path.join(tmp, '{pair}')"
+    return (f"from dualpairs import cli;"
+            f" assert cli.main(['gen', '{pair}', '6', '4', '--seed', '1',"
+            f" '--partner', '{partner}', '--out', {stem}]) == 0;"
+            f" assert cli.main(['witness', {stem} + '.json', {stem} + '.partner.json',"
+            f" '--side', '{side}']) == 0")
+
+
 _SCIPY_FREE = {
     "import": "import dualpairs",
     "import_cli": "import dualpairs.cli",
@@ -306,6 +316,11 @@ _SCIPY_FREE = {
         " '--partner', 'fiber-left', '--out', os.path.join(tmp, 'u')]) == 0;"
         " assert cli.main(['gen', 'sp', '6', '4', '--seed', '1',"
         " '--partner', 'fiber-right', '--out', os.path.join(tmp, 's')]) == 0"),
+    "gen_sp_gl_partners": (
+        "from dualpairs import cli;"
+        " assert all(cli.main(['gen', pair, '6', '4', '--seed', '1', '--partner', mode,"
+        " '--out', os.path.join(tmp, pair + mode)]) == 0"
+        " for pair in ('sp', 'gl') for mode in ('fiber-left', 'fiber-right', 'normal-form'))"),
     "gen_orbit": ("from dualpairs import cli; " + _GL_INSTANCE + ";"
                   " assert cli.main(['orbit', os.path.join(tmp, 'g.json')]) == 0"),
     "momentum_witness": (
@@ -313,6 +328,19 @@ _SCIPY_FREE = {
         " assert cli.main(['momentum', os.path.join(tmp, 'g.json'), '--side', 'left']) == 0;"
         " assert cli.main(['witness', os.path.join(tmp, 'g.json'),"
         " os.path.join(tmp, 'g.partner.json'), '--side', 'left']) == 0"),
+    "witness_u_left": _gen_and_witness("u", "fiber-left", "left"),
+    "witness_u_right": _gen_and_witness("u", "fiber-right", "right"),
+    "witness_sp_right": _gen_and_witness("sp", "fiber-right", "right"),
+    "suite": ("from dualpairs import cli;"
+              " assert cli.main(['suite', '--out', os.path.join(tmp, 'r.json')]) == 0"),
+    "linalg_kernels": (
+        "from dualpairs import linalg;"
+        " rng = linalg.stream_rng(5);"
+        " A = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3));"
+        " B = linalg.random_group_element('unitary', 5, 6) @ A;"
+        " assert linalg.relative_diff(linalg.isometry_between(A, B) @ A, B) < 1e-12;"
+        " linalg.random_group_element('symplectic', 6, 7);"
+        " linalg.random_group_element('general_linear', 4, 8)"),
 }
 
 
@@ -323,26 +351,3 @@ def test_cold_path_leaves_scipy_unloaded(caller, tmp_path):
     proc = _fresh_python("-c", code, str(tmp_path))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip().splitlines()[-1] == "False"
-
-
-_SCIPY_FIRST_USE = (
-    "import sys; from dualpairs import linalg;"
-    " loaded = 'scipy' in sys.modules;"
-    " rng = linalg.stream_rng(5);"
-    " A = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3));"
-    " B = linalg.random_group_element('unitary', 5, 6) @ A;"
-    " W = linalg.isometry_between(A, B);"
-    " X = linalg.matrix_exp(rng.standard_normal((4, 4)));"
-    " print(loaded, 'scipy' in sys.modules, W.tobytes().hex(), X.tobytes().hex())")
-
-
-def test_scipy_kernels_work_on_first_use():
-    lazy = _fresh_python("-c", _SCIPY_FIRST_USE)
-    eager = _fresh_python("-c", "import scipy.linalg; " + _SCIPY_FIRST_USE)
-    assert lazy.returncode == 0, lazy.stderr
-    assert eager.returncode == 0, eager.stderr
-    lazy_out = lazy.stdout.split()
-    eager_out = eager.stdout.split()
-    assert lazy_out[:2] == ["False", "True"]
-    assert eager_out[:2] == ["True", "True"]
-    assert lazy_out[2:] == eager_out[2:]

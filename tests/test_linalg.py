@@ -9,7 +9,6 @@ from dualpairs.linalg import (
     Tolerances,
     block_diag_skew,
     isometry_between,
-    matrix_exp,
     omega_complex,
     omega_real,
     orthonormal_complement,
@@ -173,27 +172,6 @@ def test_block_diag_skew_layout():
     np.testing.assert_array_equal(B, expected)
 
 
-def test_matrix_exp_zero():
-    np.testing.assert_allclose(matrix_exp(np.zeros((3, 3))), np.eye(3))
-
-
-def test_matrix_exp_diagonal():
-    out = matrix_exp(np.diag([1.0, 2.0]))
-    np.testing.assert_allclose(out, np.diag([np.e, np.e**2]), rtol=1e-12)
-
-
-def test_matrix_exp_inverse_identity():
-    a = stream_rng(17, 0).standard_normal((4, 4))
-    a = a / np.linalg.norm(a)
-    np.testing.assert_allclose(matrix_exp(a) @ matrix_exp(-a), np.eye(4),
-                               atol=1e-10)
-
-
-def test_matrix_exp_rejects_non_square():
-    with pytest.raises(ValueError):
-        matrix_exp(np.zeros((2, 3)))
-
-
 def test_stream_rng_deterministic():
     a = stream_rng(42, 3).standard_normal(5)
     b = stream_rng(42, 3).standard_normal(5)
@@ -227,6 +205,25 @@ def test_random_group_element_general_linear_invertible():
     assert rank_tol(G) == 4
 
 
+_EPS = np.finfo(float).eps
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_random_symplectic_draws_are_symplectic_to_roundoff(n):
+    J = standard_J(n)
+    for seed in range(120):
+        S = random_group_element("symplectic", 2 * n, seed, 3)
+        bound = 2 * n * _EPS * np.linalg.norm(S) ** 2
+        assert np.linalg.norm(S.T @ J @ S - J) <= bound, seed
+
+
+@pytest.mark.parametrize("dim", range(2, 33))
+def test_random_general_linear_draws_have_cond_at_most_9(dim):
+    for seed in range(120):
+        G = random_group_element("general_linear", dim, seed, 3)
+        assert np.linalg.cond(G) <= 9.0, seed
+
+
 def test_random_group_element_deterministic():
     np.testing.assert_array_equal(random_group_element("unitary", 3, 5),
                                   random_group_element("unitary", 3, 5))
@@ -257,6 +254,49 @@ def test_orthonormal_complement_complex_and_deterministic():
     np.testing.assert_allclose(np.conj(Q).T @ N1, 0.0, atol=1e-12)
 
 
+def _complement_loop(Q, total=None):
+    # reference: modified Gram-Schmidt, one column at a time, two passes
+    n = Q.shape[0]
+    if total is None:
+        total = n - Q.shape[1]
+    cols = [Q[:, k] for k in range(Q.shape[1])]
+    out = []
+    for i in range(n):
+        if len(out) == total:
+            break
+        v = np.eye(n, dtype=Q.dtype)[:, i]
+        for _ in range(2):
+            for c in cols:
+                v = v - c * (np.conj(c) @ v)
+        nv = np.linalg.norm(v)
+        if nv > 1e-8:
+            cols.append(v / nv)
+            out.append(v / nv)
+    return np.column_stack(out) if out else np.zeros((n, 0), dtype=Q.dtype)
+
+
+@pytest.mark.parametrize("n,k,cplx", [(3, 1, False), (6, 2, True), (12, 7, False),
+                                      (16, 12, True), (16, 0, False), (5, 5, True)])
+def test_orthonormal_complement_matches_the_loop_reference(n, k, cplx):
+    rng = stream_rng(30 + n, k)
+    A = rng.standard_normal((n, k))
+    if cplx:
+        A = A + 1j * rng.standard_normal((n, k))
+    Q = np.linalg.qr(A)[0] if k else np.zeros((n, 0), dtype=A.dtype)
+    N = orthonormal_complement(Q)
+    assert N.dtype == Q.dtype and N.shape == (n, n - k)
+    np.testing.assert_allclose(N, _complement_loop(Q), rtol=0, atol=1e-13)
+    np.testing.assert_allclose(np.conj(N).T @ N, np.eye(n - k), atol=1e-14)
+
+
+def test_orthonormal_complement_scans_in_index_order():
+    # e_0 lies in the span, so the scan keeps e_1 (sign and all) first
+    Q = np.array([[1.0], [0.0], [0.0]])
+    np.testing.assert_array_equal(orthonormal_complement(Q), [[0, 0], [1, 0], [0, 1]])
+    with pytest.raises(ValueError):
+        orthonormal_complement(Q, total=3)
+
+
 def test_isometry_between_transports_columns():
     rng = stream_rng(19, 0)
     A = rng.standard_normal((4, 2))
@@ -285,6 +325,36 @@ def test_isometry_between_rank_deficient():
     W0 = random_group_element("orthogonal", 4, 22)
     W = isometry_between(A, W0 @ A)
     np.testing.assert_allclose(W @ A, W0 @ A, atol=1e-10 * np.linalg.norm(A))
+
+
+def _assert_isometry_transport(A, B):
+    W = isometry_between(A, B)
+    n = A.shape[0]
+    np.testing.assert_allclose(np.conj(W).T @ W, np.eye(n), rtol=0, atol=1e-13)
+    assert np.iscomplexobj(W) == np.iscomplexobj(A)
+    assert relative_diff(W @ A, B) <= 1e-13
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_isometry_between_rank_deficient_complex(seed):
+    rng = stream_rng(seed, 23)
+    L = rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2))
+    A = L @ (rng.standard_normal((2, 5)) + 1j * rng.standard_normal((2, 5)))
+    assert rank_tol(A) == 2
+    _assert_isometry_transport(A, random_group_element("unitary", 6, seed, 24) @ A)
+
+
+@pytest.mark.parametrize("seed", range(10))
+@pytest.mark.parametrize("cplx", [False, True])
+def test_isometry_between_more_columns_than_rows(seed, cplx):
+    rng = stream_rng(seed, 25)
+    A = rng.standard_normal((3, 7))
+    if cplx:
+        A = A + 1j * rng.standard_normal((3, 7))
+        W0 = random_group_element("unitary", 3, seed, 26)
+    else:
+        W0 = random_group_element("orthogonal", 3, seed, 26)
+    _assert_isometry_transport(A, W0 @ A)
 
 
 def test_isometry_between_zero_cases():

@@ -292,3 +292,31 @@ def test_correspond_charpoly_against_raw_momentum():
     c1 = np.poly(symplectic.momentum_left(E))
     c2 = np.poly(nfl)
     np.testing.assert_allclose(c1, c2, atol=1e-7)
+
+
+def _mp_sigmas(E, digits=50):
+    """Symplectic singular values of E from a ``digits``-digit eigensolve
+    of -xi^2, xi the right momentum formed exactly in that precision."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(digits):
+        n = E.shape[0] // 2
+        Em = mpmath.matrix(E.tolist())
+        J = mpmath.zeros(2 * n, 2 * n)
+        for i in range(n):
+            J[i, n + i], J[n + i, i] = 1, -1
+        xi = -(Em.T * J * Em) / 2
+        w = sorted(mpmath.eigsy(-(xi * xi), eigvals_only=True), reverse=True)
+        # eigenvalues a^2 come in equal pairs; sigma = sqrt(2 a)
+        return [mpmath.sqrt(2 * mpmath.sqrt(x)) for x in w[0:2 * (len(w) // 2):2]]
+
+
+def test_symplectic_svd_small_sigma_keeps_relative_accuracy():
+    # 8x6 Gaussian point whose smallest sigma, 0.0371, is small against
+    # |E|; sqrt of an eigenvalue of -xi^2 lost it to 4e-9 relative
+    E = np.random.default_rng([9, 5, 62]).standard_normal((16, 6))
+    _, _, _, inv = symplectic.symplectic_svd(E)
+    ref = _mp_sigmas(E)
+    assert inv.p == len(ref) == 3
+    assert abs(inv.sigmas[-1] - 0.0371) < 1e-4
+    for got, want in zip(inv.sigmas, ref):
+        assert abs(got - float(want)) <= 1e-12 * float(want)
