@@ -19,7 +19,6 @@ import ctypes
 import glob
 import json
 import os
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -68,7 +67,7 @@ def _record_key(rec):
     return (rec["check"], rec["pair"], tuple(rec["dims"]), rec["seed"])
 
 
-def compare_reports(new: dict, old: dict, tol: float = RESIDUAL_TOL) -> list:
+def compare_reports(new: dict, old: dict) -> list:
     """Differences that matter across BLAS builds; empty when none."""
     problems = []
     if new["config"] != old["config"]:
@@ -81,7 +80,7 @@ def compare_reports(new: dict, old: dict, tol: float = RESIDUAL_TOL) -> list:
     for a, b in zip(new["records"], old["records"]):
         if a["pass"] != b["pass"]:
             problems.append(f"{_record_key(a)}: pass {b['pass']} -> {a['pass']}")
-        if not abs(a["residual"] - b["residual"]) <= tol:
+        if not abs(a["residual"] - b["residual"]) <= RESIDUAL_TOL:
             problems.append(f"{_record_key(a)}: residual {b['residual']!r} -> {a['residual']!r}")
     return problems
 
@@ -114,12 +113,6 @@ def test_compare_reports_catches_what_matters():
     assert compare_reports(edited("seed", rec["seed"] + 1), old) != []
 
 
-def test_provenance_names_numpy_and_blas():
-    prov = blas_provenance()
-    assert prov["numpy"] == np.__version__
-    assert set(prov) == {"numpy", "blas", "blas_core"}
-
-
 if __name__ == "__main__":
     import tempfile
 
@@ -127,4 +120,3 @@ if __name__ == "__main__":
         for name, args in REPORTS.items():
             (GOLDEN / name).write_bytes(run_suite(args, Path(tmp) / name))
     (GOLDEN / "provenance.json").write_text(json.dumps(blas_provenance(), indent=2) + "\n")
-    sys.exit(0)

@@ -290,7 +290,7 @@ def test_orthonormal_complement_matches_the_loop_reference(n, k, cplx):
 
 
 def test_orthonormal_complement_scans_in_index_order():
-    # e_0 lies in the span, so the scan keeps e_1 (sign and all) first
+    # e_0 lies in the span, so the scan keeps e_1 and e_2, exactly
     Q = np.array([[1.0], [0.0], [0.0]])
     np.testing.assert_array_equal(orthonormal_complement(Q), [[0, 0], [1, 0], [0, 1]])
     with pytest.raises(ValueError):

@@ -294,11 +294,11 @@ def test_correspond_charpoly_against_raw_momentum():
     np.testing.assert_allclose(c1, c2, atol=1e-7)
 
 
-def _mp_sigmas(E, digits=50):
-    """Symplectic singular values of E from a ``digits``-digit eigensolve
-    of -xi^2, xi the right momentum formed exactly in that precision."""
+def _mp_sigmas(E):
+    """Symplectic singular values of E from a 50-digit eigensolve of
+    -xi^2, xi the right momentum formed in that precision."""
     mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(digits):
+    with mpmath.workdps(50):
         n = E.shape[0] // 2
         Em = mpmath.matrix(E.tolist())
         J = mpmath.zeros(2 * n, 2 * n)
