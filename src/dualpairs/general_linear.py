@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, Tolerances, rank_tol, relative_diff
+from .linalg import DEFAULT_TOL, KEEP_RESIDUAL, Tolerances, rank_tol, relative_diff
 from .pairs import WitnessReport, require_level_match as _require_level_match
 
 
@@ -100,9 +100,17 @@ def complete_pair(M1: np.ndarray, M2: np.ndarray = None,
     Candidates are scanned in a fixed order: the standard basis vectors
     by index, then normalized sums e_i + e_j for i < j.  A candidate is
     kept when its residual against each matrix's column span plus the
-    kept columns exceeds a fixed threshold.  The second tier makes the
+    kept columns exceeds ``KEEP_RESIDUAL``.  The second tier makes the
     scan total: whenever two proper subspaces each swallow some basis
     vector, a sum of two basis vectors avoids both.
+
+    The residuals of a whole tier are formed at once as projector
+    residuals C - B B^T C, in two passes, and each kept direction is
+    projected out of the candidates after it.  A rejected residual can
+    only shrink as the span grows, so the scan runs forward from the
+    kept candidate instead of restarting.  Both matrices must have equal
+    shape and full column rank; when they are square the result is an
+    empty n x 0 array.
     """
     M1 = np.asarray(M1, dtype=float)
     n, m = M1.shape
@@ -112,47 +120,59 @@ def complete_pair(M1: np.ndarray, M2: np.ndarray = None,
         if M2.shape != (n, m):
             raise ValueError("the two matrices must have equal shape")
         sides.append(M2)
-    bases = []
     for M in sides:
-        if rank_tol(M, tol) != m:
-            raise ValueError("complete_pair requires full column rank")
-        q = np.linalg.qr(M)[0] if m > 0 else np.zeros((n, 0))
-        bases.append([q[:, t].copy() for t in range(m)])
+        _require_full_column_rank(M, tol)
+    return _complete(sides)
 
-    def candidates():
-        for i in range(n):
-            c = np.zeros(n)
-            c[i] = 1.0
-            yield c
-        for i in range(n):
-            for j in range(i + 1, n):
-                c = np.zeros(n)
-                c[i] = c[j] = np.sqrt(0.5)
-                yield c
 
-    kept = []
-    while len(kept) < n - m:
-        for c in candidates():
-            ok = True
-            shadows = []
-            for base in bases:
-                v = c.copy()
-                for _ in range(2):
-                    for w in base:
-                        v = v - (w @ v) * w
-                nv = np.linalg.norm(v)
-                if nv <= 1e-8:
-                    ok = False
-                    break
-                shadows.append(v / nv)
-            if ok:
-                kept.append(c)
-                for base, v in zip(bases, shadows):
-                    base.append(v)
+def _require_full_column_rank(M: np.ndarray, tol: Tolerances):
+    if rank_tol(M, tol) != M.shape[1]:
+        raise ValueError("complete_pair requires full column rank")
+
+
+def _pair_candidates(n: int) -> np.ndarray:
+    # (e_i + e_j) / sqrt 2 for i < j, in row-major order of (i, j)
+    i, j = np.triu_indices(n, 1)
+    cols = np.arange(i.size)
+    C = np.zeros((n, i.size))
+    C[i, cols] = C[j, cols] = np.sqrt(0.5)
+    return C
+
+
+def _complete(sides: list) -> np.ndarray:
+    """complete_pair on matrices already checked for equal shape and
+    full column rank."""
+    n, m = sides[0].shape
+    need = n - m
+    if need == 0:
+        return np.zeros((n, 0))
+    B = np.linalg.qr(np.stack(sides))[0]  # orthonormal bases, (sides, n, m)
+    kept, shadows = [], []
+    for tier in (np.eye, _pair_candidates):
+        if shadows:  # the basis vectors ran out; the pairs see their shadows too
+            B = np.concatenate([B, *shadows], axis=2)
+        C = tier(n)
+        Bt = B.transpose(0, 2, 1)
+        R = C - B @ (Bt @ C)
+        R -= B @ (Bt @ R)
+        j = 0
+        while True:
+            norms = np.linalg.norm(R[:, :, j:], axis=1)
+            hits = np.flatnonzero((norms > KEEP_RESIDUAL).all(axis=0))
+            if hits.size == 0:
                 break
-        else:
-            raise ValueError("failed to complete to an invertible matrix")
-    return np.column_stack(kept) if kept else np.zeros((n, 0))
+            k = hits[0]
+            j += k
+            kept.append(C[:, j])
+            if len(kept) == need:
+                return np.column_stack(kept)
+            u = R[:, :, j, None] / norms[:, k, None, None]  # (sides, n, 1)
+            shadows.append(u)
+            j += 1
+            rest = R[:, :, j:]
+            for _ in range(2):
+                rest -= u @ (u.transpose(0, 2, 1) @ rest)
+    raise ValueError("failed to complete to an invertible matrix")
 
 
 def witness_left(pt: CotangentPoint, pt_prime: CotangentPoint,
@@ -165,17 +185,23 @@ def witness_left(pt: CotangentPoint, pt_prime: CotangentPoint,
     which maps Q to Q' and, because P'^T C X = P^T X, transports P as
     well.  The report's cond field is the larger condition number of
     the two completed matrices that get inverted.
+
+    Both completions are ``complete_pair``'s scan, with its candidate
+    order and keep rule.  Each of Q, P, Q', P' gets one rank check, and
+    the new matrix C^-1 Q' one more, before its completion.
     """
     _require_full_rank(pt, tol, "witness_left")
     _require_full_rank(pt_prime, tol, "witness_left")
     _require_level_match(momentum_right(pt), momentum_right(pt_prime), tol, "right")
     Q, P = pt.Q, pt.P
     Q2, P2 = pt_prime.Q, pt_prime.P
-    Y = complete_pair(P, P2, tol)
+    Y = _complete([P, P2])
     PY = np.column_stack([P, Y]) if Y.size else P
     P2Y = np.column_stack([P2, Y]) if Y.size else P2
     C = (PY @ np.linalg.inv(P2Y)).T
-    X = complete_pair(Q, np.linalg.solve(C, Q2), tol)
+    CQ2 = np.linalg.solve(C, Q2)
+    _require_full_column_rank(CQ2, tol)
+    X = _complete([Q, CQ2])
     QX = np.column_stack([Q, X]) if X.size else Q
     Q2X = np.column_stack([Q2, C @ X]) if X.size else Q2
     A = Q2X @ np.linalg.inv(QX)

@@ -35,6 +35,11 @@ class Tolerances:
 
 DEFAULT_TOL = Tolerances()
 
+# The deterministic completion scans (orthonormal_complement, the GL
+# joint completion and the symplectic complement) keep a unit candidate
+# direction only when its residual against the span so far exceeds this.
+KEEP_RESIDUAL = 1e-8
+
 
 def standard_J(n: int) -> np.ndarray:
     """Return the 2n x 2n block matrix [[0, I], [-I, 0]]."""
@@ -300,7 +305,7 @@ def orthonormal_complement(Q: np.ndarray, total: int | None = None) -> np.ndarra
         # second pass stabilizes near-dependent candidates
         v -= span @ (np.conj(span).T @ v)
         nv = np.linalg.norm(v)
-        if nv > 1e-8:
+        if nv > KEEP_RESIDUAL:
             C[:, k] = v / nv
             k += 1
     if k != k0 + total:

@@ -19,6 +19,7 @@ import numpy as np
 
 from .linalg import (
     DEFAULT_TOL,
+    KEEP_RESIDUAL,
     Tolerances,
     isometry_between,
     rank_tol,
@@ -167,7 +168,7 @@ def _complete_darboux(L_pairs: list, J: np.ndarray):
         for w in kept_orth:
             v = v - (w @ v) * w
         nv = np.linalg.norm(v)
-        if nv > 1e-8:
+        if nv > KEEP_RESIDUAL:
             kept.append(u)
             kept_orth.append(v / nv)
     need = dim - 2 * len(L_pairs)

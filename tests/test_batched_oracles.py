@@ -3,7 +3,10 @@
 The reference functions below keep the loop versions verbatim.  The
 batched code does the same arithmetic in the same order, one basis stack
 at a time, so every result must equal its reference exactly, not merely
-approximately.
+approximately.  The GL joint completion is the exception in arithmetic:
+its vectorised scan forms residuals in another order, but it must keep
+exactly the candidates the loop keeps, so the completion and the left
+witness built on it are compared bit for bit too.
 """
 
 import numpy as np
@@ -11,7 +14,7 @@ import pytest
 
 from dualpairs import general_linear as gl
 from dualpairs import seesaw, symplectic, unitary
-from dualpairs.linalg import DEFAULT_TOL, rank_tol, stream_rng
+from dualpairs.linalg import DEFAULT_TOL, random_group_element, rank_tol, relative_diff, stream_rng
 from dualpairs.pairs import (
     DualPairInstance,
     algebra_basis,
@@ -208,6 +211,77 @@ def _ref_jacobian_rank_right(E, tol=DEFAULT_TOL):
     return rank_tol(np.column_stack(cols), tol)
 
 
+def _ref_complete_pair(M1, M2=None, tol=DEFAULT_TOL):
+    M1 = np.asarray(M1, dtype=float)
+    n, m = M1.shape
+    sides = [M1]
+    if M2 is not None:
+        M2 = np.asarray(M2, dtype=float)
+        if M2.shape != (n, m):
+            raise ValueError("the two matrices must have equal shape")
+        sides.append(M2)
+    bases = []
+    for M in sides:
+        if rank_tol(M, tol) != m:
+            raise ValueError("complete_pair requires full column rank")
+        q = np.linalg.qr(M)[0] if m > 0 else np.zeros((n, 0))
+        bases.append([q[:, t].copy() for t in range(m)])
+
+    def candidates():
+        for i in range(n):
+            c = np.zeros(n)
+            c[i] = 1.0
+            yield c
+        for i in range(n):
+            for j in range(i + 1, n):
+                c = np.zeros(n)
+                c[i] = c[j] = np.sqrt(0.5)
+                yield c
+
+    kept = []
+    while len(kept) < n - m:
+        for c in candidates():
+            ok = True
+            shadows = []
+            for base in bases:
+                v = c.copy()
+                for _ in range(2):
+                    for w in base:
+                        v = v - (w @ v) * w
+                nv = np.linalg.norm(v)
+                if nv <= 1e-8:
+                    ok = False
+                    break
+                shadows.append(v / nv)
+            if ok:
+                kept.append(c)
+                for base, v in zip(bases, shadows):
+                    base.append(v)
+                break
+        else:
+            raise ValueError("failed to complete to an invertible matrix")
+    return np.column_stack(kept) if kept else np.zeros((n, 0))
+
+
+def _ref_witness_left(pt, pt_prime, tol=DEFAULT_TOL):
+    # witness_left with the loop completion; the rank and level checks
+    # are left to the library call made on the same points
+    Q, P = pt.Q, pt.P
+    Q2, P2 = pt_prime.Q, pt_prime.P
+    Y = _ref_complete_pair(P, P2, tol)
+    PY = np.column_stack([P, Y]) if Y.size else P
+    P2Y = np.column_stack([P2, Y]) if Y.size else P2
+    C = (PY @ np.linalg.inv(P2Y)).T
+    X = _ref_complete_pair(Q, np.linalg.solve(C, Q2), tol)
+    QX = np.column_stack([Q, X]) if X.size else Q
+    Q2X = np.column_stack([Q2, C @ X]) if X.size else Q2
+    A = Q2X @ np.linalg.inv(QX)
+    res_q = relative_diff(A @ Q, Q2)
+    res_p = relative_diff(np.linalg.solve(A.T, P), P2)
+    cond = max(float(np.linalg.cond(QX)), float(np.linalg.cond(P2Y)))
+    return A, max(res_q, res_p), cond
+
+
 # ---------------------------------------------------------------------------
 # instances
 
@@ -301,3 +375,48 @@ def test_jacobian_rank_right_equals_the_loop_reference(n, m):
     D[:, -1] = 0.0
     assert rank_tol(D) < m
     assert unitary.jacobian_rank_right(D) == _ref_jacobian_rank_right(D)
+
+
+def _completion_inputs(seed):
+    # Gaussian pairs, and sparse integral ones whose spans often swallow
+    # basis vectors on both sides, which sends the scan to the pair tier
+    rng = stream_rng(41, seed)
+    n = int(rng.integers(1, 17))
+    m = int(rng.integers(0, n + 1))
+    if seed % 2 == 0:
+        return rng.standard_normal((n, m)), rng.standard_normal((n, m))
+    mask = rng.random((2, n, m)) < 0.3
+    return tuple((rng.integers(-2, 3, (2, n, m)) * mask).astype(float))
+
+
+def test_complete_pair_equals_the_loop_reference():
+    kept = pair_tier = 0
+    for seed in range(400):
+        M1, M2 = _completion_inputs(seed)
+        for args in ((M1, M2), (M1,)):
+            try:
+                want = _ref_complete_pair(*args)
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=str(exc)):
+                    gl.complete_pair(*args)
+                continue
+            got = gl.complete_pair(*args)
+            assert _same_bits(got, want)
+            kept += 1
+            pair_tier += bool(np.any(np.count_nonzero(want, axis=0) == 2))
+    assert kept >= 200
+    assert pair_tier >= 10
+
+
+@pytest.mark.parametrize("n,m", [(2, 1), (3, 2), (4, 4), (6, 3), (8, 6), (12, 8),
+                                 (16, 12), (16, 16)])
+def test_witness_left_equals_the_loop_reference(n, m):
+    for seed in range(10):
+        rng = stream_rng(43, 100 * n + m + 10_000 * seed)
+        pt = gl.CotangentPoint(rng.standard_normal((n, m)), rng.standard_normal((n, m)))
+        A0 = random_group_element("general_linear", n, seed, 100 * n + m)
+        pt2 = gl.act_left(A0, pt)
+        rep = gl.witness_left(pt, pt2)
+        A, residual, cond = _ref_witness_left(pt, pt2)
+        assert _same_bits(rep.witness, A)
+        assert rep.residual == residual and rep.cond == cond

@@ -141,6 +141,19 @@ def test_witness_right_needs_full_rank():
         gl.witness_right(pt, pt)
 
 
+@pytest.mark.parametrize("which", ["Q", "P"])
+@pytest.mark.parametrize("side", [0, 1])
+def test_witness_left_needs_full_rank(which, side):
+    pt = _point(4, 2, 136)
+    deficient = {"Q": pt.Q.copy(), "P": pt.P.copy()}
+    deficient[which][:, 1] = 2.0 * deficient[which][:, 0]
+    bad = gl.CotangentPoint(deficient["Q"], deficient["P"])
+    pts = [pt, pt]
+    pts[side] = bad
+    with pytest.raises(ValueError, match="full column rank"):
+        gl.witness_left(*pts)
+
+
 def test_witness_left_identity():
     pt = _point(3, 3, 137)
     rep = gl.witness_left(pt, pt)
@@ -206,6 +219,30 @@ def test_complete_pair_random():
         assert X.shape == (n, n - m)
         assert abs(np.linalg.det(np.hstack([Q1, X]))) > 1e-10
         assert abs(np.linalg.det(np.hstack([Q2, X]))) > 1e-10
+
+
+def test_complete_pair_refuses_unequal_shapes():
+    with pytest.raises(ValueError, match="equal shape"):
+        gl.complete_pair(np.eye(3)[:, :1], np.eye(3)[:, :2])
+    with pytest.raises(ValueError, match="equal shape"):
+        gl.complete_pair(np.eye(3)[:, :1], np.eye(4)[:, :1])
+
+
+@pytest.mark.parametrize("deficient", [0, 1])
+def test_complete_pair_refuses_rank_deficiency(deficient):
+    M = [np.eye(4)[:, :2], np.eye(4)[:, 2:]]
+    M[deficient] = np.column_stack([M[deficient][:, 0], 3.0 * M[deficient][:, 0]])
+    with pytest.raises(ValueError, match="requires full column rank"):
+        gl.complete_pair(*M)
+    with pytest.raises(ValueError, match="requires full column rank"):
+        gl.complete_pair(M[deficient])
+
+
+def test_complete_pair_square_input_needs_no_columns():
+    rng = stream_rng(145, 0)
+    X = gl.complete_pair(rng.standard_normal((3, 3)), rng.standard_normal((3, 3)))
+    assert X.shape == (3, 0)
+    assert gl.complete_pair(np.eye(1)).shape == (1, 0)
 
 
 # ---------------------------------------------------------------------------
