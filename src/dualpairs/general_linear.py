@@ -108,9 +108,10 @@ def complete_pair(M1: np.ndarray, M2: np.ndarray = None,
     residuals C - B B^T C, in two passes, and each kept direction is
     projected out of the candidates after it.  A rejected residual can
     only shrink as the span grows, so the scan runs forward from the
-    kept candidate instead of restarting.  Both matrices must have equal
-    shape and full column rank; when they are square the result is an
-    empty n x 0 array.
+    kept candidate instead of restarting.  Each input is factorised once:
+    one rank check and, unless it is square, one QR.  Both matrices must
+    have equal shape and full column rank; when they are square the
+    result is an empty n x 0 array.
     """
     M1 = np.asarray(M1, dtype=float)
     n, m = M1.shape
@@ -146,7 +147,8 @@ def _complete(sides: list) -> np.ndarray:
     need = n - m
     if need == 0:
         return np.zeros((n, 0))
-    B = np.linalg.qr(np.stack(sides))[0]  # orthonormal bases, (sides, n, m)
+    # orthonormal bases, (sides, n, m); numpy before 2.0 has no stacked qr
+    B = np.stack([np.linalg.qr(M)[0] if m else np.zeros((n, 0)) for M in sides])
     kept, shadows = [], []
     for tier in (np.eye, _pair_candidates):
         if shadows:  # the basis vectors ran out; the pairs see their shadows too
