@@ -25,20 +25,19 @@ from pathlib import Path
 
 import numpy as np
 
-from . import general_linear, seesaw, symplectic, unitary
-from .jsonio import matrix_from_obj, matrix_to_obj, report_record
+from . import general_linear, seesaw, symplectic
+from .jsonio import matrix_to_obj, report_record
 from .linalg import (
-    DEFAULT_TOL,
+    group_residual,
     omega_complex,
     omega_real,
     random_group_element,
-    rank_tol,
     relative_diff,
-    standard_J,
     stream_rng,
 )
 from .pairs import (
     PAIR_IDS,
+    PAIRS,
     DualPairInstance,
     LevelMismatchError,
     act,
@@ -76,10 +75,7 @@ def _normalize_pair(name: str) -> str:
 def _validate_dims(pair: str, n: int, m: int):
     if not (1 <= n <= _DIM_LIMIT and 1 <= m <= _DIM_LIMIT):
         raise ValueError(f"dimensions must lie in 1..{_DIM_LIMIT}")
-    if pair == "symplectic" and m > 2 * n:
-        raise ValueError("the symplectic pair needs m <= 2n")
-    if pair == "general_linear" and m > n:
-        raise ValueError("the general linear pair needs m <= n")
+    PAIRS[pair].check_dims(n, m)
 
 
 def _dump_json(obj) -> str:
@@ -87,13 +83,16 @@ def _dump_json(obj) -> str:
 
 
 def _instance_payload(inst: DualPairInstance) -> dict:
-    out = {"kind": inst.pair_id, "n": inst.n, "m": inst.m}
-    if inst.pair_id == "general_linear":
-        out["Q"] = matrix_to_obj(inst.point.Q)
-        out["P"] = matrix_to_obj(inst.point.P)
-    else:
-        out["matrix"] = matrix_to_obj(inst.point)
-    return out
+    return {"kind": inst.pair_id, "n": inst.n, "m": inst.m,
+            **inst.module.point_to_obj(inst.point)}
+
+
+def _dimension(obj: dict, key: str, path: str) -> int:
+    value = obj[key]
+    whole = isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    if isinstance(value, bool) or not whole:
+        raise ValueError(f"{path}: {key} must be an integer, not {value!r}")
+    return int(value)
 
 
 def _load_instance(path: str, pair: str = None) -> DualPairInstance:
@@ -101,116 +100,36 @@ def _load_instance(path: str, pair: str = None) -> DualPairInstance:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ValueError(f"{path}: not an instance file")
     kind = obj["kind"]
-    if kind not in PAIR_IDS:
+    if kind not in PAIRS:
         raise ValueError(f"{path}: unknown kind {kind!r}")
     if pair is not None and kind != pair:
         raise ValueError(f"{path}: holds a {kind} instance, expected {pair}")
-    n, m = int(obj["n"]), int(obj["m"])
-    if kind == "general_linear":
-        point = general_linear.CotangentPoint(
-            matrix_from_obj(obj["Q"]), matrix_from_obj(obj["P"]))
-    else:
-        point = matrix_from_obj(obj["matrix"])
-    return DualPairInstance(kind, n, m, point)
+    n, m = _dimension(obj, "n", path), _dimension(obj, "m", path)
+    return DualPairInstance(kind, n, m, PAIRS[kind].point_from_obj(obj))
 
 
 def _random_instance(pair: str, n: int, m: int, seed: int,
                      stream: int) -> DualPairInstance:
-    rng = stream_rng(seed, stream)
-    if pair == "unitary":
-        point = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
-    elif pair == "symplectic":
-        point = rng.standard_normal((2 * n, m))
-    else:
-        point = general_linear.CotangentPoint(
-            rng.standard_normal((n, m)), rng.standard_normal((n, m)))
+    point = PAIRS[pair].random_point(n, m, stream_rng(seed, stream))
     return DualPairInstance(pair, n, m, point)
 
 
-def _side_group(pair: str, side: str, n: int, m: int):
-    if pair == "unitary":
-        return "unitary", n if side == "left" else m
-    if pair == "symplectic":
-        return ("symplectic", 2 * n) if side == "left" else ("orthogonal", m)
-    return "general_linear", n if side == "left" else m
-
-
 def _random_side_element(pair, side, n, m, seed, stream):
-    group, dim = _side_group(pair, side, n, m)
-    return random_group_element(group, dim, seed, stream)
+    mod = PAIRS[pair]
+    return random_group_element(mod.GROUP[side], mod.side_sizes(n, m)[side],
+                                seed, stream)
+
+
+def _witness(inst_a: DualPairInstance, inst_b: DualPairInstance, side: str):
+    """The pair module's witness and its group's defining residual."""
+    mod = inst_a.module
+    fn = mod.witness_left if side == "left" else mod.witness_right
+    rep = fn(inst_a.point, inst_b.point)
+    return rep, group_residual(mod.GROUP[side], rep.witness)
 
 
 # ---------------------------------------------------------------------------
 # gen
-
-def _random_jordan(n: int, m: int, rng) -> general_linear.JordanData:
-    t_max = min(m, n - m)
-    t = int(rng.integers(0, t_max + 1))
-    budget = m - t
-    palette = [1.0, -1.0, 2.0, -2.0, 3.0]
-    blocks = []
-    while budget > 0:
-        if budget >= 2 and rng.random() < 0.3:
-            lam = complex(palette[int(rng.integers(0, len(palette)))], 1.0)
-            c = 2
-        else:
-            c = int(rng.integers(1, budget + 1))
-            lam = complex(palette[int(rng.integers(0, len(palette)))], 0.0)
-        blocks.append((lam, c))
-        budget -= c
-    return general_linear.JordanData(tuple(blocks), (2,) * t, n, m)
-
-
-def _random_unimodular(n: int, rng) -> np.ndarray:
-    A = np.eye(n)
-    if n >= 2:
-        for _ in range(3):
-            i = int(rng.integers(0, n))
-            j = int(rng.integers(0, n - 1))
-            if j >= i:
-                j += 1
-            A[i, :] += int(rng.integers(-2, 3)) * A[j, :]
-    return A
-
-
-def _exact_integer_left_act(A: np.ndarray,
-                            pt: general_linear.CotangentPoint):
-    """Left action by an integer unimodular matrix with the inverse
-    transpose snapped back to exact integers, so P^T Q is preserved
-    bit for bit."""
-    invAT = np.round(np.linalg.inv(A.T))
-    if not np.array_equal(A.T @ invAT, np.eye(A.shape[0])):
-        raise ValueError("matrix is not integrally invertible")
-    return general_linear.CotangentPoint(A @ pt.Q, invAT @ pt.P)
-
-
-def _normal_form_instances(pair: str, n: int, m: int, seed: int):
-    rng = stream_rng(seed, 2)
-    if pair == "unitary":
-        k = min(n, m)
-        sig = np.sort(rng.uniform(0.5, 2.0, size=k))[::-1]
-        T = np.zeros((n, m), dtype=complex)
-        for i, s in enumerate(sig):
-            T[i, i] = s
-        g1 = random_group_element("unitary", n, seed, 3)
-        g2 = random_group_element("unitary", n, seed, 4)
-        points = g1 @ T, g2 @ T
-    elif pair == "symplectic":
-        p = int(rng.integers(max(0, m - n), m // 2 + 1))
-        sig = tuple(np.sort(rng.uniform(0.7, 1.8, size=p))[::-1])
-        inv = symplectic.SpOrbitInvariants(p, sig, m - 2 * p, n - m + p, n, m)
-        D = symplectic.build_template(inv)
-        g1 = random_group_element("symplectic", 2 * n, seed, 3)
-        g2 = random_group_element("symplectic", 2 * n, seed, 4)
-        points = g1 @ D, g2 @ D
-    else:
-        jd = _random_jordan(n, m, rng)
-        pt = general_linear.build_qp_from_jordan(jd)
-        points = (_exact_integer_left_act(_random_unimodular(n, rng), pt),
-                  _exact_integer_left_act(_random_unimodular(n, rng), pt))
-    return (DualPairInstance(pair, n, m, points[0]),
-            DualPairInstance(pair, n, m, points[1]))
-
 
 def cmd_gen(args) -> int:
     _resolve_dims(args)
@@ -223,7 +142,8 @@ def cmd_gen(args) -> int:
     if base.endswith(".json"):
         base = base[:-5]
     if args.partner == "normal-form":
-        inst, partner = _normal_form_instances(pair, n, m, args.seed)
+        inst, partner = [DualPairInstance(pair, n, m, pt)
+                         for pt in PAIRS[pair].normal_form_partners(n, m, args.seed)]
     else:
         inst = _random_instance(pair, n, m, args.seed, 0)
         partner = None
@@ -258,32 +178,19 @@ def cmd_momentum(args) -> int:
     return 0
 
 
-def _defining_residual(pair: str, side: str, W: np.ndarray) -> float:
-    if pair == "unitary" or (pair == "symplectic" and side == "right"):
-        return float(np.linalg.norm(np.conj(W).T @ W - np.eye(W.shape[0])))
-    if pair == "symplectic":
-        J = standard_J(W.shape[0] // 2)
-        return float(np.linalg.norm(W.T @ J @ W - J))
-    return 0.0 if rank_tol(W, DEFAULT_TOL) == W.shape[0] else 1.0
-
-
 def cmd_witness(args) -> int:
     pair = _normalize_pair(args.pair) if args.pair else None
     inst_a = _load_instance(args.file_a, pair)
     inst_b = _load_instance(args.file_b, inst_a.pair_id)
     if (inst_a.n, inst_a.m) != (inst_b.n, inst_b.m):
         raise ValueError("the two instances have different dimensions")
-    mod = {"unitary": unitary, "symplectic": symplectic,
-           "general_linear": general_linear}[inst_a.pair_id]
-    fn = mod.witness_left if args.side == "left" else mod.witness_right
-    rep = fn(inst_a.point, inst_b.point)
+    rep, defining = _witness(inst_a, inst_b, args.side)
     payload = {
         "pair": inst_a.pair_id,
         "side": args.side,
         "witness": matrix_to_obj(rep.witness),
         "residual": float(rep.residual),
-        "defining_residual": _defining_residual(inst_a.pair_id, args.side,
-                                                rep.witness),
+        "defining_residual": defining,
     }
     if rep.cond is not None:
         payload["cond"] = float(rep.cond)
@@ -294,30 +201,12 @@ def cmd_witness(args) -> int:
 def cmd_orbit(args) -> int:
     pair = _normalize_pair(args.pair) if args.pair else None
     inst = _load_instance(args.file, pair)
-    n, m = inst.n, inst.m
-    if inst.pair_id == "unitary":
-        sig = unitary.orbit_invariants(inst.point)
-        T = np.zeros((n, m), dtype=complex)
-        for i, s in enumerate(sig):
-            T[i, i] = s
-        label = {"sigmas": [float(s) for s in sig]}
-        nfl, nfr = unitary.momentum_left(T), unitary.momentum_right(T)
-    elif inst.pair_id == "symplectic":
-        _, _, _, inv = symplectic.symplectic_svd(inst.point)
-        label = inv.to_obj()
-        nfl, nfr = symplectic.correspond(inv)
-    else:
-        if not inst.full_rank():
-            raise ValueError("orbit labelling needs full-rank Q and P")
-        jd = general_linear.jordan_structure(
-            general_linear.momentum_left(inst.point), side="left")
-        label = jd.to_obj()
-        nfl, nfr = general_linear.jordan_correspond(jd)
+    rep = inst.module.orbit(inst.point, inst.tol)
     payload = {
         "pair": inst.pair_id,
-        "label": label,
-        "normal_form_left": matrix_to_obj(nfl),
-        "normal_form_right": matrix_to_obj(nfr),
+        "label": rep.label,
+        "normal_form_left": matrix_to_obj(rep.normal_form_left),
+        "normal_form_right": matrix_to_obj(rep.normal_form_right),
     }
     sys.stdout.write(_dump_json(payload))
     return 0
@@ -338,38 +227,26 @@ def _run_sampler(pair):
         n, m = dims
         worst = 0.0
         for side in ("left", "right"):
-            group, dim = _side_group(pair, side, n, m)
-            g = random_group_element(group, dim, seed,
+            g = _random_side_element(pair, side, n, m, seed,
                                      base * 8 + (1 if side == "left" else 2))
-            if group == "symplectic":
-                J = standard_J(dim // 2)
-                worst = max(worst, float(np.linalg.norm(g.T @ J @ g - J)))
-            elif group == "general_linear":
-                worst = max(worst, 0.0 if rank_tol(g, DEFAULT_TOL) == dim else 1.0)
-            else:
-                worst = max(worst, float(np.linalg.norm(
-                    np.conj(g).T @ g - np.eye(dim))))
+            worst = max(worst, group_residual(PAIRS[pair].GROUP[side], g))
         return worst
     return run
 
 
-def _run_equivariance(pair, side):
+def _run_group_check(pair, side, acting, check):
+    """check(instance, side, g) with g drawn from the acting side's group."""
     def run(seed, base, dims):
         n, m = dims
         inst = _random_instance(pair, n, m, seed, base * 8)
-        g = _random_side_element(pair, side, n, m, seed, base * 8 + 1)
-        return check_equivariance(inst, side, g)
+        g = _random_side_element(pair, acting, n, m, seed, base * 8 + 1)
+        return check(inst, side, g)
     return run
 
 
-def _run_level(pair, side):
-    def run(seed, base, dims):
-        n, m = dims
-        inst = _random_instance(pair, n, m, seed, base * 8)
-        other = "right" if side == "left" else "left"
-        g = _random_side_element(pair, other, n, m, seed, base * 8 + 1)
-        return check_level_invariance(inst, side, g)
-    return run
+def _witness_residual(inst, side, g):
+    rep, defining = _witness(inst, act(inst, side, g), side)
+    return max(rep.residual, defining)
 
 
 def _random_algebra_element(inst, side, rng):
@@ -404,20 +281,6 @@ def _run_lie_weinstein(pair):
     return run
 
 
-def _run_witness(pair, side):
-    def run(seed, base, dims):
-        n, m = dims
-        inst = _random_instance(pair, n, m, seed, base * 8)
-        g = _random_side_element(pair, side, n, m, seed, base * 8 + 1)
-        inst2 = act(inst, side, g)
-        mod = {"unitary": unitary, "symplectic": symplectic,
-               "general_linear": general_linear}[pair]
-        fn = mod.witness_left if side == "left" else mod.witness_right
-        rep = fn(inst.point, inst2.point)
-        return max(rep.residual, _defining_residual(pair, side, rep.witness))
-    return run
-
-
 def _run_svd(seed, base, dims):
     n, m = dims
     inst = _random_instance("symplectic", n, m, seed, base * 8)
@@ -447,25 +310,19 @@ def _run_rank_profile(seed, base, dims):
 def _run_jordan_roundtrip(seed, base, dims):
     n, m = dims
     rng = stream_rng(seed, base * 8 + 4)
-    jd = _random_jordan(n, m, rng)
+    jd = general_linear._random_jordan(n, m, rng)
     zeta, xi = general_linear.jordan_correspond(jd)
     back_l = general_linear.jordan_structure(zeta, side="left")
     back_r = general_linear.jordan_structure(xi, side="right", n=n)
     return 0.0 if back_l == jd and back_r == jd else 1.0
 
 
-def _run_seesaw_u(seed, base, dims):
-    n, m = dims
-    inst = _random_instance("unitary", n, m, seed, base * 8)
-    res = seesaw.check_diagram_sp_u(inst.point)
-    return max(res["left"], res["right"])
-
-
-def _run_seesaw_gl(seed, base, dims):
-    n, m = dims
-    inst = _random_instance("general_linear", n, m, seed, base * 8)
-    res = seesaw.check_diagram_sp_gl(inst.point)
-    return max(res["left"], res["right"])
+def _run_seesaw(pair, check):
+    def run(seed, base, dims):
+        n, m = dims
+        res = check(_random_instance(pair, n, m, seed, base * 8).point)
+        return max(res["left"], res["right"])
+    return run
 
 
 def _run_omega_real(seed, base, dims):
@@ -502,24 +359,27 @@ def _build_registry():
     reg = []
     for pair in PAIR_IDS:
         reg.append(("sampler_membership", pair, 1e-9, _run_sampler(pair)))
-        for side in ("left", "right"):
+        for side, other in (("left", "right"), ("right", "left")):
             reg.append((f"equivariance_{side}", pair, 1e-9,
-                        _run_equivariance(pair, side)))
+                        _run_group_check(pair, side, side, check_equivariance)))
             reg.append((f"level_invariance_{side}", pair, 1e-9,
-                        _run_level(pair, side)))
+                        _run_group_check(pair, side, other, check_level_invariance)))
             reg.append((f"pairing_identity_{side}", pair, 1e-9,
                         _run_pairing(pair, side)))
         reg.append(("lie_weinstein", pair, 1e-10, _run_lie_weinstein(pair)))
         for side in ("left", "right"):
-            reg.append((f"witness_{side}", pair, 1e-7, _run_witness(pair, side)))
+            reg.append((f"witness_{side}", pair, 1e-7,
+                        _run_group_check(pair, side, side, _witness_residual)))
     reg.append(("svd_reconstruction", "symplectic", 1e-8, _run_svd))
     reg.append(("normal_form_charpoly", "symplectic", 1e-6, _run_nf_charpoly))
     reg.append(("momentum_rank_profile", "general_linear", 0.5,
                 _run_rank_profile))
     reg.append(("jordan_roundtrip", "general_linear", 0.5,
                 _run_jordan_roundtrip))
-    reg.append(("seesaw_diagram_u", "unitary", 1e-10, _run_seesaw_u))
-    reg.append(("seesaw_diagram_gl", "general_linear", 1e-10, _run_seesaw_gl))
+    reg.append(("seesaw_diagram_u", "unitary", 1e-10,
+                _run_seesaw("unitary", seesaw.check_diagram_sp_u)))
+    reg.append(("seesaw_diagram_gl", "general_linear", 1e-10,
+                _run_seesaw("general_linear", seesaw.check_diagram_sp_gl)))
     reg.append(("omega_realification", "unitary", 1e-12, _run_omega_real))
     reg.append(("embedding_morphism_u", "unitary", 1e-12, _run_morphism_u))
     reg.append(("embedding_morphism_gl", "general_linear", 1e-12,

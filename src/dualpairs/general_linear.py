@@ -14,7 +14,8 @@ with nilpotent sizes d >= 2, subject to sum c + sum (d - 1) = m and at
 most n - m nilpotent blocks.  ``build_qp_from_jordan`` realizes a label
 as a sparse (Q, P), ``jordan_structure`` recovers the label from either
 momentum value, and ``jordan_correspond`` emits the matched pair of
-canonical values.
+canonical values.  The module is the general linear record of
+``pairs.PAIRS``.
 """
 
 from __future__ import annotations
@@ -25,8 +26,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, KEEP_RESIDUAL, Tolerances, rank_tol, relative_diff
-from .pairs import WitnessReport, require_level_match as _require_level_match
+from .jsonio import matrix_from_obj, matrix_to_obj
+from .linalg import (DEFAULT_TOL, KEEP_RESIDUAL, Tolerances, omega_real, rank_tol,
+                     relative_diff, stream_rng)
+from .pairs import OrbitReport, WitnessReport, require_level_match as _require_level_match
+
+ALGEBRA = {"left": "gl", "right": "gl"}
+GROUP = {"left": "general_linear", "right": "general_linear"}
 
 
 @dataclass(frozen=True)
@@ -43,6 +49,61 @@ class CotangentPoint:
             raise ValueError("Q and P must be matrices of equal shape")
         object.__setattr__(self, "Q", Q)
         object.__setattr__(self, "P", P)
+
+
+def side_sizes(n: int, m: int) -> dict:
+    return {"left": n, "right": m}
+
+
+def check_dims(n: int, m: int):
+    if m > n:
+        raise ValueError("the general linear pair needs m <= n")
+
+
+def check_point(pt, n: int, m: int, tol: Tolerances = DEFAULT_TOL) -> CotangentPoint:
+    if not (hasattr(pt, "Q") and hasattr(pt, "P")):
+        raise ValueError("general_linear point must carry Q and P")
+    if pt.Q.shape != (n, m) or pt.P.shape != (n, m):
+        raise ValueError("Q and P must both be n x m")
+    check_dims(n, m)
+    return pt
+
+
+def full_rank(pt: CotangentPoint, tol: Tolerances = DEFAULT_TOL) -> bool:
+    m = pt.Q.shape[1]
+    return rank_tol(pt.Q, tol) == m and rank_tol(pt.P, tol) == m
+
+
+def random_point(n: int, m: int, rng) -> CotangentPoint:
+    return CotangentPoint(rng.standard_normal((n, m)), rng.standard_normal((n, m)))
+
+
+def point_to_obj(pt: CotangentPoint) -> dict:
+    return {"Q": matrix_to_obj(pt.Q), "P": matrix_to_obj(pt.P)}
+
+
+def point_from_obj(obj: dict) -> CotangentPoint:
+    return CotangentPoint(matrix_from_obj(obj["Q"]), matrix_from_obj(obj["P"]))
+
+
+def infinitesimal_left(xi: np.ndarray, pt: CotangentPoint) -> tuple:
+    """The tangent (xi Q, -xi^T P); a stack of xi gives stacked parts."""
+    return xi @ pt.Q, -np.swapaxes(xi, -1, -2) @ pt.P
+
+
+def infinitesimal_right(pt: CotangentPoint, xi: np.ndarray) -> tuple:
+    """The tangent (Q xi, -P xi^T)."""
+    return pt.Q @ xi, -pt.P @ np.swapaxes(xi, -1, -2)
+
+
+def tangent_omega(t1, t2):
+    """omega_real on tangents (dQ, dP) read as the matrices [dQ; dP]."""
+    return omega_real(np.concatenate(t1, axis=-2), np.concatenate(t2, axis=-2))
+
+
+def tangent_parts(t) -> tuple:
+    """Real matrices holding the real coordinates of a tangent: dQ, dP."""
+    return t
 
 
 def act_left(A: np.ndarray, pt: CotangentPoint) -> CotangentPoint:
@@ -67,8 +128,7 @@ def momentum_right(pt: CotangentPoint) -> np.ndarray:
 # witnesses
 
 def _require_full_rank(pt: CotangentPoint, tol: Tolerances, who: str):
-    m = pt.Q.shape[1]
-    if rank_tol(pt.Q, tol) != m or rank_tol(pt.P, tol) != m:
+    if not full_rank(pt, tol):
         raise ValueError(f"{who} requires both Q and P of full column rank")
 
 
@@ -352,6 +412,65 @@ def jordan_correspond(jd: JordanData):
     """The matched canonical momentum values (left n x n, right m x m)."""
     pt = build_qp_from_jordan(jd)
     return momentum_left(pt), momentum_right(pt)
+
+
+def orbit(pt: CotangentPoint, tol: Tolerances = DEFAULT_TOL) -> OrbitReport:
+    """The Jordan data of the left momentum label both orbits (the right
+    form drops one from each nilpotent block size); only full-rank
+    points have a label."""
+    _require_full_rank(pt, tol, "orbit labelling")
+    jd = jordan_structure(momentum_left(pt), side="left", tol=tol)
+    return OrbitReport(jd, jd, jd.to_obj(), *jordan_correspond(jd))
+
+
+def _random_jordan(n: int, m: int, rng) -> JordanData:
+    t_max = min(m, n - m)
+    t = int(rng.integers(0, t_max + 1))
+    budget = m - t
+    palette = [1.0, -1.0, 2.0, -2.0, 3.0]
+    blocks = []
+    while budget > 0:
+        if budget >= 2 and rng.random() < 0.3:
+            lam = complex(palette[int(rng.integers(0, len(palette)))], 1.0)
+            c = 2
+        else:
+            c = int(rng.integers(1, budget + 1))
+            lam = complex(palette[int(rng.integers(0, len(palette)))], 0.0)
+        blocks.append((lam, c))
+        budget -= c
+    return JordanData(tuple(blocks), (2,) * t, n, m)
+
+
+def _random_unimodular(n: int, rng) -> np.ndarray:
+    A = np.eye(n)
+    if n >= 2:
+        for _ in range(3):
+            i = int(rng.integers(0, n))
+            j = int(rng.integers(0, n - 1))
+            if j >= i:
+                j += 1
+            A[i, :] += int(rng.integers(-2, 3)) * A[j, :]
+    return A
+
+
+def _exact_integer_left_act(A: np.ndarray, pt: CotangentPoint) -> CotangentPoint:
+    """Left action by an integer unimodular matrix with the inverse
+    transpose snapped back to exact integers, so P^T Q is preserved
+    bit for bit."""
+    invAT = np.round(np.linalg.inv(A.T))
+    if not np.array_equal(A.T @ invAT, np.eye(A.shape[0])):
+        raise ValueError("matrix is not integrally invertible")
+    return CotangentPoint(A @ pt.Q, invAT @ pt.P)
+
+
+def normal_form_partners(n: int, m: int, seed: int) -> tuple:
+    """Two points on one orbit: the realization of a seeded Jordan label
+    moved by two seeded integer unimodular matrices, so both stay
+    integral and share P^T Q exactly."""
+    rng = stream_rng(seed, 2)
+    pt = build_qp_from_jordan(_random_jordan(n, m, rng))
+    return (_exact_integer_left_act(_random_unimodular(n, rng), pt),
+            _exact_integer_left_act(_random_unimodular(n, rng), pt))
 
 
 def _chain_to_counts(nullities):

@@ -281,6 +281,36 @@ def _cayley(xi: np.ndarray) -> np.ndarray:
     return np.linalg.solve(eye - half, eye + half)
 
 
+def group_residual(group: str, g: np.ndarray) -> float:
+    """Defect of g from the defining identity of U, O, Sp or GL.
+
+    ||g^H g - I||_F for the unitary and orthogonal groups and
+    ||g^T J g - J||_F for the symplectic group; a general linear element
+    reads 0.0 when it has full rank by ``rank_tol`` and 1.0 otherwise.
+    """
+    k = g.shape[0]
+    if group in ("unitary", "orthogonal"):
+        return float(np.linalg.norm(np.conj(g).T @ g - np.eye(k)))
+    if group == "symplectic":
+        J = standard_J(k // 2)
+        return float(np.linalg.norm(g.T @ J @ g - J))
+    if group == "general_linear":
+        return 0.0 if rank_tol(g, DEFAULT_TOL) == k else 1.0
+    raise ValueError(f"unknown group tag: {group!r}")
+
+
+def require_member(group: str, g: np.ndarray):
+    """Raise ValueError unless group_residual(group, g) <= 1e-6 max(1, |g|_F).
+
+    A general linear element is left to its action, whose solve refuses
+    an exactly singular one.
+    """
+    if group == "general_linear":
+        return
+    if group_residual(group, g) > 1e-6 * max(1.0, float(np.linalg.norm(g))):
+        raise ValueError("matrix is not in the expected group")
+
+
 def orthonormal_complement(Q: np.ndarray, total: int | None = None) -> np.ndarray:
     """Deterministic orthonormal basis of the complement of the columns of Q.
 

@@ -8,6 +8,12 @@ geometries with a concrete manifold point:
 * ``general_linear`` pairs (Q, P) of real rank-m n x m matrices,
                      groups GL(n,R) acting on the left, GL(m,R) on the right
 
+Each pair module is the record of its pair: it names its side algebras
+and groups and supplies the point checks, random points, instance-file
+fields, actions, tangent form, momenta, witnesses and orbit labels
+under the same names.  ``PAIRS`` maps each pair id to its module and is
+the only place that dispatches on the id.
+
 The checks in this module exercise the general theory: equivariance of
 the momentum maps, invariance of each level set under the opposite
 group, the pairing identity tying the ambient symplectic form to the
@@ -21,17 +27,7 @@ from typing import Any
 
 import numpy as np
 
-from .linalg import (
-    DEFAULT_TOL,
-    Tolerances,
-    omega_complex,
-    omega_real,
-    rank_tol,
-    standard_J,
-    trace_pairing,
-)
-
-PAIR_IDS = ("unitary", "symplectic", "general_linear")
+from .linalg import DEFAULT_TOL, Tolerances, rank_tol, require_member, standard_J, trace_pairing
 
 # Product elements per block of check_lie_weinstein's cross term, about
 # 1 MB of temporaries.  Larger blocks ran no faster on the structure
@@ -94,6 +90,22 @@ class WitnessReport:
 
 
 @dataclass(frozen=True)
+class OrbitReport:
+    """Matched orbit labels of a point and both canonical momentum values.
+
+    left and right are the labels of the two momentum orbits, label is
+    their JSON form, and the normal forms are the canonical left and
+    right momentum values of the orbits.
+    """
+
+    left: Any
+    right: Any
+    label: dict
+    normal_form_left: np.ndarray
+    normal_form_right: np.ndarray
+
+
+@dataclass(frozen=True)
 class DualPairInstance:
     pair_id: str
     n: int
@@ -102,45 +114,22 @@ class DualPairInstance:
     tol: Tolerances = field(default=DEFAULT_TOL, compare=False)
 
     def __post_init__(self):
-        if self.pair_id not in PAIR_IDS:
+        if self.pair_id not in PAIRS:
             raise ValueError(f"unknown pair id {self.pair_id!r}")
-        n, m = self.n, self.m
-        if self.pair_id == "unitary":
-            E = np.asarray(self.point)
-            if E.shape != (n, m):
-                raise ValueError(f"point shape {E.shape} does not match ({n},{m})")
-            object.__setattr__(self, "point", E.astype(complex))
-        elif self.pair_id == "symplectic":
-            E = np.asarray(self.point, dtype=float)
-            if E.shape != (2 * n, m):
-                raise ValueError(f"point shape {E.shape} does not match ({2 * n},{m})")
-            if m > 2 * n:
-                raise ValueError("m must be at most 2n")
-            if rank_tol(E, self.tol) != m:
-                raise ValueError("symplectic pair points must have rank m")
-            object.__setattr__(self, "point", E)
-        else:
-            pt = self.point
-            if not (hasattr(pt, "Q") and hasattr(pt, "P")):
-                raise ValueError("general_linear point must carry Q and P")
-            if pt.Q.shape != (n, m) or pt.P.shape != (n, m):
-                raise ValueError("Q and P must both be n x m")
-            if m > n:
-                raise ValueError("m must be at most n")
+        point = self.module.check_point(self.point, self.n, self.m, self.tol)
+        object.__setattr__(self, "point", point)
+
+    @property
+    def module(self):
+        """The pair module, from ``PAIRS``."""
+        return PAIRS[self.pair_id]
 
     def ambient_dim(self) -> int:
         """Real dimension of the underlying symplectic vector space."""
         return 2 * self.n * self.m
 
     def full_rank(self) -> bool:
-        if self.pair_id == "unitary":
-            return rank_tol(self.point, self.tol) == min(self.n, self.m)
-        if self.pair_id == "symplectic":
-            return rank_tol(self.point, self.tol) == self.m
-        return (
-            rank_tol(self.point.Q, self.tol) == self.m
-            and rank_tol(self.point.P, self.tol) == self.m
-        )
+        return self.module.full_rank(self.point, self.tol)
 
 
 # ---------------------------------------------------------------------------
@@ -215,19 +204,11 @@ def bracket(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def algebra_tag(pair_id: str, side: str) -> str:
-    tags = {
-        "unitary": ("u", "u"),
-        "symplectic": ("sp", "o"),
-        "general_linear": ("gl", "gl"),
-    }
-    left, right = tags[pair_id]
-    return left if side == "left" else right
+    return PAIRS[pair_id].ALGEBRA[side]
 
 
 def algebra_size(inst: DualPairInstance, side: str) -> int:
-    if side == "left":
-        return 2 * inst.n if inst.pair_id == "symplectic" else inst.n
-    return inst.m
+    return inst.module.side_sizes(inst.n, inst.m)[side]
 
 
 # ---------------------------------------------------------------------------
@@ -235,49 +216,23 @@ def algebra_size(inst: DualPairInstance, side: str) -> int:
 
 def momentum(inst: DualPairInstance, side: str) -> MomentumValue:
     """The Lie-algebra-valued momentum map of the requested side."""
-    from . import general_linear, symplectic, unitary
-
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    mod = {
-        "unitary": unitary,
-        "symplectic": symplectic,
-        "general_linear": general_linear,
-    }[inst.pair_id]
+    mod = inst.module
     fn = mod.momentum_left if side == "left" else mod.momentum_right
-    return MomentumValue(side, algebra_tag(inst.pair_id, side), fn(inst.point))
+    return MomentumValue(side, mod.ALGEBRA[side], fn(inst.point))
 
 
 def act(inst: DualPairInstance, side: str, g: np.ndarray) -> DualPairInstance:
     """Apply a group element on the given side, returning a new instance."""
-    from . import general_linear
-
     g = np.asarray(g)
     size = algebra_size(inst, side)
     if g.shape != (size, size):
         raise ValueError(f"group element shape {g.shape}, expected ({size},{size})")
-    if inst.pair_id == "general_linear":
-        if side == "left":
-            pt = general_linear.act_left(g, inst.point)
-        else:
-            pt = general_linear.act_right(inst.point, g)
-        return DualPairInstance(inst.pair_id, inst.n, inst.m, pt, inst.tol)
-    _check_group_membership(inst.pair_id, side, g)
-    point = g @ inst.point if side == "left" else inst.point @ g
-    return DualPairInstance(inst.pair_id, inst.n, inst.m, point, inst.tol)
-
-
-def _check_group_membership(pair_id: str, side: str, g: np.ndarray):
-    k = g.shape[0]
-    if pair_id == "unitary":
-        err = np.linalg.norm(np.conj(g).T @ g - np.eye(k))
-    elif side == "left":  # Sp(2n, R)
-        J = standard_J(k // 2)
-        err = np.linalg.norm(g.T @ J @ g - J)
-    else:  # O(m)
-        err = np.linalg.norm(g.T @ g - np.eye(k))
-    if err > 1e-6 * max(1.0, float(np.linalg.norm(g))):
-        raise ValueError("matrix is not in the expected group")
+    mod = inst.module
+    require_member(mod.GROUP[side], g)
+    pt = mod.act_left(g, inst.point) if side == "left" else mod.act_right(inst.point, g)
+    return DualPairInstance(inst.pair_id, inst.n, inst.m, pt, inst.tol)
 
 
 def infinitesimal_action(inst: DualPairInstance, side: str, xi: np.ndarray):
@@ -289,15 +244,10 @@ def infinitesimal_action(inst: DualPairInstance, side: str, xi: np.ndarray):
     the right.  A stack of algebra elements (leading axes) gives the
     stack of their tangents.
     """
-    if inst.pair_id == "general_linear":
-        Q, P = inst.point.Q, inst.point.P
-        xi_t = np.swapaxes(xi, -1, -2)
-        if side == "left":
-            return (xi @ Q, -xi_t @ P)
-        return (Q @ xi, -P @ xi_t)
+    mod = inst.module
     if side == "left":
-        return xi @ inst.point
-    return inst.point @ xi
+        return mod.infinitesimal_left(xi, inst.point)
+    return mod.infinitesimal_right(inst.point, xi)
 
 
 def tangent_omega(inst: DualPairInstance, t1, t2):
@@ -306,11 +256,7 @@ def tangent_omega(inst: DualPairInstance, t1, t2):
     Stacks of tangents broadcast over their leading axes and give an
     array of values.
     """
-    if inst.pair_id == "unitary":
-        return omega_complex(t1, t2)
-    if inst.pair_id == "symplectic":
-        return omega_real(t1, t2)
-    return omega_real(np.concatenate(t1, axis=-2), np.concatenate(t2, axis=-2))
+    return inst.module.tangent_omega(t1, t2)
 
 
 def _vectorize_tangent(inst: DualPairInstance, t) -> np.ndarray:
@@ -319,11 +265,7 @@ def _vectorize_tangent(inst: DualPairInstance, t) -> np.ndarray:
         *lead, rows, cols = np.shape(a)
         return np.reshape(a, (*lead, rows * cols))
 
-    if inst.pair_id == "unitary":
-        return np.concatenate([flat(np.real(t)), flat(np.imag(t))], axis=-1)
-    if inst.pair_id == "symplectic":
-        return flat(np.asarray(t, dtype=float))
-    return np.concatenate([flat(t[0]), flat(t[1])], axis=-1)
+    return np.concatenate([flat(a) for a in inst.module.tangent_parts(t)], axis=-1)
 
 
 def _take(t, key):
@@ -419,18 +361,16 @@ def orbit_correspondence(inst: DualPairInstance):
                      invariants object is returned for each side
     general_linear   both labels carry the Jordan data of the left
                      momentum (the right canonical form is determined by
-                     dropping one from each nilpotent block size)
+                     dropping one from each nilpotent block size); a
+                     point without full-rank Q and P raises ValueError
     """
-    from . import general_linear, symplectic
+    rep = inst.module.orbit(inst.point, inst.tol)
+    return rep.left, rep.right
 
-    if inst.pair_id == "unitary":
-        s = np.linalg.svd(inst.point, compute_uv=False)
-        left = np.concatenate([s, np.zeros(inst.n - len(s))])
-        right = np.concatenate([s, np.zeros(inst.m - len(s))])
-        return left, right
-    if inst.pair_id == "symplectic":
-        _, _, _, inv = symplectic.symplectic_svd(inst.point, tol=inst.tol)
-        return inv, inv
-    zeta = general_linear.momentum_left(inst.point)
-    jd = general_linear.jordan_structure(zeta, side="left")
-    return jd, jd
+
+# The pair modules import the reports and require_level_match from here,
+# so the table is built last, once those names exist.
+from . import general_linear, symplectic, unitary  # noqa: E402
+
+PAIRS = {"unitary": unitary, "symplectic": symplectic, "general_linear": general_linear}
+PAIR_IDS = tuple(PAIRS)

@@ -8,7 +8,8 @@ Momentum maps for the form Tr(E^T J F):
 The module also provides the constructive isometry-extension solver for
 the symplectic form (the engine behind the left witness), an SVD-like
 factorization E = S D O with S symplectic, O orthogonal and D a sparse
-template, and the matched orbit normal forms read off from D.
+template, and the matched orbit normal forms read off from D.  The
+module is the symplectic record of ``pairs.PAIRS``.
 """
 
 from __future__ import annotations
@@ -17,17 +18,67 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .jsonio import matrix_from_obj, matrix_to_obj
 from .linalg import (
     DEFAULT_TOL,
     KEEP_RESIDUAL,
     Tolerances,
     isometry_between,
+    omega_real,
+    random_group_element,
     rank_tol,
     relative_diff,
     skew_canonical,
     standard_J,
+    stream_rng,
 )
-from .pairs import WitnessReport, require_level_match as _require_level_match
+from .pairs import OrbitReport, WitnessReport, require_level_match as _require_level_match
+
+ALGEBRA = {"left": "sp", "right": "o"}
+GROUP = {"left": "symplectic", "right": "orthogonal"}
+# both actions and their derivatives are matrix products
+act_left = act_right = infinitesimal_left = infinitesimal_right = np.matmul
+tangent_omega = omega_real
+
+
+def side_sizes(n: int, m: int) -> dict:
+    return {"left": 2 * n, "right": m}
+
+
+def check_dims(n: int, m: int):
+    if m > 2 * n:
+        raise ValueError("the symplectic pair needs m <= 2n")
+
+
+def check_point(E, n: int, m: int, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    E = np.asarray(E, dtype=float)
+    if E.shape != (2 * n, m):
+        raise ValueError(f"point shape {E.shape} does not match ({2 * n},{m})")
+    check_dims(n, m)
+    if not full_rank(E, tol):
+        raise ValueError("symplectic pair points must have rank m")
+    return E
+
+
+def full_rank(E: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
+    return rank_tol(E, tol) == E.shape[1]
+
+
+def random_point(n: int, m: int, rng) -> np.ndarray:
+    return rng.standard_normal((2 * n, m))
+
+
+def point_to_obj(E: np.ndarray) -> dict:
+    return {"matrix": matrix_to_obj(E)}
+
+
+def point_from_obj(obj: dict) -> np.ndarray:
+    return matrix_from_obj(obj["matrix"])
+
+
+def tangent_parts(t) -> tuple:
+    """Real matrices holding the real coordinates of a tangent."""
+    return (np.asarray(t, dtype=float),)
 
 
 def momentum_left(E: np.ndarray) -> np.ndarray:
@@ -251,7 +302,7 @@ def witt_extend(basis_src, basis_dst, tol: Tolerances = DEFAULT_TOL) -> np.ndarr
 # witnesses and the template factorization
 
 def _require_rank_m(E, tol, who):
-    if rank_tol(E, tol) != E.shape[1]:
+    if not full_rank(E, tol):
         raise ValueError(f"{who} requires full column rank")
 
 
@@ -370,3 +421,20 @@ def normal_form_right(inv: SpOrbitInvariants) -> np.ndarray:
 def correspond(inv: SpOrbitInvariants):
     """The matched pair of canonical momentum values."""
     return normal_form_left(inv), normal_form_right(inv)
+
+
+def orbit(E: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> OrbitReport:
+    """The invariants of ``symplectic_svd`` label both orbits at once."""
+    _, _, _, inv = symplectic_svd(E, tol)
+    return OrbitReport(inv, inv, inv.to_obj(), *correspond(inv))
+
+
+def normal_form_partners(n: int, m: int, seed: int) -> tuple:
+    """Two points on one orbit: the template of seeded invariants moved
+    by two seeded elements of Sp(2n,R)."""
+    rng = stream_rng(seed, 2)
+    p = int(rng.integers(max(0, m - n), m // 2 + 1))
+    sig = tuple(np.sort(rng.uniform(0.7, 1.8, size=p))[::-1])
+    D = build_template(SpOrbitInvariants(p, sig, m - 2 * p, n - m + p, n, m))
+    return (random_group_element("symplectic", 2 * n, seed, 3) @ D,
+            random_group_element("symplectic", 2 * n, seed, 4) @ D)

@@ -9,14 +9,60 @@ momentum maps are quadratic,
 
 each level set of one map is an orbit of the other group, and the
 matched orbits are labelled by the singular values of E.
+
+The module is the unitary record of ``pairs.PAIRS``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, Tolerances, isometry_between, rank_tol, relative_diff
-from .pairs import WitnessReport, require_level_match as _require_level_match
+from .jsonio import matrix_from_obj, matrix_to_obj
+from .linalg import (DEFAULT_TOL, Tolerances, isometry_between, omega_complex,
+                     random_group_element, rank_tol, relative_diff, stream_rng)
+from .pairs import OrbitReport, WitnessReport, require_level_match as _require_level_match
+
+ALGEBRA = {"left": "u", "right": "u"}
+GROUP = {"left": "unitary", "right": "unitary"}
+# both actions and their derivatives are matrix products
+act_left = act_right = infinitesimal_left = infinitesimal_right = np.matmul
+tangent_omega = omega_complex
+
+
+def side_sizes(n: int, m: int) -> dict:
+    return {"left": n, "right": m}
+
+
+def check_dims(n: int, m: int):
+    """Every shape is allowed."""
+
+
+def check_point(E, n: int, m: int, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    E = np.asarray(E)
+    if E.shape != (n, m):
+        raise ValueError(f"point shape {E.shape} does not match ({n},{m})")
+    return E.astype(complex)
+
+
+def full_rank(E: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
+    return rank_tol(E, tol) == min(E.shape)
+
+
+def random_point(n: int, m: int, rng) -> np.ndarray:
+    return rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
+
+
+def point_to_obj(E: np.ndarray) -> dict:
+    return {"matrix": matrix_to_obj(E)}
+
+
+def point_from_obj(obj: dict) -> np.ndarray:
+    return matrix_from_obj(obj["matrix"])
+
+
+def tangent_parts(t) -> tuple:
+    """Real matrices holding the real coordinates of a tangent."""
+    return np.real(t), np.imag(t)
 
 
 def momentum_left(E: np.ndarray) -> np.ndarray:
@@ -71,6 +117,35 @@ def orbit_invariants(E: np.ndarray) -> np.ndarray:
     orbits at once.
     """
     return np.linalg.svd(np.asarray(E, dtype=complex), compute_uv=False)
+
+
+def _diagonal(sigmas, n: int, m: int) -> np.ndarray:
+    T = np.zeros((n, m), dtype=complex)
+    k = np.arange(len(sigmas))
+    T[k, k] = sigmas
+    return T
+
+
+def orbit(E: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> OrbitReport:
+    """Singular values as the label of both orbits, padded with zeros to
+    n on the left and to m on the right; the normal forms are the
+    momenta of the diagonal matrix they fill."""
+    n, m = E.shape
+    s = orbit_invariants(E)
+    T = _diagonal(s, n, m)
+    return OrbitReport(np.concatenate([s, np.zeros(n - len(s))]),
+                       np.concatenate([s, np.zeros(m - len(s))]),
+                       {"sigmas": [float(x) for x in s]},
+                       momentum_left(T), momentum_right(T))
+
+
+def normal_form_partners(n: int, m: int, seed: int) -> tuple:
+    """Two points on one orbit: a seeded diagonal template moved by two
+    seeded elements of U(n)."""
+    rng = stream_rng(seed, 2)
+    T = _diagonal(np.sort(rng.uniform(0.5, 2.0, size=min(n, m)))[::-1], n, m)
+    return (random_group_element("unitary", n, seed, 3) @ T,
+            random_group_element("unitary", n, seed, 4) @ T)
 
 
 def jacobian_rank_right(E: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> int:

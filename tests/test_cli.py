@@ -210,6 +210,37 @@ def test_orbit_gl_rank_deficient_rejected(tmp_path, capsys):
     assert cli.main(["orbit", f]) == 2
 
 
+def test_orbit_gl_refuses_like_orbit_correspondence(tmp_path, capsys):
+    from dualpairs import general_linear as gl, pairs
+    Q = [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]
+    P = [[2.0, 0.0], [0.0, 1.0], [0.0, 0.0]]
+    f = _write_instance(tmp_path / "q.json", "general_linear", 3, 2, Q=Q, P=P)
+    assert cli.main(["orbit", f]) == 2
+    inst = pairs.DualPairInstance("general_linear", 3, 2,
+                                  gl.CotangentPoint(np.array(Q), np.array(P)))
+    with pytest.raises(ValueError) as exc:
+        pairs.orbit_correspondence(inst)
+    assert capsys.readouterr().err == f"error: {exc.value}\n"
+
+
+@pytest.mark.parametrize("key,value", [("n", None), ("n", 2.7), ("m", "2"),
+                                       ("m", True), ("n", [2])])
+def test_non_integer_dimensions_exit_2(tmp_path, capsys, key, value):
+    f = _write_instance(tmp_path / "bad.json", "unitary", 2, 2, matrix=np.eye(2))
+    obj = json.loads(Path(f).read_text())
+    obj[key] = value
+    Path(f).write_text(json.dumps(obj))
+    for argv in (["momentum", f, "--side", "left"], ["orbit", f],
+                 ["witness", f, f, "--side", "left"]):
+        assert cli.main(argv) == 2
+        assert f"{key} must be an integer" in capsys.readouterr().err
+
+
+def test_integral_float_dimensions_are_read(tmp_path, capsys):
+    f = _write_instance(tmp_path / "ok.json", "unitary", 2.0, 2, matrix=np.eye(2))
+    assert cli.main(["momentum", f, "--side", "left"]) == 0
+
+
 # ---------------------------------------------------------------------------
 # suite
 

@@ -8,7 +8,6 @@ lies in the Gaussian integers must be certified without the fallback.
 import numpy as np
 import pytest
 
-from dualpairs import cli
 from dualpairs import general_linear as gl
 from dualpairs.general_linear import JordanData, _chain_to_counts
 from dualpairs.linalg import stream_rng
@@ -70,8 +69,8 @@ def _cases(jd, rng=None):
     zeta, xi = gl.jordan_correspond(jd)
     out = [(zeta, "left", jd.m), (xi, "right", jd.m)]
     if rng is not None:
-        pt = cli._exact_integer_left_act(cli._random_unimodular(jd.n, rng),
-                                         gl.build_qp_from_jordan(jd))
+        pt = gl._exact_integer_left_act(gl._random_unimodular(jd.n, rng),
+                                        gl.build_qp_from_jordan(jd))
         out.append((gl.momentum_left(pt), "left", jd.m))
     return out
 
@@ -115,7 +114,7 @@ def _assert_matches(M, side, n, m):
 
 @pytest.mark.parametrize("seed,n,m", SEEDED)
 def test_seeded_labels_match_reference(seed, n, m, fallbacks):
-    jd = cli._random_jordan(n, m, stream_rng(seed, 4))
+    jd = gl._random_jordan(n, m, stream_rng(seed, 4))
     for M, side, mm in _cases(jd, stream_rng(seed, 5)):
         _assert_matches(M, side, n, mm)
     assert fallbacks == []

@@ -415,8 +415,7 @@ def test_structure_float_overfilled_budget_is_refused():
     # 1e-14 noise splits the (-2, 7) block into a ring of clusters whose
     # chains overfill the 12 columns; the refusal must come before
     # JordanData's own budget check and carry the evidence
-    from dualpairs import cli
-    jd = cli._random_jordan(16, 12, stream_rng(1, 4))
+    jd = gl._random_jordan(16, 12, stream_rng(1, 4))
     zeta, _ = gl.jordan_correspond(jd)
     noisy = zeta + 1e-14 * np.random.default_rng(1).standard_normal(zeta.shape)
     with pytest.raises(gl.AmbiguousStructureError,

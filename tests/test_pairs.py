@@ -295,6 +295,19 @@ def test_orbit_correspondence_gl_nilpotent_case():
     assert left.nilpotent == (2,)
 
 
+RANK_ONE_Q = [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]
+RANK_TWO_P = [[2.0, 0.0], [0.0, 1.0], [0.0, 0.0]]
+
+
+def test_orbit_correspondence_gl_refuses_rank_deficient_point():
+    # Q has rank 1 < m = 2; a label read off Q P^T would be one for m = 1
+    pt = general_linear.CotangentPoint(np.array(RANK_ONE_Q), np.array(RANK_TWO_P))
+    inst = DualPairInstance("general_linear", 3, 2, pt)
+    assert not inst.full_rank()
+    with pytest.raises(ValueError, match="full column rank"):
+        orbit_correspondence(inst)
+
+
 def test_require_level_match_raises():
     with pytest.raises(LevelMismatchError):
         require_level_match(np.eye(2), np.zeros((2, 2)), DEFAULT_TOL, "left")
