@@ -10,9 +10,10 @@ All randomness flows through a counter-based generator keyed by
 bytes.  Exit codes: 0 success, 1 failed check or momentum mismatch,
 2 malformed input.
 
-Instance files are JSON objects {"kind", "n", "m", ...} holding either
-a single "matrix" (complex for the unitary pair, 2n x m real for the
-symplectic pair) or a "Q"/"P" pair for the general linear pair.
+Instance files are JSON objects {"kind", "n", "m", ...} with integer n
+and m, holding either a single "matrix" (complex for the unitary pair,
+2n x m real for the symplectic pair) or a "Q"/"P" pair for the general
+linear pair; each pair module reads and writes its own fields.
 """
 
 from __future__ import annotations
@@ -96,14 +97,16 @@ def _dimension(obj: dict, key: str, path: str) -> int:
 
 
 def _load_instance(path: str, pair: str = None) -> DualPairInstance:
+    """The instance in a file; pair, under any alias, must be its kind."""
     obj = json.loads(Path(path).read_text())
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ValueError(f"{path}: not an instance file")
     kind = obj["kind"]
-    if kind not in PAIRS:
+    if kind not in PAIR_IDS:
         raise ValueError(f"{path}: unknown kind {kind!r}")
-    if pair is not None and kind != pair:
-        raise ValueError(f"{path}: holds a {kind} instance, expected {pair}")
+    expected = _normalize_pair(pair) if pair else kind
+    if kind != expected:
+        raise ValueError(f"{path}: holds a {kind} instance, expected {expected}")
     n, m = _dimension(obj, "n", path), _dimension(obj, "m", path)
     return DualPairInstance(kind, n, m, PAIRS[kind].point_from_obj(obj))
 
@@ -164,8 +167,7 @@ def cmd_gen(args) -> int:
 # momentum / witness / orbit
 
 def cmd_momentum(args) -> int:
-    pair = _normalize_pair(args.pair) if args.pair else None
-    inst = _load_instance(args.file, pair)
+    inst = _load_instance(args.file, args.pair)
     mv = momentum(inst, args.side)
     payload = {
         "pair": inst.pair_id,
@@ -179,8 +181,7 @@ def cmd_momentum(args) -> int:
 
 
 def cmd_witness(args) -> int:
-    pair = _normalize_pair(args.pair) if args.pair else None
-    inst_a = _load_instance(args.file_a, pair)
+    inst_a = _load_instance(args.file_a, args.pair)
     inst_b = _load_instance(args.file_b, inst_a.pair_id)
     if (inst_a.n, inst_a.m) != (inst_b.n, inst_b.m):
         raise ValueError("the two instances have different dimensions")
@@ -199,8 +200,7 @@ def cmd_witness(args) -> int:
 
 
 def cmd_orbit(args) -> int:
-    pair = _normalize_pair(args.pair) if args.pair else None
-    inst = _load_instance(args.file, pair)
+    inst = _load_instance(args.file, args.pair)
     rep = inst.module.orbit(inst.point, inst.tol)
     payload = {
         "pair": inst.pair_id,

@@ -114,7 +114,7 @@ class DualPairInstance:
     tol: Tolerances = field(default=DEFAULT_TOL, compare=False)
 
     def __post_init__(self):
-        if self.pair_id not in PAIRS:
+        if self.pair_id not in PAIR_IDS:
             raise ValueError(f"unknown pair id {self.pair_id!r}")
         point = self.module.check_point(self.point, self.n, self.m, self.tol)
         object.__setattr__(self, "point", point)
