@@ -11,7 +11,6 @@ embeddings, and ``cli`` is the command-line harness (imported on demand:
 """
 
 from . import general_linear, jsonio, linalg, pairs, seesaw, symplectic, unitary
-from .linalg import DEFAULT_TOL, Tolerances
 from .pairs import (
     PAIR_IDS,
     DualPairInstance,
@@ -30,12 +29,10 @@ from .pairs import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "DEFAULT_TOL",
     "DualPairInstance",
     "LevelMismatchError",
     "MomentumValue",
     "PAIR_IDS",
-    "Tolerances",
     "WitnessReport",
     "act",
     "check_equivariance",

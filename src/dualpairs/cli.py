@@ -201,7 +201,7 @@ def cmd_witness(args) -> int:
 
 def cmd_orbit(args) -> int:
     inst = _load_instance(args.file, args.pair)
-    rep = inst.module.orbit(inst.point, inst.tol)
+    rep = inst.module.orbit(inst.point)
     payload = {
         "pair": inst.pair_id,
         "label": rep.label,

@@ -27,8 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .jsonio import matrix_from_obj, matrix_to_obj
-from .linalg import (DEFAULT_TOL, KEEP_RESIDUAL, Tolerances, omega_real, rank_tol,
-                     relative_diff, stream_rng)
+from .linalg import KEEP_RESIDUAL, omega_real, rank_tol, relative_diff, stream_rng
 from .pairs import OrbitReport, WitnessReport, require_level_match as _require_level_match
 
 ALGEBRA = {"left": "gl", "right": "gl"}
@@ -60,7 +59,7 @@ def check_dims(n: int, m: int):
         raise ValueError("the general linear pair needs m <= n")
 
 
-def check_point(pt, n: int, m: int, tol: Tolerances = DEFAULT_TOL) -> CotangentPoint:
+def check_point(pt, n: int, m: int) -> CotangentPoint:
     if not (hasattr(pt, "Q") and hasattr(pt, "P")):
         raise ValueError("general_linear point must carry Q and P")
     if pt.Q.shape != (n, m) or pt.P.shape != (n, m):
@@ -69,9 +68,9 @@ def check_point(pt, n: int, m: int, tol: Tolerances = DEFAULT_TOL) -> CotangentP
     return pt
 
 
-def full_rank(pt: CotangentPoint, tol: Tolerances = DEFAULT_TOL) -> bool:
+def full_rank(pt: CotangentPoint) -> bool:
     m = pt.Q.shape[1]
-    return rank_tol(pt.Q, tol) == m and rank_tol(pt.P, tol) == m
+    return rank_tol(pt.Q) == m and rank_tol(pt.P) == m
 
 
 def random_point(n: int, m: int, rng) -> CotangentPoint:
@@ -127,22 +126,21 @@ def momentum_right(pt: CotangentPoint) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # witnesses
 
-def _require_full_rank(pt: CotangentPoint, tol: Tolerances, who: str):
-    if not full_rank(pt, tol):
+def _require_full_rank(pt: CotangentPoint, who: str):
+    if not full_rank(pt):
         raise ValueError(f"{who} requires both Q and P of full column rank")
 
 
-def witness_right(pt: CotangentPoint, pt_prime: CotangentPoint,
-                  tol: Tolerances = DEFAULT_TOL) -> WitnessReport:
+def witness_right(pt: CotangentPoint, pt_prime: CotangentPoint) -> WitnessReport:
     """B with (Q B, P B^-T) close to (Q', P'), given equal left momenta.
 
     B is the least-squares solution of Q B = Q', i.e. the normal
     equation value (Q^T Q)^-1 Q^T Q'.  For genuinely related points B
     is invertible and also transports P; both residuals are reported.
     """
-    _require_full_rank(pt, tol, "witness_right")
-    _require_full_rank(pt_prime, tol, "witness_right")
-    _require_level_match(momentum_left(pt), momentum_left(pt_prime), tol, "left")
+    _require_full_rank(pt, "witness_right")
+    _require_full_rank(pt_prime, "witness_right")
+    _require_level_match(momentum_left(pt), momentum_left(pt_prime), "left")
     B, *_ = np.linalg.lstsq(pt.Q, pt_prime.Q, rcond=None)
     res_q = relative_diff(pt.Q @ B, pt_prime.Q)
     try:
@@ -153,8 +151,7 @@ def witness_right(pt: CotangentPoint, pt_prime: CotangentPoint,
                          cond=float(np.linalg.cond(pt.Q)))
 
 
-def complete_pair(M1: np.ndarray, M2: np.ndarray = None,
-                  tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def complete_pair(M1: np.ndarray, M2: np.ndarray = None) -> np.ndarray:
     """Columns X making [M1 X] (and [M2 X], if given) invertible.
 
     Candidates are scanned in a fixed order: the standard basis vectors
@@ -182,12 +179,12 @@ def complete_pair(M1: np.ndarray, M2: np.ndarray = None,
             raise ValueError("the two matrices must have equal shape")
         sides.append(M2)
     for M in sides:
-        _require_full_column_rank(M, tol)
+        _require_full_column_rank(M)
     return _complete(sides)
 
 
-def _require_full_column_rank(M: np.ndarray, tol: Tolerances):
-    if rank_tol(M, tol) != M.shape[1]:
+def _require_full_column_rank(M: np.ndarray):
+    if rank_tol(M) != M.shape[1]:
         raise ValueError("complete_pair requires full column rank")
 
 
@@ -237,8 +234,7 @@ def _complete(sides: list) -> np.ndarray:
     raise ValueError("failed to complete to an invertible matrix")
 
 
-def witness_left(pt: CotangentPoint, pt_prime: CotangentPoint,
-                 tol: Tolerances = DEFAULT_TOL) -> WitnessReport:
+def witness_left(pt: CotangentPoint, pt_prime: CotangentPoint) -> WitnessReport:
     """A with (A Q, A^-T P) close to (Q', P'), given equal right momenta.
 
     Construction: pick one completion Y valid for both P and P', so
@@ -252,9 +248,9 @@ def witness_left(pt: CotangentPoint, pt_prime: CotangentPoint,
     order and keep rule.  Each of Q, P, Q', P' gets one rank check, and
     the new matrix C^-1 Q' one more, before its completion.
     """
-    _require_full_rank(pt, tol, "witness_left")
-    _require_full_rank(pt_prime, tol, "witness_left")
-    _require_level_match(momentum_right(pt), momentum_right(pt_prime), tol, "right")
+    _require_full_rank(pt, "witness_left")
+    _require_full_rank(pt_prime, "witness_left")
+    _require_level_match(momentum_right(pt), momentum_right(pt_prime), "right")
     Q, P = pt.Q, pt.P
     Q2, P2 = pt_prime.Q, pt_prime.P
     Y = _complete([P, P2])
@@ -262,7 +258,7 @@ def witness_left(pt: CotangentPoint, pt_prime: CotangentPoint,
     P2Y = np.column_stack([P2, Y]) if Y.size else P2
     C = (PY @ np.linalg.inv(P2Y)).T
     CQ2 = np.linalg.solve(C, Q2)
-    _require_full_column_rank(CQ2, tol)
+    _require_full_column_rank(CQ2)
     X = _complete([Q, CQ2])
     QX = np.column_stack([Q, X]) if X.size else Q
     Q2X = np.column_stack([Q2, C @ X]) if X.size else Q2
@@ -276,7 +272,7 @@ def witness_left(pt: CotangentPoint, pt_prime: CotangentPoint,
 # ---------------------------------------------------------------------------
 # momentum images
 
-def in_image_left(zeta: np.ndarray, m: int, tol: Tolerances = DEFAULT_TOL) -> bool:
+def in_image_left(zeta: np.ndarray, m: int) -> bool:
     """Whether an n x n value is the left momentum of a full-rank pair:
     the rank must be exactly m."""
     zeta = np.asarray(zeta, dtype=float)
@@ -284,10 +280,10 @@ def in_image_left(zeta: np.ndarray, m: int, tol: Tolerances = DEFAULT_TOL) -> bo
         raise ValueError("expected a square matrix")
     if not 0 <= m <= zeta.shape[0]:
         raise ValueError("m out of range")
-    return rank_tol(zeta, tol) == m
+    return rank_tol(zeta) == m
 
 
-def in_image_right(xi: np.ndarray, n: int, tol: Tolerances = DEFAULT_TOL) -> bool:
+def in_image_right(xi: np.ndarray, n: int) -> bool:
     """Whether an m x m value is the right momentum of a full-rank pair
     with n rows: the rank can drop at most n - m below full."""
     xi = np.asarray(xi, dtype=float)
@@ -296,7 +292,7 @@ def in_image_right(xi: np.ndarray, n: int, tol: Tolerances = DEFAULT_TOL) -> boo
     m = xi.shape[0]
     if n < m:
         raise ValueError("ambient row count must be at least m")
-    return rank_tol(xi, tol) >= 2 * m - n
+    return rank_tol(xi) >= 2 * m - n
 
 
 # ---------------------------------------------------------------------------
@@ -414,12 +410,12 @@ def jordan_correspond(jd: JordanData):
     return momentum_left(pt), momentum_right(pt)
 
 
-def orbit(pt: CotangentPoint, tol: Tolerances = DEFAULT_TOL) -> OrbitReport:
+def orbit(pt: CotangentPoint) -> OrbitReport:
     """The Jordan data of the left momentum label both orbits (the right
     form drops one from each nilpotent block size); only full-rank
     points have a label."""
-    _require_full_rank(pt, tol, "orbit labelling")
-    jd = jordan_structure(momentum_left(pt), side="left", tol=tol)
+    _require_full_rank(pt, "orbit labelling")
+    jd = jordan_structure(momentum_left(pt), side="left")
     return OrbitReport(jd, jd, jd.to_obj(), *jordan_correspond(jd))
 
 
@@ -679,8 +675,7 @@ class AmbiguousStructureError(ValueError):
         self.chains = dict(chains)
 
 
-def _structure_float(M, side: str, n: int, m: int,
-                     tol: Tolerances) -> JordanData:
+def _structure_float(M, side: str, n: int, m: int) -> JordanData:
     """Best-effort structure from floating-point data.
 
     Eigenvalues within 1e-6 of each other (relative to the spectral
@@ -729,7 +724,7 @@ def _structure_float(M, side: str, n: int, m: int,
         power = np.eye(size, dtype=A.dtype)
         while True:
             power = power @ A
-            nu = size - rank_tol(power, tol)
+            nu = size - rank_tol(power)
             if nullities and nu <= nullities[-1]:
                 break
             nullities.append(nu)
@@ -748,8 +743,7 @@ def _structure_float(M, side: str, n: int, m: int,
     return JordanData(tuple(blocks), tuple(nilpotent), n, m)
 
 
-def jordan_structure(value: np.ndarray, side: str, n: int = None,
-                     tol: Tolerances = DEFAULT_TOL) -> JordanData:
+def jordan_structure(value: np.ndarray, side: str, n: int = None) -> JordanData:
     """Recover the orbit label from a momentum value.
 
     side="left" takes the n x n value (m is its rank); side="right"
@@ -769,7 +763,7 @@ def jordan_structure(value: np.ndarray, side: str, n: int = None,
         raise ValueError("expected a square matrix")
     if side == "left":
         n = value.shape[0]
-        m = rank_tol(value, tol)
+        m = rank_tol(value)
     elif side == "right":
         if n is None:
             raise ValueError("side='right' needs the ambient row count n")
@@ -782,4 +776,4 @@ def jordan_structure(value: np.ndarray, side: str, n: int = None,
     if np.array_equal(rounded, value):
         M_int = [[int(x) for x in row] for row in rounded]
         return _structure_exact(M_int, side, n, m)
-    return _structure_float(value, side, n, m, tol)
+    return _structure_float(value, side, n, m)

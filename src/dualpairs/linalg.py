@@ -16,26 +16,18 @@ numpy is the only library these kernels use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-
-@dataclass(frozen=True)
-class Tolerances:
-    """Numeric policy knobs: residual bound and rank threshold factor."""
-
-    eq_tol: float = 1e-9
-    rank_tol_factor: float = 100.0
-
-    def __post_init__(self):
-        if self.eq_tol <= 0 or self.rank_tol_factor <= 0:
-            raise ValueError("tolerances must be strictly positive")
-
-
-DEFAULT_TOL = Tolerances()
-
-# The deterministic completion scans (orthonormal_complement, the GL
+# The tolerance policy, one constant per decision:
+# a singular value counts toward the rank when it exceeds
+# RANK_TOL_FACTOR * max(shape) * eps * s_max;
+RANK_TOL_FACTOR = 100.0
+# skew_canonical accepts xi when |xi + xi^T|_F <= max(SKEW_RTOL |xi|_F, 1e-13);
+SKEW_RTOL = 1e-9
+# two momentum values or Gram matrices match when their difference is
+# at most MATCH_RTOL times max(1, their norms);
+MATCH_RTOL = 1e-8
+# the deterministic completion scans (orthonormal_complement, the GL
 # joint completion and the symplectic complement) keep a unit candidate
 # direction only when its residual against the span so far exceeds this.
 KEEP_RESIDUAL = 1e-8
@@ -94,7 +86,7 @@ def _scalar(values):
     return float(values) if np.ndim(values) == 0 else values
 
 
-def rank_tol(M: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> int:
+def rank_tol(M: np.ndarray) -> int:
     """Numerical rank: singular values above factor * max(dim) * eps * s_max."""
     M = np.asarray(M)
     if M.size == 0:
@@ -102,7 +94,7 @@ def rank_tol(M: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> int:
     s = np.linalg.svd(M, compute_uv=False)
     if s[0] == 0.0:
         return 0
-    cutoff = tol.rank_tol_factor * max(M.shape) * np.finfo(float).eps * s[0]
+    cutoff = RANK_TOL_FACTOR * max(M.shape) * np.finfo(float).eps * s[0]
     return int(np.sum(s > cutoff))
 
 
@@ -113,16 +105,14 @@ def relative_diff(A: np.ndarray, B: np.ndarray) -> float:
     return float(np.linalg.norm(A - B) / max(1.0, np.linalg.norm(B)))
 
 
-def skew_canonical(xi: np.ndarray, tol: Tolerances = DEFAULT_TOL):
+def skew_canonical(xi: np.ndarray):
     """Canonical form of a real skew matrix under orthogonal congruence.
 
     Parameters
     ----------
     xi
-        Real m x m matrix with xi^T = -xi (within ``tol.eq_tol`` relative).
-    tol
-        Tolerance policy; the rank threshold decides which blocks count
-        as zero.
+        Real m x m matrix with xi^T = -xi (within ``SKEW_RTOL`` relative);
+        the rank threshold decides which blocks count as zero.
 
     Returns
     -------
@@ -148,7 +138,7 @@ def skew_canonical(xi: np.ndarray, tol: Tolerances = DEFAULT_TOL):
     nrm = np.linalg.norm(xi)
     if nrm == 0.0:
         return np.eye(m), []
-    if np.linalg.norm(xi + xi.T) > max(tol.eq_tol * nrm, 1e-13):
+    if np.linalg.norm(xi + xi.T) > max(SKEW_RTOL * nrm, 1e-13):
         raise ValueError("input is not skew-symmetric within tolerance")
 
     A = -xi @ xi  # symmetric PSD, eigenvalues a_i^2 in pairs plus zeros
@@ -158,7 +148,7 @@ def skew_canonical(xi: np.ndarray, tol: Tolerances = DEFAULT_TOL):
     V = V[:, order]
 
     smax = np.linalg.norm(xi, 2)
-    cutoff = tol.rank_tol_factor * m * np.finfo(float).eps * smax
+    cutoff = RANK_TOL_FACTOR * m * np.finfo(float).eps * smax
     npos = int(np.sum(w > cutoff * smax))
     if npos % 2 == 1:
         # a pair straddling the rank threshold; push the straggler into
@@ -295,7 +285,7 @@ def group_residual(group: str, g: np.ndarray) -> float:
         J = standard_J(k // 2)
         return float(np.linalg.norm(g.T @ J @ g - J))
     if group == "general_linear":
-        return 0.0 if rank_tol(g, DEFAULT_TOL) == k else 1.0
+        return 0.0 if rank_tol(g) == k else 1.0
     raise ValueError(f"unknown group tag: {group!r}")
 
 
@@ -311,7 +301,7 @@ def require_member(group: str, g: np.ndarray):
         raise ValueError("matrix is not in the expected group")
 
 
-def orthonormal_complement(Q: np.ndarray, total: int | None = None) -> np.ndarray:
+def orthonormal_complement(Q: np.ndarray) -> np.ndarray:
     """Deterministic orthonormal basis of the complement of the columns of Q.
 
     Standard basis vectors are scanned in index order and kept whenever
@@ -321,13 +311,11 @@ def orthonormal_complement(Q: np.ndarray, total: int | None = None) -> np.ndarra
     result has the same dtype.
     """
     n, k0 = Q.shape
-    if total is None:
-        total = n - k0
-    C = np.zeros((n, k0 + total), dtype=Q.dtype)
+    C = np.zeros((n, n), dtype=Q.dtype)
     C[:, :k0] = Q
     k = k0
     for i in range(n):
-        if k == k0 + total:
+        if k == n:
             break
         span = C[:, :k]
         v = -(span @ np.conj(span[i]))  # e_i - C C^H e_i
@@ -338,12 +326,12 @@ def orthonormal_complement(Q: np.ndarray, total: int | None = None) -> np.ndarra
         if nv > KEEP_RESIDUAL:
             C[:, k] = v / nv
             k += 1
-    if k != k0 + total:
+    if k != n:
         raise ValueError("failed to complete orthonormal basis")
     return C[:, k0:]
 
 
-def isometry_between(A: np.ndarray, B: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def isometry_between(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Square isometry W (unitary or orthogonal) with W @ A close to B.
 
     Requires the two column families to have equal Gram matrices,
@@ -371,7 +359,7 @@ def isometry_between(A: np.ndarray, B: np.ndarray, tol: Tolerances = DEFAULT_TOL
         return np.eye(n, dtype=dtype)
 
     _, s, Vh = np.linalg.svd(A, full_matrices=False)
-    cutoff = tol.rank_tol_factor * max(A.shape) * np.finfo(float).eps * s[0]
+    cutoff = RANK_TOL_FACTOR * max(A.shape) * np.finfo(float).eps * s[0]
     r = int(np.sum(s > cutoff))
     V_r = np.conj(Vh[:r]).T
 

@@ -22,12 +22,12 @@ algebra bracket, and the orbit-dimension bookkeeping behind the duality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, Tolerances, rank_tol, require_member, standard_J, trace_pairing
+from .linalg import MATCH_RTOL, rank_tol, require_member, standard_J, trace_pairing
 
 # Product elements per block of check_lie_weinstein's cross term, about
 # 1 MB of temporaries.  Larger blocks ran no faster on the structure
@@ -63,11 +63,11 @@ class LevelMismatchError(ValueError):
     """Two points expected on one momentum level set are not on it."""
 
 
-def require_level_match(ja, jb, tol, what: str):
+def require_level_match(ja, jb, what: str):
     """Raise LevelMismatchError unless the two momentum values agree."""
     scale = max(1.0, float(np.linalg.norm(ja)), float(np.linalg.norm(jb)))
     err = float(np.linalg.norm(ja - jb))
-    if err > max(tol.eq_tol, 1e-8) * scale:
+    if err > MATCH_RTOL * scale:
         raise LevelMismatchError(
             f"{what} momenta differ (residual {err / scale:.3e}); "
             "the points are not on a common level set"
@@ -111,12 +111,11 @@ class DualPairInstance:
     n: int
     m: int
     point: Any
-    tol: Tolerances = field(default=DEFAULT_TOL, compare=False)
 
     def __post_init__(self):
         if self.pair_id not in PAIR_IDS:
             raise ValueError(f"unknown pair id {self.pair_id!r}")
-        point = self.module.check_point(self.point, self.n, self.m, self.tol)
+        point = self.module.check_point(self.point, self.n, self.m)
         object.__setattr__(self, "point", point)
 
     @property
@@ -129,7 +128,7 @@ class DualPairInstance:
         return 2 * self.n * self.m
 
     def full_rank(self) -> bool:
-        return self.module.full_rank(self.point, self.tol)
+        return self.module.full_rank(self.point)
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +231,7 @@ def act(inst: DualPairInstance, side: str, g: np.ndarray) -> DualPairInstance:
     mod = inst.module
     require_member(mod.GROUP[side], g)
     pt = mod.act_left(g, inst.point) if side == "left" else mod.act_right(inst.point, g)
-    return DualPairInstance(inst.pair_id, inst.n, inst.m, pt, inst.tol)
+    return DualPairInstance(inst.pair_id, inst.n, inst.m, pt)
 
 
 def infinitesimal_action(inst: DualPairInstance, side: str, xi: np.ndarray):
@@ -318,7 +317,7 @@ def check_pairing_identity(inst: DualPairInstance, xi: np.ndarray, zeta: np.ndar
     return abs(lhs - rhs)
 
 
-def check_lie_weinstein(inst: DualPairInstance, tol: Tolerances = DEFAULT_TOL) -> dict:
+def check_lie_weinstein(inst: DualPairInstance) -> dict:
     """Orbit-dimension bookkeeping at a full-rank point.
 
     Returns dim of both group orbits through the point, the ambient
@@ -334,7 +333,7 @@ def check_lie_weinstein(inst: DualPairInstance, tol: Tolerances = DEFAULT_TOL) -
     tangents = {side: infinitesimal_action(inst, side, b) for side, b in bases.items()}
     # one column per basis element; a zero-dimensional algebra (orthogonal
     # side at m = 1) gives no columns and rank 0
-    dims = {side: rank_tol(_vectorize_tangent(inst, t).T, tol)
+    dims = {side: rank_tol(_vectorize_tangent(inst, t).T)
             for side, t in tangents.items()}
     # |omega| over all left x right pairs, a block of left tangents at a time
     right = _take(tangents["right"], np.newaxis)
@@ -364,7 +363,7 @@ def orbit_correspondence(inst: DualPairInstance):
                      dropping one from each nilpotent block size); a
                      point without full-rank Q and P raises ValueError
     """
-    rep = inst.module.orbit(inst.point, inst.tol)
+    rep = inst.module.orbit(inst.point)
     return rep.left, rep.right
 
 

@@ -20,9 +20,9 @@ import numpy as np
 
 from .jsonio import matrix_from_obj, matrix_to_obj
 from .linalg import (
-    DEFAULT_TOL,
     KEEP_RESIDUAL,
-    Tolerances,
+    MATCH_RTOL,
+    RANK_TOL_FACTOR,
     isometry_between,
     omega_real,
     random_group_element,
@@ -50,18 +50,18 @@ def check_dims(n: int, m: int):
         raise ValueError("the symplectic pair needs m <= 2n")
 
 
-def check_point(E, n: int, m: int, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def check_point(E, n: int, m: int) -> np.ndarray:
     E = np.asarray(E, dtype=float)
     if E.shape != (2 * n, m):
         raise ValueError(f"point shape {E.shape} does not match ({2 * n},{m})")
     check_dims(n, m)
-    if not full_rank(E, tol):
+    if not full_rank(E):
         raise ValueError("symplectic pair points must have rank m")
     return E
 
 
-def full_rank(E: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
-    return rank_tol(E, tol) == E.shape[1]
+def full_rank(E: np.ndarray) -> bool:
+    return rank_tol(E) == E.shape[1]
 
 
 def random_point(n: int, m: int, rng) -> np.ndarray:
@@ -236,8 +236,8 @@ def _complete_darboux(L_pairs: list, J: np.ndarray):
     return [(CT[:, i], CT[:, j]) for i, j in pairs]
 
 
-def witt_extend(basis_src, basis_dst, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Symplectic matrix S with S @ src_i = dst_i for two matched families.
+def witt_extend(V: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """Symplectic matrix S with S @ V = W for two matched column families.
 
     Both families must be linearly independent and have equal pairwise
     symplectic products.  The classical extension theorem guarantees S
@@ -250,10 +250,8 @@ def witt_extend(basis_src, basis_dst, tol: Tolerances = DEFAULT_TOL) -> np.ndarr
     3. complete each side to a full Darboux basis and map one onto the
        other.
     """
-    V = np.column_stack([np.asarray(v, dtype=float) for v in basis_src]) \
-        if not isinstance(basis_src, np.ndarray) else np.asarray(basis_src, dtype=float)
-    W = np.column_stack([np.asarray(v, dtype=float) for v in basis_dst]) \
-        if not isinstance(basis_dst, np.ndarray) else np.asarray(basis_dst, dtype=float)
+    V = np.asarray(V, dtype=float)
+    W = np.asarray(W, dtype=float)
     if V.shape != W.shape:
         raise ValueError("source and destination families differ in shape")
     dim, k = V.shape
@@ -263,12 +261,12 @@ def witt_extend(basis_src, basis_dst, tol: Tolerances = DEFAULT_TOL) -> np.ndarr
         raise ValueError("too many vectors")
     J = standard_J(dim // 2)
     if k > 0:
-        if rank_tol(V, tol) < k or rank_tol(W, tol) < k:
+        if rank_tol(V) < k or rank_tol(W) < k:
             raise ValueError("input families must be linearly independent")
         Gv = V.T @ J @ V
         Gw = W.T @ J @ W
         scale = max(1.0, float(np.abs(Gv).max()))
-        if np.abs(Gv - Gw).max() > max(tol.eq_tol, 1e-8) * scale:
+        if np.abs(Gv - Gw).max() > MATCH_RTOL * scale:
             raise ValueError("pairwise symplectic products do not match")
     else:
         return np.eye(dim)
@@ -301,13 +299,12 @@ def witt_extend(basis_src, basis_dst, tol: Tolerances = DEFAULT_TOL) -> np.ndarr
 # ---------------------------------------------------------------------------
 # witnesses and the template factorization
 
-def _require_rank_m(E, tol, who):
-    if not full_rank(E, tol):
+def _require_rank_m(E, who):
+    if not full_rank(E):
         raise ValueError(f"{who} requires full column rank")
 
 
-def witness_left(E: np.ndarray, E_prime: np.ndarray,
-                 tol: Tolerances = DEFAULT_TOL) -> WitnessReport:
+def witness_left(E: np.ndarray, E_prime: np.ndarray) -> WitnessReport:
     """S in Sp(2n,R) with S E close to E_prime, given equal right momenta.
 
     Equal right momenta mean the two column families have equal
@@ -316,15 +313,14 @@ def witness_left(E: np.ndarray, E_prime: np.ndarray,
     """
     E = np.asarray(E, dtype=float)
     E_prime = np.asarray(E_prime, dtype=float)
-    _require_rank_m(E, tol, "witness_left")
-    _require_rank_m(E_prime, tol, "witness_left")
-    _require_level_match(momentum_right(E), momentum_right(E_prime), tol, "right")
-    S = witt_extend(E, E_prime, tol)
+    _require_rank_m(E, "witness_left")
+    _require_rank_m(E_prime, "witness_left")
+    _require_level_match(momentum_right(E), momentum_right(E_prime), "right")
+    S = witt_extend(E, E_prime)
     return WitnessReport(S, relative_diff(S @ E, E_prime), "left")
 
 
-def witness_right(E: np.ndarray, E_prime: np.ndarray,
-                  tol: Tolerances = DEFAULT_TOL) -> WitnessReport:
+def witness_right(E: np.ndarray, E_prime: np.ndarray) -> WitnessReport:
     """O in O(m) with E O^T close to E_prime, given equal left momenta.
 
     Equal left momenta force E E^T = E_prime E_prime^T, i.e. the rows of
@@ -334,14 +330,14 @@ def witness_right(E: np.ndarray, E_prime: np.ndarray,
     """
     E = np.asarray(E, dtype=float)
     E_prime = np.asarray(E_prime, dtype=float)
-    _require_rank_m(E, tol, "witness_right")
-    _require_rank_m(E_prime, tol, "witness_right")
-    _require_level_match(momentum_left(E), momentum_left(E_prime), tol, "left")
-    O = isometry_between(E.T, E_prime.T, tol)
+    _require_rank_m(E, "witness_right")
+    _require_rank_m(E_prime, "witness_right")
+    _require_level_match(momentum_left(E), momentum_left(E_prime), "left")
+    O = isometry_between(E.T, E_prime.T)
     return WitnessReport(O, relative_diff(E @ O.T, E_prime), "right")
 
 
-def symplectic_svd(E: np.ndarray, tol: Tolerances = DEFAULT_TOL):
+def symplectic_svd(E: np.ndarray):
     """Factor a rank-m matrix as E = S D O, SVD-like for the form J.
 
     S is symplectic, O orthogonal, and D the sparse template of
@@ -356,16 +352,16 @@ def symplectic_svd(E: np.ndarray, tol: Tolerances = DEFAULT_TOL):
     E = np.asarray(E, dtype=float)
     two_n, m = E.shape
     n = two_n // 2
-    _require_rank_m(E, tol, "symplectic_svd")
+    _require_rank_m(E, "symplectic_svd")
     xi = momentum_right(E)
-    O0, a_vals = skew_canonical(xi, tol)
+    O0, a_vals = skew_canonical(xi)
     # xi is quadratic in E, so its noise floor sits at eps * |E|^2; pairs
     # below that are roundoff from an isotropic plane, not structure.
     # skew_canonical alone cannot see this (it only knows |xi|), and the
     # dropped pairs sit at the tail of its descending order, so trimming
     # them turns their rows into kernel rows without reshuffling O0.
     smax = float(np.linalg.norm(E, 2))
-    floor = tol.rank_tol_factor * m * np.finfo(float).eps * smax * smax
+    floor = RANK_TOL_FACTOR * m * np.finfo(float).eps * smax * smax
     a_vals = [a for a in a_vals if a > floor]
     p = len(a_vals)
     q = m - 2 * p
@@ -390,7 +386,7 @@ def symplectic_svd(E: np.ndarray, tol: Tolerances = DEFAULT_TOL):
     O = Pi @ O0
 
     D = build_template(inv)
-    S = witt_extend(D, E @ O.T, tol)
+    S = witt_extend(D, E @ O.T)
     recon = relative_diff(S @ D @ O, E)
     if recon > 1e-6:
         raise ValueError(f"factorization failed to reconstruct (residual {recon:.3e})")
@@ -423,9 +419,9 @@ def correspond(inv: SpOrbitInvariants):
     return normal_form_left(inv), normal_form_right(inv)
 
 
-def orbit(E: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> OrbitReport:
+def orbit(E: np.ndarray) -> OrbitReport:
     """The invariants of ``symplectic_svd`` label both orbits at once."""
-    _, _, _, inv = symplectic_svd(E, tol)
+    _, _, _, inv = symplectic_svd(E)
     return OrbitReport(inv, inv, inv.to_obj(), *correspond(inv))
 
 

@@ -18,8 +18,8 @@ from __future__ import annotations
 import numpy as np
 
 from .jsonio import matrix_from_obj, matrix_to_obj
-from .linalg import (DEFAULT_TOL, Tolerances, isometry_between, omega_complex,
-                     random_group_element, rank_tol, relative_diff, stream_rng)
+from .linalg import (isometry_between, omega_complex, random_group_element, rank_tol,
+                     relative_diff, stream_rng)
 from .pairs import OrbitReport, WitnessReport, require_level_match as _require_level_match
 
 ALGEBRA = {"left": "u", "right": "u"}
@@ -37,15 +37,15 @@ def check_dims(n: int, m: int):
     """Every shape is allowed."""
 
 
-def check_point(E, n: int, m: int, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def check_point(E, n: int, m: int) -> np.ndarray:
     E = np.asarray(E)
     if E.shape != (n, m):
         raise ValueError(f"point shape {E.shape} does not match ({n},{m})")
     return E.astype(complex)
 
 
-def full_rank(E: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
-    return rank_tol(E, tol) == min(E.shape)
+def full_rank(E: np.ndarray) -> bool:
+    return rank_tol(E) == min(E.shape)
 
 
 def random_point(n: int, m: int, rng) -> np.ndarray:
@@ -77,8 +77,7 @@ def momentum_right(E: np.ndarray) -> np.ndarray:
     return 0.5j * (np.conj(E).T @ E)
 
 
-def witness_left(E: np.ndarray, E_prime: np.ndarray,
-                 tol: Tolerances = DEFAULT_TOL) -> WitnessReport:
+def witness_left(E: np.ndarray, E_prime: np.ndarray) -> WitnessReport:
     """U in U(n) with U E close to E_prime, given equal right momenta.
 
     Equal right momenta mean equal column Gram matrices, so mapping
@@ -88,13 +87,12 @@ def witness_left(E: np.ndarray, E_prime: np.ndarray,
     """
     E = np.asarray(E, dtype=complex)
     E_prime = np.asarray(E_prime, dtype=complex)
-    _require_level_match(momentum_right(E), momentum_right(E_prime), tol, "right")
-    U = isometry_between(E, E_prime, tol)
+    _require_level_match(momentum_right(E), momentum_right(E_prime), "right")
+    U = isometry_between(E, E_prime)
     return WitnessReport(U, relative_diff(U @ E, E_prime), "left")
 
 
-def witness_right(E: np.ndarray, E_prime: np.ndarray,
-                  tol: Tolerances = DEFAULT_TOL) -> WitnessReport:
+def witness_right(E: np.ndarray, E_prime: np.ndarray) -> WitnessReport:
     """V in U(m) with E V close to E_prime, given equal left momenta.
 
     Runs the left construction on conjugate transposes: W E^dagger =
@@ -102,8 +100,8 @@ def witness_right(E: np.ndarray, E_prime: np.ndarray,
     """
     E = np.asarray(E, dtype=complex)
     E_prime = np.asarray(E_prime, dtype=complex)
-    _require_level_match(momentum_left(E), momentum_left(E_prime), tol, "left")
-    W = isometry_between(np.conj(E).T, np.conj(E_prime).T, tol)
+    _require_level_match(momentum_left(E), momentum_left(E_prime), "left")
+    W = isometry_between(np.conj(E).T, np.conj(E_prime).T)
     V = np.conj(W).T
     return WitnessReport(V, relative_diff(E @ V, E_prime), "right")
 
@@ -126,7 +124,7 @@ def _diagonal(sigmas, n: int, m: int) -> np.ndarray:
     return T
 
 
-def orbit(E: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> OrbitReport:
+def orbit(E: np.ndarray) -> OrbitReport:
     """Singular values as the label of both orbits, padded with zeros to
     n on the left and to m on the right; the normal forms are the
     momenta of the diagonal matrix they fill."""
@@ -148,7 +146,7 @@ def normal_form_partners(n: int, m: int, seed: int) -> tuple:
             random_group_element("unitary", n, seed, 4) @ T)
 
 
-def jacobian_rank_right(E: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> int:
+def jacobian_rank_right(E: np.ndarray) -> int:
     """Rank of the differential of the right momentum map at E.
 
     The differential sends X to (i/2)(X^dagger E + E^dagger X); the rank
@@ -167,4 +165,4 @@ def jacobian_rank_right(E: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> int:
     X = X.reshape(2 * n * m, n, m)
     T = 0.5j * (np.swapaxes(np.conj(X), -1, -2) @ E + np.conj(E).T @ X)
     T = T.reshape(2 * n * m, m * m)
-    return rank_tol(np.concatenate([np.real(T), np.imag(T)], axis=1).T, tol)
+    return rank_tol(np.concatenate([np.real(T), np.imag(T)], axis=1).T)

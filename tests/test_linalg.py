@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualpairs.linalg import (
-    Tolerances,
     block_diag_skew,
     isometry_between,
     omega_complex,
@@ -20,13 +19,6 @@ from dualpairs.linalg import (
     stream_rng,
     trace_pairing,
 )
-
-
-def test_tolerances_reject_nonpositive():
-    with pytest.raises(ValueError):
-        Tolerances(eq_tol=0.0)
-    with pytest.raises(ValueError):
-        Tolerances(rank_tol_factor=-1.0)
 
 
 def test_standard_J_smallest():
@@ -254,11 +246,10 @@ def test_orthonormal_complement_complex_and_deterministic():
     np.testing.assert_allclose(np.conj(Q).T @ N1, 0.0, atol=1e-12)
 
 
-def _complement_loop(Q, total=None):
+def _complement_loop(Q):
     # reference: modified Gram-Schmidt, one column at a time, two passes
     n = Q.shape[0]
-    if total is None:
-        total = n - Q.shape[1]
+    total = n - Q.shape[1]
     cols = [Q[:, k] for k in range(Q.shape[1])]
     out = []
     for i in range(n):
@@ -293,8 +284,9 @@ def test_orthonormal_complement_scans_in_index_order():
     # e_0 lies in the span, so the scan keeps e_1 and e_2, exactly
     Q = np.array([[1.0], [0.0], [0.0]])
     np.testing.assert_array_equal(orthonormal_complement(Q), [[0, 0], [1, 0], [0, 1]])
-    with pytest.raises(ValueError):
-        orthonormal_complement(Q, total=3)
+    # a non-finite Q leaves every residual below the keep threshold
+    with pytest.raises(ValueError, match="failed to complete"):
+        orthonormal_complement(np.array([[np.nan], [0.0], [0.0]]))
 
 
 def test_isometry_between_transports_columns():

@@ -18,7 +18,6 @@ from dualpairs.pairs import (
     orbit_correspondence,
     require_level_match,
 )
-from dualpairs.linalg import DEFAULT_TOL
 
 
 def _unitary_inst(n, m, seed):
@@ -310,5 +309,5 @@ def test_orbit_correspondence_gl_refuses_rank_deficient_point():
 
 def test_require_level_match_raises():
     with pytest.raises(LevelMismatchError):
-        require_level_match(np.eye(2), np.zeros((2, 2)), DEFAULT_TOL, "left")
-    require_level_match(np.eye(2), np.eye(2), DEFAULT_TOL, "left")
+        require_level_match(np.eye(2), np.zeros((2, 2)), "left")
+    require_level_match(np.eye(2), np.eye(2), "left")
