@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import general_linear, seesaw, symplectic
-from .jsonio import matrix_to_obj, report_record
+from .jsonio import is_number, matrix_to_obj, read_int, report_record
 from .linalg import (
     group_residual,
     omega_complex,
@@ -88,14 +88,6 @@ def _instance_payload(inst: DualPairInstance) -> dict:
             **inst.module.point_to_obj(inst.point)}
 
 
-def _dimension(obj: dict, key: str, path: str) -> int:
-    value = obj[key]
-    whole = isinstance(value, int) or isinstance(value, float) and value.is_integer()
-    if isinstance(value, bool) or not whole:
-        raise ValueError(f"{path}: {key} must be an integer, not {value!r}")
-    return int(value)
-
-
 def _load_instance(path: str, pair: str = None) -> DualPairInstance:
     """The instance in a file; pair, under any alias, must be its kind."""
     obj = json.loads(Path(path).read_text())
@@ -107,7 +99,7 @@ def _load_instance(path: str, pair: str = None) -> DualPairInstance:
     expected = _normalize_pair(pair) if pair else kind
     if kind != expected:
         raise ValueError(f"{path}: holds a {kind} instance, expected {expected}")
-    n, m = _dimension(obj, "n", path), _dimension(obj, "m", path)
+    n, m = read_int(obj, "n", path), read_int(obj, "m", path)
     return DualPairInstance(kind, n, m, PAIRS[kind].point_from_obj(obj))
 
 
@@ -141,9 +133,7 @@ def cmd_gen(args) -> int:
         raise ValueError("gen needs dimensions: positional n m or --n/--m")
     n, m = args.n, args.m
     _validate_dims(pair, n, m)
-    base = args.out or f"{pair}_{n}x{m}_s{args.seed}"
-    if base.endswith(".json"):
-        base = base[:-5]
+    base = (args.out or f"{pair}_{n}x{m}_s{args.seed}").removesuffix(".json")
     if args.partner == "normal-form":
         inst, partner = [DualPairInstance(pair, n, m, pt)
                          for pt in PAIRS[pair].normal_form_partners(n, m, args.seed)]
@@ -334,25 +324,25 @@ def _run_omega_real(seed, base, dims):
                - omega_real(seesaw.complex_to_real(E), seesaw.complex_to_real(F)))
 
 
-def _run_morphism_u(seed, base, dims):
-    n, _ = dims
-    rng = stream_rng(seed, base * 8)
+def _draw_u(rng, n):
     X = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    Y = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    a, b = 0.5 * (X - np.conj(X).T), 0.5 * (Y - np.conj(Y).T)
-    lhs = seesaw.embed_u_to_sp(bracket(a, b))
-    rhs = bracket(seesaw.embed_u_to_sp(a), seesaw.embed_u_to_sp(b))
-    return float(np.linalg.norm(lhs - rhs))
+    return 0.5 * (X - np.conj(X).T)
 
 
-def _run_morphism_gl(seed, base, dims):
-    n, _ = dims
-    rng = stream_rng(seed, base * 8)
-    a = rng.standard_normal((n, n))
-    b = rng.standard_normal((n, n))
-    lhs = seesaw.embed_gl_to_sp(bracket(a, b))
-    rhs = bracket(seesaw.embed_gl_to_sp(a), seesaw.embed_gl_to_sp(b))
-    return float(np.linalg.norm(lhs - rhs))
+def _draw_gl(rng, n):
+    return rng.standard_normal((n, n))
+
+
+def _run_morphism(draw, embed):
+    """embed([a, b]) against [embed(a), embed(b)] for two drawn elements."""
+    def run(seed, base, dims):
+        n, _ = dims
+        rng = stream_rng(seed, base * 8)
+        a, b = draw(rng, n), draw(rng, n)
+        lhs = embed(bracket(a, b))
+        rhs = bracket(embed(a), embed(b))
+        return float(np.linalg.norm(lhs - rhs))
+    return run
 
 
 def _build_registry():
@@ -381,26 +371,34 @@ def _build_registry():
     reg.append(("seesaw_diagram_gl", "general_linear", 1e-10,
                 _run_seesaw("general_linear", seesaw.check_diagram_sp_gl)))
     reg.append(("omega_realification", "unitary", 1e-12, _run_omega_real))
-    reg.append(("embedding_morphism_u", "unitary", 1e-12, _run_morphism_u))
+    reg.append(("embedding_morphism_u", "unitary", 1e-12,
+                _run_morphism(_draw_u, seesaw.embed_u_to_sp)))
     reg.append(("embedding_morphism_gl", "general_linear", 1e-12,
-                _run_morphism_gl))
+                _run_morphism(_draw_gl, seesaw.embed_gl_to_sp)))
     return reg
 
 
 def cmd_suite(args) -> int:
-    config = {}
+    config = {"pairs": list(PAIR_IDS), "trials": 3, "seed": 0, "tol": None,
+              "out": "suite_report.json"}
     if args.config:
-        config = json.loads(Path(args.config).read_text())
-        if not isinstance(config, dict):
+        given = json.loads(Path(args.config).read_text())
+        if not isinstance(given, dict):
             raise ValueError("config file must hold a JSON object")
-    pairs = config.get("pairs", list(PAIR_IDS))
-    if args.pair:
-        pairs = [_normalize_pair(args.pair)]
-    pairs = [_normalize_pair(p) for p in pairs]
-    trials = args.trials if args.trials is not None else int(config.get("trials", 3))
-    seed = args.seed if args.seed is not None else int(config.get("seed", 0))
-    tol_override = args.tol if args.tol is not None else config.get("tol")
-    out = args.out or config.get("out", "suite_report.json")
+        config.update(given)
+    where = args.config
+    pairs = config["pairs"]
+    if not isinstance(pairs, list) or not all(isinstance(p, str) for p in pairs):
+        raise ValueError(f"{where}: pairs must be a list of pair names, not {pairs!r}")
+    pairs = [_normalize_pair(p) for p in ([args.pair] if args.pair else pairs)]
+    trials = args.trials if args.trials is not None else read_int(config, "trials", where)
+    seed = args.seed if args.seed is not None else read_int(config, "seed", where)
+    tol_override = args.tol if args.tol is not None else config["tol"]
+    out = args.out or config["out"]
+    if not (tol_override is None or is_number(tol_override)):
+        raise ValueError(f"{where}: tol must be a number or null, not {tol_override!r}")
+    if not isinstance(out, str):
+        raise ValueError(f"{where}: out must be a file name, not {out!r}")
     if trials < 1:
         raise ValueError("trials must be at least 1")
 

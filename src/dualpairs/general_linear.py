@@ -42,6 +42,8 @@ class CotangentPoint:
     P: np.ndarray
 
     def __post_init__(self):
+        if np.iscomplexobj(self.Q) or np.iscomplexobj(self.P):
+            raise ValueError("Q and P must be real matrices")
         Q = np.asarray(self.Q, dtype=float)
         P = np.asarray(self.P, dtype=float)
         if Q.ndim != 2 or Q.shape != P.shape:
@@ -126,8 +128,8 @@ def momentum_right(pt: CotangentPoint) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # witnesses
 
-def _require_full_rank(pt: CotangentPoint, who: str):
-    if not full_rank(pt):
+def _require_full_rank(who: str, *points: CotangentPoint):
+    if not all(map(full_rank, points)):
         raise ValueError(f"{who} requires both Q and P of full column rank")
 
 
@@ -138,8 +140,7 @@ def witness_right(pt: CotangentPoint, pt_prime: CotangentPoint) -> WitnessReport
     equation value (Q^T Q)^-1 Q^T Q'.  For genuinely related points B
     is invertible and also transports P; both residuals are reported.
     """
-    _require_full_rank(pt, "witness_right")
-    _require_full_rank(pt_prime, "witness_right")
+    _require_full_rank("witness_right", pt, pt_prime)
     _require_level_match(momentum_left(pt), momentum_left(pt_prime), "left")
     B, *_ = np.linalg.lstsq(pt.Q, pt_prime.Q, rcond=None)
     res_q = relative_diff(pt.Q @ B, pt_prime.Q)
@@ -248,8 +249,7 @@ def witness_left(pt: CotangentPoint, pt_prime: CotangentPoint) -> WitnessReport:
     order and keep rule.  Each of Q, P, Q', P' gets one rank check, and
     the new matrix C^-1 Q' one more, before its completion.
     """
-    _require_full_rank(pt, "witness_left")
-    _require_full_rank(pt_prime, "witness_left")
+    _require_full_rank("witness_left", pt, pt_prime)
     _require_level_match(momentum_right(pt), momentum_right(pt_prime), "right")
     Q, P = pt.Q, pt.P
     Q2, P2 = pt_prime.Q, pt_prime.P
@@ -414,7 +414,7 @@ def orbit(pt: CotangentPoint) -> OrbitReport:
     """The Jordan data of the left momentum label both orbits (the right
     form drops one from each nilpotent block size); only full-rank
     points have a label."""
-    _require_full_rank(pt, "orbit labelling")
+    _require_full_rank("orbit labelling", pt)
     jd = jordan_structure(momentum_left(pt), side="left")
     return OrbitReport(jd, jd, jd.to_obj(), *jordan_correspond(jd))
 

@@ -22,24 +22,54 @@ def matrix_to_obj(M: np.ndarray) -> dict:
     return {"rows": M.shape[0], "cols": M.shape[1], "complex": cplx, "data": data}
 
 
+def read_int(obj: dict, key: str, where: str) -> int:
+    """obj[key] as an integer; an integral float such as 2.0 is read, and
+    any other value (null, a fraction, a string, a bool, a list) raises
+    ValueError naming where it came from."""
+    value = obj[key]
+    whole = isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    if isinstance(value, bool) or not whole:
+        raise ValueError(f"{where}: {key} must be an integer, not {value!r}")
+    return int(value)
+
+
+def is_number(value) -> bool:
+    """A JSON number: an int or a float, not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def matrix_from_obj(obj: dict) -> np.ndarray:
-    try:
-        rows = int(obj["rows"])
-        cols = int(obj["cols"])
-        cplx = bool(obj["complex"])
-        data = obj["data"]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed matrix object: {exc}") from exc
-    if len(data) != rows or any(len(r) != cols for r in data):
+    """The matrix of a matrix object; anything malformed raises ValueError."""
+    if not isinstance(obj, dict) or not {"rows", "cols", "complex", "data"} <= obj.keys():
+        raise ValueError("a matrix object needs rows, cols, complex and data")
+    rows, cols = read_int(obj, "rows", "matrix"), read_int(obj, "cols", "matrix")
+    cplx, data = obj["complex"], obj["data"]
+    if not isinstance(cplx, bool):
+        raise ValueError(f"matrix: complex must be true or false, not {cplx!r}")
+    if (not isinstance(data, list) or len(data) != rows
+            or any(not isinstance(r, list) or len(r) != cols for r in data)):
         raise ValueError("data shape does not match rows/cols")
+
+    def entry(v):
+        return (isinstance(v, list) and len(v) == 2 and all(map(is_number, v))
+                if cplx else is_number(v))
+
+    if not all(entry(v) for row in data for v in row):
+        raise ValueError("matrix entries must be numbers, or [re, im] pairs of "
+                         "numbers in a complex matrix")
     if cplx:
-        M = np.empty((rows, cols), dtype=complex)
-        for i, row in enumerate(data):
-            for j, v in enumerate(row):
-                M[i, j] = complex(v[0], v[1])
-    else:
-        M = np.array(data, dtype=float).reshape(rows, cols)
-    return M
+        # each [re, im] pair is the two float64 halves of one complex128
+        return np.array(data, dtype=float).reshape(rows, cols, 2).view(complex)[..., 0]
+    return np.array(data, dtype=float).reshape(rows, cols)
+
+
+def matrix_point_to_obj(E: np.ndarray) -> dict:
+    """Instance-file fields of a one-matrix point (unitary, symplectic)."""
+    return {"matrix": matrix_to_obj(E)}
+
+
+def matrix_point_from_obj(obj: dict) -> np.ndarray:
+    return matrix_from_obj(obj["matrix"])
 
 
 def report_record(check: str, pair: str, dims, seed: int, residual: float, passed: bool) -> dict:

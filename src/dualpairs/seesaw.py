@@ -88,6 +88,19 @@ def restrict_gl_to_o(xi: np.ndarray) -> np.ndarray:
     return out
 
 
+def _check_diagram(pt, stacked, mod, algebra: str, embed, restrict) -> dict:
+    # pt is a point of the pair module mod and stacked its real 2n x m
+    # model; algebra, embed and restrict name the left algebra, its
+    # embedding into sp(2n,R) and the restriction of right momenta to o(m)
+    j_sp = symplectic.momentum_left(stacked)
+    basis = basis_stack(algebra, stacked.shape[0] // 2)
+    left = float(np.max(np.abs(trace_pairing(j_sp, embed(basis))
+                               - trace_pairing(mod.momentum_left(pt), basis))))
+    right = float(np.linalg.norm(restrict(mod.momentum_right(pt))
+                                 - symplectic.momentum_right(stacked)))
+    return {"left": left, "right": right}
+
+
 def check_diagram_sp_u(E: np.ndarray) -> dict:
     """Residuals of the two momentum identities tying the complex and
     real models of a point.
@@ -98,31 +111,10 @@ def check_diagram_sp_u(E: np.ndarray) -> dict:
     real right momentum on the nose.
     """
     E = np.asarray(E, dtype=complex)
-    n = E.shape[0]
-    Er = complex_to_real(E)
-    j_sp = symplectic.momentum_left(Er)
-    j_u = unitary.momentum_left(E)
-    basis = basis_stack("u", n)
-    left = float(np.max(np.abs(trace_pairing(j_sp, embed_u_to_sp(basis))
-                               - trace_pairing(j_u, basis))))
-    right = float(np.linalg.norm(
-        restrict_u_to_o(unitary.momentum_right(E))
-        - symplectic.momentum_right(Er)))
-    return {"left": left, "right": right}
+    return _check_diagram(E, complex_to_real(E), unitary, "u", embed_u_to_sp, restrict_u_to_o)
 
 
 def check_diagram_sp_gl(pt) -> dict:
     """Same two residuals for a (Q, P) point stacked into [Q; P]."""
-    Q = np.asarray(pt.Q, dtype=float)
-    P = np.asarray(pt.P, dtype=float)
-    n = Q.shape[0]
-    Er = np.vstack([Q, P])
-    j_sp = symplectic.momentum_left(Er)
-    j_gl = general_linear.momentum_left(pt)
-    basis = basis_stack("gl", n)
-    left = float(np.max(np.abs(trace_pairing(j_sp, embed_gl_to_sp(basis))
-                               - trace_pairing(j_gl, basis))))
-    right = float(np.linalg.norm(
-        restrict_gl_to_o(general_linear.momentum_right(pt))
-        - symplectic.momentum_right(Er)))
-    return {"left": left, "right": right}
+    stacked = np.vstack([np.asarray(pt.Q, dtype=float), np.asarray(pt.P, dtype=float)])
+    return _check_diagram(pt, stacked, general_linear, "gl", embed_gl_to_sp, restrict_gl_to_o)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jsonio import matrix_from_obj, matrix_to_obj
+from .jsonio import matrix_point_from_obj as point_from_obj, matrix_point_to_obj as point_to_obj
 from .linalg import (
     KEEP_RESIDUAL,
     MATCH_RTOL,
@@ -51,6 +51,8 @@ def check_dims(n: int, m: int):
 
 
 def check_point(E, n: int, m: int) -> np.ndarray:
+    if np.iscomplexobj(E):
+        raise ValueError("symplectic pair points must be real matrices")
     E = np.asarray(E, dtype=float)
     if E.shape != (2 * n, m):
         raise ValueError(f"point shape {E.shape} does not match ({2 * n},{m})")
@@ -66,14 +68,6 @@ def full_rank(E: np.ndarray) -> bool:
 
 def random_point(n: int, m: int, rng) -> np.ndarray:
     return rng.standard_normal((2 * n, m))
-
-
-def point_to_obj(E: np.ndarray) -> dict:
-    return {"matrix": matrix_to_obj(E)}
-
-
-def point_from_obj(obj: dict) -> np.ndarray:
-    return matrix_from_obj(obj["matrix"])
 
 
 def tangent_parts(t) -> tuple:
@@ -260,18 +254,16 @@ def witt_extend(V: np.ndarray, W: np.ndarray) -> np.ndarray:
     if k > dim:
         raise ValueError("too many vectors")
     J = standard_J(dim // 2)
-    if k > 0:
-        if rank_tol(V) < k or rank_tol(W) < k:
-            raise ValueError("input families must be linearly independent")
-        Gv = V.T @ J @ V
-        Gw = W.T @ J @ W
-        scale = max(1.0, float(np.abs(Gv).max()))
-        if np.abs(Gv - Gw).max() > MATCH_RTOL * scale:
-            raise ValueError("pairwise symplectic products do not match")
-    else:
+    if k == 0:
         return np.eye(dim)
-
+    if rank_tol(V) < k or rank_tol(W) < k:
+        raise ValueError("input families must be linearly independent")
+    Gv = V.T @ J @ V
+    Gw = W.T @ J @ W
     scale = max(1.0, float(np.abs(Gv).max()))
+    if np.abs(Gv - Gw).max() > MATCH_RTOL * scale:
+        raise ValueError("pairwise symplectic products do not match")
+
     T, gs_pairs, radical = _sym_gs(Gv, rad_tol=1e-9 * scale)
     VT = V @ T
     WT = W @ T
@@ -299,8 +291,8 @@ def witt_extend(V: np.ndarray, W: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # witnesses and the template factorization
 
-def _require_rank_m(E, who):
-    if not full_rank(E):
+def _require_rank_m(who, *points):
+    if not all(map(full_rank, points)):
         raise ValueError(f"{who} requires full column rank")
 
 
@@ -313,8 +305,7 @@ def witness_left(E: np.ndarray, E_prime: np.ndarray) -> WitnessReport:
     """
     E = np.asarray(E, dtype=float)
     E_prime = np.asarray(E_prime, dtype=float)
-    _require_rank_m(E, "witness_left")
-    _require_rank_m(E_prime, "witness_left")
+    _require_rank_m("witness_left", E, E_prime)
     _require_level_match(momentum_right(E), momentum_right(E_prime), "right")
     S = witt_extend(E, E_prime)
     return WitnessReport(S, relative_diff(S @ E, E_prime), "left")
@@ -330,8 +321,7 @@ def witness_right(E: np.ndarray, E_prime: np.ndarray) -> WitnessReport:
     """
     E = np.asarray(E, dtype=float)
     E_prime = np.asarray(E_prime, dtype=float)
-    _require_rank_m(E, "witness_right")
-    _require_rank_m(E_prime, "witness_right")
+    _require_rank_m("witness_right", E, E_prime)
     _require_level_match(momentum_left(E), momentum_left(E_prime), "left")
     O = isometry_between(E.T, E_prime.T)
     return WitnessReport(O, relative_diff(E @ O.T, E_prime), "right")
@@ -352,7 +342,7 @@ def symplectic_svd(E: np.ndarray):
     E = np.asarray(E, dtype=float)
     two_n, m = E.shape
     n = two_n // 2
-    _require_rank_m(E, "symplectic_svd")
+    _require_rank_m("symplectic_svd", E)
     xi = momentum_right(E)
     O0, a_vals = skew_canonical(xi)
     # xi is quadratic in E, so its noise floor sits at eps * |E|^2; pairs

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .jsonio import matrix_from_obj, matrix_to_obj
+from .jsonio import matrix_point_from_obj as point_from_obj, matrix_point_to_obj as point_to_obj
 from .linalg import (isometry_between, omega_complex, random_group_element, rank_tol,
                      relative_diff, stream_rng)
 from .pairs import OrbitReport, WitnessReport, require_level_match as _require_level_match
@@ -50,14 +50,6 @@ def full_rank(E: np.ndarray) -> bool:
 
 def random_point(n: int, m: int, rng) -> np.ndarray:
     return rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
-
-
-def point_to_obj(E: np.ndarray) -> dict:
-    return {"matrix": matrix_to_obj(E)}
-
-
-def point_from_obj(obj: dict) -> np.ndarray:
-    return matrix_from_obj(obj["matrix"])
 
 
 def tangent_parts(t) -> tuple:

@@ -279,6 +279,77 @@ def test_suite_config_file(tmp_path, capsys):
     assert report["config"]["pairs"] == ["general_linear"]
 
 
+@pytest.mark.parametrize("bad", [{"trials": None}, {"trials": 1.7}, {"seed": 1.5},
+                                 {"seed": "3"}, {"pairs": [["u"]]}, {"pairs": "u"},
+                                 {"tol": [1]}, {"tol": True}, {"out": 5}])
+def test_suite_malformed_config_exits_2(tmp_path, capsys, bad):
+    cfg = tmp_path / "cfg.json"
+    out = tmp_path / "rep.json"
+    cfg.write_text(json.dumps({"pairs": ["u"], "trials": 1, "out": str(out), **bad}))
+    assert cli.main(["suite", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_suite_config_reads_integral_floats(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    out = tmp_path / "rep.json"
+    cfg.write_text(json.dumps({"pairs": ["u"], "trials": 1.0, "seed": 4.0,
+                               "out": str(out)}))
+    assert cli.main(["suite", "--config", str(cfg)]) == 0
+    assert json.loads(out.read_text())["config"]["seed"] == 4
+
+
+# ---------------------------------------------------------------------------
+# malformed matrices in instance files
+
+def _matrix_cases():
+    real = {"rows": 2, "cols": 2, "complex": False, "data": [[1.0, 0.0], [0.0, 1.0]]}
+    cplx = {**real, "complex": True, "data": [[[1.0, 0.0], [0.0, 0.0]],
+                                              [[0.0, 0.0], [1.0, 2.0]]]}
+    return {
+        "data null": {**real, "data": None},
+        "row not a list": {**real, "data": [[1.0, 0.0], 5]},
+        "scalar for a complex entry": {**cplx, "data": [[1.0, [0.0, 0.0]],
+                                                        [[0.0, 0.0], [1.0, 0.0]]]},
+        "rows not an integer": {**real, "rows": 2.7},
+        "complex not a bool": {**real, "complex": "false"},
+        "string entry": {**real, "data": [["1", 0.0], [0.0, 1.0]]},
+        "bool entry": {**real, "data": [[True, 0.0], [0.0, 1.0]]},
+        "missing cols": {k: v for k, v in real.items() if k != "cols"},
+        "not an object": [[1.0, 0.0], [0.0, 1.0]],
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_matrix_cases()))
+def test_malformed_matrix_exits_2(tmp_path, capsys, case):
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps({"kind": "unitary", "n": 2, "m": 2,
+                             "matrix": _matrix_cases()[case]}))
+    assert cli.main(["momentum", str(f), "--side", "left"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("kind,n,fields", [("symplectic", 1, ["matrix"]),
+                                           ("general_linear", 2, ["Q", "P"])])
+def test_real_pairs_refuse_complex_matrix_files(tmp_path, capsys, kind, n, fields):
+    # a complex matrix would lose its imaginary parts on the way in
+    mats = {key: np.eye(2) + 1j * np.eye(2)[::-1] for key in fields}
+    f = _write_instance(tmp_path / "c.json", kind, n, 2, **mats)
+    for argv in (["momentum", f, "--side", "left"], ["orbit", f]):
+        assert cli.main(argv) == 2
+        assert "real matri" in capsys.readouterr().err
+
+
+def test_complex_matrix_file_round_trips_bits(tmp_path):
+    E = np.array([[1.5 - 0.0j, complex(-0.0, 2.0)], [np.pi, complex(1e-300, -1e300)]])
+    f = _write_instance(tmp_path / "u.json", "unitary", 2, 2, matrix=E)
+    back = cli._load_instance(f).point
+    assert back.dtype == complex and back.tobytes() == E.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # entry points, in fresh interpreters
 

@@ -26,6 +26,11 @@ def test_point_validation():
         gl.CotangentPoint(np.zeros((2, 2)), np.zeros((3, 2)))
     with pytest.raises(ValueError):
         gl.CotangentPoint(np.zeros(2), np.zeros(2))
+    # a complex Q or P would lose its imaginary part to the float cast
+    with pytest.raises(ValueError, match="real"):
+        gl.CotangentPoint(np.eye(2) + 0j, np.eye(2))
+    with pytest.raises(ValueError, match="real"):
+        gl.CotangentPoint(np.eye(2), 1j * np.eye(2))
 
 
 def test_act_left_identity():

@@ -63,6 +63,12 @@ def test_symplectic_instance_needs_rank_m():
         DualPairInstance("symplectic", 1, 3, np.ones((2, 3)))  # m > 2n
 
 
+def test_symplectic_instance_refuses_complex_point():
+    # the float cast would drop the imaginary parts
+    with pytest.raises(ValueError, match="real"):
+        DualPairInstance("symplectic", 1, 2, np.eye(2) + 1j * np.eye(2)[::-1])
+
+
 def test_gl_instance_needs_point_pair():
     with pytest.raises(ValueError):
         DualPairInstance("general_linear", 2, 1, np.zeros((2, 1)))
