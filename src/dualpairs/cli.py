@@ -133,7 +133,9 @@ def cmd_gen(args) -> int:
         raise ValueError("gen needs dimensions: positional n m or --n/--m")
     n, m = args.n, args.m
     _validate_dims(pair, n, m)
-    base = (args.out or f"{pair}_{n}x{m}_s{args.seed}").removesuffix(".json")
+    base = args.out or f"{pair}_{n}x{m}_s{args.seed}"
+    if base.endswith(".json"):
+        base = base[:-5]
     if args.partner == "normal-form":
         inst, partner = [DualPairInstance(pair, n, m, pt)
                          for pt in PAIRS[pair].normal_form_partners(n, m, args.seed)]
