@@ -22,6 +22,7 @@ import argparse
 import json
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -42,9 +43,9 @@ from .pairs import (
     DualPairInstance,
     LevelMismatchError,
     act,
-    algebra_basis,
     algebra_size,
     algebra_tag,
+    basis_stack,
     bracket,
     check_equivariance,
     check_level_invariance,
@@ -109,9 +110,9 @@ def _random_instance(pair: str, n: int, m: int, seed: int,
     return DualPairInstance(pair, n, m, point)
 
 
-def _random_side_element(pair, side, n, m, seed, stream):
-    mod = PAIRS[pair]
-    return random_group_element(mod.GROUP[side], mod.side_sizes(n, m)[side],
+def _side_element(inst: DualPairInstance, side: str, seed: int, stream: int):
+    """An element of the group acting on inst from side, drawn from (seed, stream)."""
+    return random_group_element(inst.module.GROUP[side], algebra_size(inst, side),
                                 seed, stream)
 
 
@@ -127,15 +128,9 @@ def _witness(inst_a: DualPairInstance, inst_b: DualPairInstance, side: str):
 # gen
 
 def cmd_gen(args) -> int:
-    _resolve_dims(args)
-    pair = _normalize_pair(args.pair)
-    if args.n is None or args.m is None:
-        raise ValueError("gen needs dimensions: positional n m or --n/--m")
-    n, m = args.n, args.m
+    pair, n, m = _normalize_pair(args.pair), args.n, args.m
     _validate_dims(pair, n, m)
-    base = args.out or f"{pair}_{n}x{m}_s{args.seed}"
-    if base.endswith(".json"):
-        base = base[:-5]
+    base = (args.out or f"{pair}_{n}x{m}_s{args.seed}").removesuffix(".json")
     if args.partner == "normal-form":
         inst, partner = [DualPairInstance(pair, n, m, pt)
                          for pt in PAIRS[pair].normal_form_partners(n, m, args.seed)]
@@ -144,8 +139,7 @@ def cmd_gen(args) -> int:
         partner = None
         if args.partner is not None:
             side = "left" if args.partner == "fiber-left" else "right"
-            g = _random_side_element(pair, side, n, m, args.seed, 1)
-            partner = act(inst, side, g)
+            partner = act(inst, side, _side_element(inst, side, args.seed, 1))
     files = [(Path(base + ".json"), inst)]
     if partner is not None:
         files.append((Path(base + ".partner.json"), partner))
@@ -214,26 +208,17 @@ _SUITE_DIMS = {
 }
 
 
-def _run_sampler(pair):
-    def run(seed, base, dims):
-        n, m = dims
-        worst = 0.0
-        for side in ("left", "right"):
-            g = _random_side_element(pair, side, n, m, seed,
-                                     base * 8 + (1 if side == "left" else 2))
-            worst = max(worst, group_residual(PAIRS[pair].GROUP[side], g))
-        return worst
-    return run
+def _run_sampler(inst, seed, base):
+    worst = 0.0
+    for side, k in (("left", 1), ("right", 2)):
+        g = _side_element(inst, side, seed, base * 8 + k)
+        worst = max(worst, group_residual(inst.module.GROUP[side], g))
+    return worst
 
 
-def _run_group_check(pair, side, acting, check):
+def _run_group_check(side, acting, check, inst, seed, base):
     """check(instance, side, g) with g drawn from the acting side's group."""
-    def run(seed, base, dims):
-        n, m = dims
-        inst = _random_instance(pair, n, m, seed, base * 8)
-        g = _random_side_element(pair, acting, n, m, seed, base * 8 + 1)
-        return check(inst, side, g)
-    return run
+    return check(inst, side, _side_element(inst, acting, seed, base * 8 + 1))
 
 
 def _witness_residual(inst, side, g):
@@ -242,86 +227,63 @@ def _witness_residual(inst, side, g):
 
 
 def _random_algebra_element(inst, side, rng):
-    basis = algebra_basis(algebra_tag(inst.pair_id, side),
-                          algebra_size(inst, side))
-    coeffs = rng.standard_normal(len(basis))
-    out = np.zeros_like(basis[0])
-    for c, b in zip(coeffs, basis):
-        out = out + c * b
-    return out
+    basis = basis_stack(algebra_tag(inst.pair_id, side), algebra_size(inst, side))
+    return sum(c * b for c, b in zip(rng.standard_normal(len(basis)), basis))
 
 
-def _run_pairing(pair, side):
-    def run(seed, base, dims):
-        n, m = dims
-        inst = _random_instance(pair, n, m, seed, base * 8)
-        rng = stream_rng(seed, base * 8 + 3)
-        xi = _random_algebra_element(inst, side, rng)
-        zeta = _random_algebra_element(inst, side, rng)
-        return check_pairing_identity(inst, xi, zeta, side)
-    return run
+def _run_pairing(side, inst, seed, base):
+    rng = stream_rng(seed, base * 8 + 3)
+    xi = _random_algebra_element(inst, side, rng)
+    zeta = _random_algebra_element(inst, side, rng)
+    return check_pairing_identity(inst, xi, zeta, side)
 
 
-def _run_lie_weinstein(pair):
-    def run(seed, base, dims):
-        n, m = dims
-        inst = _random_instance(pair, n, m, seed, base * 8)
-        out = check_lie_weinstein(inst)
-        defect = abs(out["dim_left_orbit"] + out["dim_right_orbit"]
-                     - out["ambient_dim"])
-        return max(float(defect), out["cross_omega_residual"])
-    return run
+def _run_lie_weinstein(inst, seed, base):
+    out = check_lie_weinstein(inst)
+    defect = abs(out["dim_left_orbit"] + out["dim_right_orbit"]
+                 - out["ambient_dim"])
+    return max(float(defect), out["cross_omega_residual"])
 
 
-def _run_svd(seed, base, dims):
-    n, m = dims
-    inst = _random_instance("symplectic", n, m, seed, base * 8)
+def _run_svd(inst, seed, base):
     S, D, O, _ = symplectic.symplectic_svd(inst.point)
     return relative_diff(S @ D @ O, inst.point)
 
 
-def _run_nf_charpoly(seed, base, dims):
-    n, m = dims
-    inst = _random_instance("symplectic", n, m, seed, base * 8)
+def _run_nf_charpoly(inst, seed, base):
     _, _, _, inv = symplectic.symplectic_svd(inst.point)
     c1 = np.poly(symplectic.momentum_left(inst.point))
     c2 = np.poly(symplectic.normal_form_left(inv))
     return float(np.abs(c1 - c2).max() / max(1.0, np.abs(c2).max()))
 
 
-def _run_rank_profile(seed, base, dims):
-    n, m = dims
-    inst = _random_instance("general_linear", n, m, seed, base * 8)
+def _run_rank_profile(inst, seed, base):
     zeta = general_linear.momentum_left(inst.point)
     xi = general_linear.momentum_right(inst.point)
-    ok = (general_linear.in_image_left(zeta, m)
-          and general_linear.in_image_right(xi, n))
+    ok = (general_linear.in_image_left(zeta, inst.m)
+          and general_linear.in_image_right(xi, inst.n))
     return 0.0 if ok else 1.0
 
 
-def _run_jordan_roundtrip(seed, base, dims):
-    n, m = dims
+def _run_jordan_roundtrip(inst, seed, base):
     rng = stream_rng(seed, base * 8 + 4)
-    jd = general_linear._random_jordan(n, m, rng)
+    jd = general_linear._random_jordan(inst.n, inst.m, rng)
     zeta, xi = general_linear.jordan_correspond(jd)
     back_l = general_linear.jordan_structure(zeta, side="left")
-    back_r = general_linear.jordan_structure(xi, side="right", n=n)
+    back_r = general_linear.jordan_structure(xi, side="right", n=inst.n)
     return 0.0 if back_l == jd and back_r == jd else 1.0
 
 
-def _run_seesaw(pair, check):
-    def run(seed, base, dims):
-        n, m = dims
-        res = check(_random_instance(pair, n, m, seed, base * 8).point)
-        return max(res["left"], res["right"])
-    return run
+def _run_seesaw(check, inst, seed, base):
+    res = check(inst.point)
+    return max(res["left"], res["right"])
 
 
-def _run_omega_real(seed, base, dims):
-    n, m = dims
+def _run_omega_real(inst, seed, base):
     rng = stream_rng(seed, base * 8)
-    E = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
-    F = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
+    shape = (inst.n, inst.m)
+    E = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    F = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     return abs(omega_complex(E, F)
                - omega_real(seesaw.complex_to_real(E), seesaw.complex_to_real(F)))
 
@@ -335,33 +297,32 @@ def _draw_gl(rng, n):
     return rng.standard_normal((n, n))
 
 
-def _run_morphism(draw, embed):
+def _run_morphism(draw, embed, inst, seed, base):
     """embed([a, b]) against [embed(a), embed(b)] for two drawn elements."""
-    def run(seed, base, dims):
-        n, _ = dims
-        rng = stream_rng(seed, base * 8)
-        a, b = draw(rng, n), draw(rng, n)
-        lhs = embed(bracket(a, b))
-        rhs = bracket(embed(a), embed(b))
-        return float(np.linalg.norm(lhs - rhs))
-    return run
+    rng = stream_rng(seed, base * 8)
+    a, b = draw(rng, inst.n), draw(rng, inst.n)
+    lhs = embed(bracket(a, b))
+    rhs = bracket(embed(a), embed(b))
+    return float(np.linalg.norm(lhs - rhs))
 
 
 def _build_registry():
+    """(check, pair, threshold, run) rows.  run(inst, seed, base) gets the
+    record's instance, drawn from stream base * 8, and draws from later streams."""
     reg = []
     for pair in PAIR_IDS:
-        reg.append(("sampler_membership", pair, 1e-9, _run_sampler(pair)))
+        reg.append(("sampler_membership", pair, 1e-9, _run_sampler))
         for side, other in (("left", "right"), ("right", "left")):
             reg.append((f"equivariance_{side}", pair, 1e-9,
-                        _run_group_check(pair, side, side, check_equivariance)))
+                        partial(_run_group_check, side, side, check_equivariance)))
             reg.append((f"level_invariance_{side}", pair, 1e-9,
-                        _run_group_check(pair, side, other, check_level_invariance)))
+                        partial(_run_group_check, side, other, check_level_invariance)))
             reg.append((f"pairing_identity_{side}", pair, 1e-9,
-                        _run_pairing(pair, side)))
-        reg.append(("lie_weinstein", pair, 1e-10, _run_lie_weinstein(pair)))
+                        partial(_run_pairing, side)))
+        reg.append(("lie_weinstein", pair, 1e-10, _run_lie_weinstein))
         for side in ("left", "right"):
             reg.append((f"witness_{side}", pair, 1e-7,
-                        _run_group_check(pair, side, side, _witness_residual)))
+                        partial(_run_group_check, side, side, _witness_residual)))
     reg.append(("svd_reconstruction", "symplectic", 1e-8, _run_svd))
     reg.append(("normal_form_charpoly", "symplectic", 1e-6, _run_nf_charpoly))
     reg.append(("momentum_rank_profile", "general_linear", 0.5,
@@ -369,14 +330,14 @@ def _build_registry():
     reg.append(("jordan_roundtrip", "general_linear", 0.5,
                 _run_jordan_roundtrip))
     reg.append(("seesaw_diagram_u", "unitary", 1e-10,
-                _run_seesaw("unitary", seesaw.check_diagram_sp_u)))
+                partial(_run_seesaw, seesaw.check_diagram_sp_u)))
     reg.append(("seesaw_diagram_gl", "general_linear", 1e-10,
-                _run_seesaw("general_linear", seesaw.check_diagram_sp_gl)))
+                partial(_run_seesaw, seesaw.check_diagram_sp_gl)))
     reg.append(("omega_realification", "unitary", 1e-12, _run_omega_real))
     reg.append(("embedding_morphism_u", "unitary", 1e-12,
-                _run_morphism(_draw_u, seesaw.embed_u_to_sp)))
+                partial(_run_morphism, _draw_u, seesaw.embed_u_to_sp)))
     reg.append(("embedding_morphism_gl", "general_linear", 1e-12,
-                _run_morphism(_draw_gl, seesaw.embed_gl_to_sp)))
+                partial(_run_morphism, _draw_gl, seesaw.embed_gl_to_sp)))
     return reg
 
 
@@ -412,9 +373,10 @@ def cmd_suite(args) -> int:
         threshold = default_thr if tol_override is None else float(tol_override)
         dims_cycle = _SUITE_DIMS[pair]
         for t in range(trials):
-            dims = dims_cycle[t % len(dims_cycle)]
+            n, m = dims = dims_cycle[t % len(dims_cycle)]
             base = idx * 1000 + t
-            residual = float(runner(seed, base, dims))
+            inst = _random_instance(pair, n, m, seed, base * 8)
+            residual = float(runner(inst, seed, base))
             records.append(report_record(check, pair, list(dims), base,
                                          residual, residual <= threshold))
     records.sort(key=lambda r: (r["check"], r["pair"], str(r["dims"]), r["seed"]))
@@ -436,23 +398,6 @@ def cmd_suite(args) -> int:
 # ---------------------------------------------------------------------------
 # argument parsing
 
-def _add_dims(p):
-    p.add_argument("pair_pos", nargs="?", metavar="pair")
-    p.add_argument("n_pos", nargs="?", type=int, metavar="n")
-    p.add_argument("m_pos", nargs="?", type=int, metavar="m")
-    p.add_argument("--pair")
-    p.add_argument("--n", type=int)
-    p.add_argument("--m", type=int)
-
-
-def _resolve_dims(args):
-    args.pair = args.pair or args.pair_pos
-    args.n = args.n if args.n is not None else args.n_pos
-    args.m = args.m if args.m is not None else args.m_pos
-    if args.pair is None:
-        raise ValueError("a pair is required: unitary, symplectic or gl")
-
-
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="dualpairs",
@@ -461,7 +406,9 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="write a random instance file")
-    _add_dims(p)
+    p.add_argument("pair")
+    p.add_argument("n", type=int)
+    p.add_argument("m", type=int)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--partner",
                    choices=["fiber-left", "fiber-right", "normal-form"])

@@ -540,18 +540,20 @@ def _bareiss_rank(rows) -> int:
     return rank
 
 
-def _exact_chain(A, size: int, step: int):
-    """Nullities of A, A^2, ... divided by step, until they stop growing."""
+def _nullity_chain(A, nullity, matmul, cap):
+    """Nullities of A, A^2, ... up to the first that does not grow past
+    the one before it, which is left out, or that reaches cap, the
+    algebraic multiplicity or a bound on it."""
     nullities = []
     power = A
     while True:
-        nu = (size - _bareiss_rank(power)) // step
-        if nu == (nullities[-1] if nullities else 0):
+        nu = nullity(power)
+        if nullities and nu <= nullities[-1]:
             return nullities
         nullities.append(nu)
-        if nu * step == size:
+        if nu >= cap:
             return nullities
-        power = _int_matmul(power, A)
+        power = matmul(power, A)
 
 
 def _structure_exact(M_int, side: str, n: int, m: int) -> JordanData:
@@ -585,7 +587,8 @@ def _structure_exact(M_int, side: str, n: int, m: int) -> JordanData:
             for i in range(size):
                 A[i][i] += b * b
             step = 2
-        nullities = _exact_chain(A, size, step)
+        nullities = _nullity_chain(A, lambda P: (size - _bareiss_rank(P)) // step,
+                                   _int_matmul, size // step)
         filled += step * max(nullities, default=0)
         _add_blocks(_chain_to_counts(nullities), complex(a, b), side,
                     blocks, nilpotent)
@@ -607,17 +610,8 @@ def _structure_sympy(M_int, side: str, n: int, m: int) -> JordanData:
         lam_c = complex(sympy.N(lam, 30))
         if lam_c.imag < -1e-25:
             continue  # handled through the conjugate eigenvalue
-        A = sm - lam * sympy.eye(size)
-        nullities = []
-        power = sympy.eye(size)
-        while True:
-            power = power * A
-            nu = size - power.rank()
-            if nullities and nu == nullities[-1]:
-                break
-            nullities.append(nu)
-            if nu >= alg_mult:
-                break
+        nullities = _nullity_chain(sm - lam * sympy.eye(size),
+                                   lambda P: size - P.rank(), operator.mul, alg_mult)
         if lam.is_zero:
             lam_c = 0j
         elif abs(lam_c.imag) <= 1e-25:
@@ -718,18 +712,8 @@ def _structure_float(M, side: str, n: int, m: int) -> JordanData:
             center = complex(center.real, 0.0)
         if center.imag < 0:
             continue  # handled through the conjugate cluster
-        A = M - center * np.eye(size)
-        mult = len(cl)
-        nullities = chains[raw] = []
-        power = np.eye(size, dtype=A.dtype)
-        while True:
-            power = power @ A
-            nu = size - rank_tol(power)
-            if nullities and nu <= nullities[-1]:
-                break
-            nullities.append(nu)
-            if nu >= mult:
-                break
+        nullities = chains[raw] = _nullity_chain(
+            M - center * np.eye(size), lambda P: size - rank_tol(P), np.matmul, len(cl))
         try:
             counts = _chain_to_counts(nullities)
         except ValueError:

@@ -308,9 +308,12 @@ def orthonormal_complement(Q: np.ndarray) -> np.ndarray:
     their residual against the span built so far is not negligible.  The
     residual takes two passes of classical Gram-Schmidt against all
     columns at once.  Both real and complex inputs are supported; the
-    result has the same dtype.
+    result has the same dtype.  Raises ValueError unless Q has orthonormal
+    columns, |Q^H Q - I|_F <= MATCH_RTOL.
     """
     n, k0 = Q.shape
+    if np.linalg.norm(np.conj(Q).T @ Q - np.eye(k0)) > MATCH_RTOL:
+        raise ValueError("the columns of Q are not orthonormal")
     C = np.zeros((n, n), dtype=Q.dtype)
     C[:, :k0] = Q
     k = k0

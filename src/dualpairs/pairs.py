@@ -134,8 +134,9 @@ class DualPairInstance:
 # ---------------------------------------------------------------------------
 # algebra bases
 
-def algebra_basis(algebra: str, size: int) -> list[np.ndarray]:
-    """Fixed enumerated basis of u(n), o(m), sp(2n,R) or gl(n,R).
+def basis_stack(algebra: str, size: int) -> np.ndarray:
+    """Fixed enumerated basis of u(n), o(m), sp(2n,R) or gl(n,R), as one
+    (dim, size, size) array.
 
     Orderings are part of the contract (orbit-dimension computations and
     oracle solves must be reproducible):
@@ -147,11 +148,6 @@ def algebra_basis(algebra: str, size: int) -> list[np.ndarray]:
       the symmetric basis, then [[0,0],[C,0]] likewise
     * gl(n): unit matrices E_ij row-major
     """
-    return list(basis_stack(algebra, size))
-
-
-def basis_stack(algebra: str, size: int) -> np.ndarray:
-    """The basis of ``algebra_basis`` as one (dim, size, size) array."""
     # upper-triangle index pairs come out row-major, as the orderings need
     if algebra == "u":
         n = size

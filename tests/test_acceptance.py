@@ -14,8 +14,8 @@ import pytest
 from dualpairs import cli, general_linear as gl, seesaw, symplectic, unitary
 from dualpairs.linalg import (orthonormal_complement, random_group_element,
                               relative_diff, standard_J, stream_rng)
-from dualpairs.pairs import (DualPairInstance, algebra_basis, algebra_size,
-                             algebra_tag, check_equivariance,
+from dualpairs.pairs import (DualPairInstance, algebra_size, algebra_tag,
+                             basis_stack, check_equivariance,
                              check_level_invariance, check_lie_weinstein,
                              check_pairing_identity, infinitesimal_action,
                              momentum, tangent_omega, trace_pairing)
@@ -58,7 +58,7 @@ _GRAM_CACHE = {}
 def _gram(tag, size):
     key = (tag, size)
     if key not in _GRAM_CACHE:
-        basis = algebra_basis(tag, size)
+        basis = basis_stack(tag, size)
         k = len(basis)
         G = np.empty((k, k))
         for a in range(k):
@@ -475,8 +475,8 @@ def test_criterion_6_image_characterizations():
 # --- criterion 7 -----------------------------------------------------------
 
 def _random_algebra_element(tag, size, rng):
-    basis = algebra_basis(tag, size)
-    if not basis:
+    basis = basis_stack(tag, size)
+    if len(basis) == 0:
         # zero-dimensional algebra, e.g. the orthogonal side at m = 1
         dtype = complex if tag == "unitary" else float
         return np.zeros((size, size), dtype=dtype)

@@ -17,7 +17,6 @@ from dualpairs import seesaw, symplectic, unitary
 from dualpairs.linalg import random_group_element, rank_tol, relative_diff, stream_rng
 from dualpairs.pairs import (
     DualPairInstance,
-    algebra_basis,
     algebra_size,
     algebra_tag,
     basis_stack,
@@ -318,7 +317,6 @@ def test_basis_stack_matches_the_loop_basis(algebra, sizes):
         stack = basis_stack(algebra, size)
         assert stack.shape == (len(ref), size, size)
         assert all(_same_bits(a, b) for a, b in zip(ref, stack))
-        assert all(_same_bits(a, b) for a, b in zip(ref, algebra_basis(algebra, size)))
 
 
 @pytest.mark.parametrize("n,m", SHAPES)

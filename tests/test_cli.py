@@ -73,6 +73,16 @@ def test_gen_rejects_bad_dims(capsys):
     assert cli.main(["gen", "quaternionic", "2", "2"]) == 2
 
 
+@pytest.mark.parametrize("argv", [["gen", "--pair", "u", "--n", "3", "--m", "2"],
+                                  ["gen", "u", "3"]])
+def test_gen_takes_pair_n_m_as_positionals_only(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert not list(tmp_path.iterdir())
+
+
 # ---------------------------------------------------------------------------
 # momentum
 

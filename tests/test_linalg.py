@@ -289,6 +289,14 @@ def test_orthonormal_complement_scans_in_index_order():
         orthonormal_complement(np.array([[np.nan], [0.0], [0.0]]))
 
 
+@pytest.mark.parametrize("Q", [np.eye(4)[:, [0, 0]], np.eye(3)[:, [0, 0, 0]],
+                               np.array([[1.0 + 1e-7], [0.0]])])
+def test_orthonormal_complement_refuses_non_orthonormal_columns(Q):
+    # repeated columns span fewer directions than Q has columns
+    with pytest.raises(ValueError, match="not orthonormal"):
+        orthonormal_complement(Q)
+
+
 def test_isometry_between_transports_columns():
     rng = stream_rng(19, 0)
     A = rng.standard_normal((4, 2))

@@ -9,7 +9,7 @@ from dualpairs.pairs import (
     DualPairInstance,
     LevelMismatchError,
     act,
-    algebra_basis,
+    basis_stack,
     check_equivariance,
     check_level_invariance,
     check_lie_weinstein,
@@ -88,29 +88,29 @@ def test_gl_instance_needs_point_pair():
     ("gl", 3, 9),
 ])
 def test_algebra_basis_dimension(algebra, size, expected):
-    assert len(algebra_basis(algebra, size)) == expected
+    assert len(basis_stack(algebra, size)) == expected
 
 
 def test_algebra_basis_defining_identities():
-    for b in algebra_basis("u", 3):
+    for b in basis_stack("u", 3):
         np.testing.assert_allclose(b + np.conj(b).T, 0.0, atol=1e-15)
-    for b in algebra_basis("o", 3):
+    for b in basis_stack("o", 3):
         np.testing.assert_array_equal(b, -b.T)
     J = standard_J(2)
-    for b in algebra_basis("sp", 4):
+    for b in basis_stack("sp", 4):
         np.testing.assert_allclose(b.T @ J + J @ b, 0.0, atol=1e-15)
 
 
 def test_algebra_basis_independent():
-    cols = np.column_stack([b.ravel() for b in algebra_basis("sp", 4)])
+    cols = np.column_stack([b.ravel() for b in basis_stack("sp", 4)])
     assert np.linalg.matrix_rank(cols) == 10
 
 
 def test_algebra_basis_rejects_bad_tags():
     with pytest.raises(ValueError):
-        algebra_basis("x", 2)
+        basis_stack("x", 2)
     with pytest.raises(ValueError):
-        algebra_basis("sp", 3)
+        basis_stack("sp", 3)
 
 
 # ---------------------------------------------------------------------------
