@@ -103,7 +103,7 @@ def tangent_omega(t1, t2):
 
 
 def tangent_parts(t) -> tuple:
-    """Real matrices holding the real coordinates of a tangent: dQ, dP."""
+    """Darboux halves (q, p) = (dQ, dP): omega = q1 . p2 - p1 . q2."""
     return t
 
 

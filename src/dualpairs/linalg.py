@@ -27,6 +27,11 @@ SKEW_RTOL = 1e-9
 # two momentum values or Gram matrices match when their difference is
 # at most MATCH_RTOL times max(1, their norms);
 MATCH_RTOL = 1e-8
+# seesaw takes zeta as anti-Hermitian when |zeta + zeta^H|_F is at most
+# ANTI_HERMITIAN_RTOL times max(1, |zeta|_F), and a restriction to o(m)
+# as pairing like its input within PAIRING_RTOL times max(1, |input|_F);
+ANTI_HERMITIAN_RTOL = 1e-10
+PAIRING_RTOL = 1e-12
 # the deterministic completion scans (orthonormal_complement, the GL
 # joint completion and the symplectic complement) keep a unit candidate
 # direction only when its residual against the span so far exceeds this.

@@ -29,11 +29,6 @@ import numpy as np
 
 from .linalg import MATCH_RTOL, rank_tol, require_member, standard_J, trace_pairing
 
-# Product elements per block of check_lie_weinstein's cross term, about
-# 1 MB of temporaries.  Larger blocks ran no faster on the structure
-# benchmark and raised its peak resident set (by 7 MB at 2^20).
-_CROSS_BLOCK = 1 << 16
-
 
 @dataclass(frozen=True)
 class MomentumValue:
@@ -255,17 +250,13 @@ def tangent_omega(inst: DualPairInstance, t1, t2):
 
 
 def _vectorize_tangent(inst: DualPairInstance, t) -> np.ndarray:
-    """Real coordinates of a tangent, along the last axis for a stack."""
+    """Real coordinates of a tangent, along the last axis for a stack:
+    the n m entries of its Darboux half q, then those of p."""
     def flat(a):
         *lead, rows, cols = np.shape(a)
         return np.reshape(a, (*lead, rows * cols))
 
     return np.concatenate([flat(a) for a in inst.module.tangent_parts(t)], axis=-1)
-
-
-def _take(t, key):
-    # index a tangent stack; general linear tangents are (dQ, dP) pairs
-    return tuple(a[key] for a in t) if isinstance(t, tuple) else t[key]
 
 
 # ---------------------------------------------------------------------------
@@ -320,25 +311,24 @@ def check_lie_weinstein(inst: DualPairInstance) -> dict:
     dimension (the three must satisfy dim_left + dim_right = ambient),
     and the largest symplectic product between tangent directions of
     the two orbits, which must vanish since each momentum map is
-    constant along the other group's orbits.
+    constant along the other group's orbits.  The products come from
+    one matrix product of the Darboux coordinates of the two tangent
+    stacks, omega(t1, t2) = q1 . p2 - p1 . q2.
     """
     if not inst.full_rank():
         raise ValueError("orbit-dimension check requires a full-rank point")
-    bases = {side: basis_stack(algebra_tag(inst.pair_id, side), algebra_size(inst, side))
-             for side in ("left", "right")}
-    tangents = {side: infinitesimal_action(inst, side, b) for side, b in bases.items()}
+    coords = {}
+    for side in ("left", "right"):
+        basis = basis_stack(algebra_tag(inst.pair_id, side), algebra_size(inst, side))
+        coords[side] = _vectorize_tangent(inst, infinitesimal_action(inst, side, basis))
     # one column per basis element; a zero-dimensional algebra (orthogonal
     # side at m = 1) gives no columns and rank 0
-    dims = {side: rank_tol(_vectorize_tangent(inst, t).T)
-            for side, t in tangents.items()}
-    # |omega| over all left x right pairs, a block of left tangents at a time
-    right = _take(tangents["right"], np.newaxis)
-    step = max(1, _CROSS_BLOCK // max(1, len(bases["right"]) * inst.ambient_dim()))
-    cross = 0.0
-    for lo in range(0, len(bases["left"]), step):
-        block = tangent_omega(inst, _take(tangents["left"], np.s_[lo:lo + step, np.newaxis]),
-                              right)
-        cross = max(cross, float(np.max(np.abs(block), initial=0.0)))
+    dims = {side: rank_tol(c.T) for side, c in coords.items()}
+    # |omega| over all left x right pairs: each row is (q, p) with h = n m
+    # entries per half, so the pairs are q_L . p_R - p_L . q_R
+    h = inst.n * inst.m
+    q, p = coords["right"][:, :h], coords["right"][:, h:]
+    cross = float(np.max(np.abs(coords["left"] @ np.hstack([p, -q]).T), initial=0.0))
     return {
         "dim_left_orbit": dims["left"],
         "dim_right_orbit": dims["right"],

@@ -71,8 +71,9 @@ def random_point(n: int, m: int, rng) -> np.ndarray:
 
 
 def tangent_parts(t) -> tuple:
-    """Real matrices holding the real coordinates of a tangent."""
-    return (np.asarray(t, dtype=float),)
+    """Darboux halves (q, p), the top and bottom n rows of a 2n x m
+    tangent: omega = q1 . p2 - p1 . q2."""
+    return tuple(np.split(np.asarray(t, dtype=float), 2, axis=-2))
 
 
 def momentum_left(E: np.ndarray) -> np.ndarray:

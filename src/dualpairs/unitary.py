@@ -53,7 +53,7 @@ def random_point(n: int, m: int, rng) -> np.ndarray:
 
 
 def tangent_parts(t) -> tuple:
-    """Real matrices holding the real coordinates of a tangent."""
+    """Darboux halves (q, p) = (Re t, Im t): omega = q1 . p2 - p1 . q2."""
     return np.real(t), np.imag(t)
 
 

@@ -7,6 +7,12 @@ approximately.  The GL joint completion is the exception in arithmetic:
 its vectorised scan forms residuals in another order, but it must keep
 exactly the candidates the loop keeps, so the completion and the left
 witness built on it are compared bit for bit too.
+
+Two sums are formed by matrix products instead and are compared within a
+rounding bound: the cross term of check_lie_weinstein (one product of the
+Darboux coordinates of the two tangent stacks) and the left leg of the
+seesaw diagrams (one matrix-vector product per leg).  Their orbit
+dimensions and right legs are still compared exactly.
 """
 
 import numpy as np
@@ -298,6 +304,13 @@ def _instances(n, m, seed):
     return out
 
 
+def _norm2(pt):
+    # squared Frobenius norm of a point; (Q, P) for the general linear pair
+    if isinstance(pt, gl.CotangentPoint):
+        return np.linalg.norm(pt.Q) ** 2 + np.linalg.norm(pt.P) ** 2
+    return np.linalg.norm(pt) ** 2
+
+
 def _same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
@@ -343,23 +356,30 @@ def test_batched_tangents_and_omega_match_per_element_calls(n, m):
 
 @pytest.mark.parametrize("n,m", SHAPES)
 def test_check_lie_weinstein_equals_the_loop_reference(n, m):
-    for seed in (0, 1):
+    eps = np.finfo(float).eps
+    for seed in range(4):
         for inst in _instances(n, m, seed):
             if not inst.full_rank():
                 continue
             got = check_lie_weinstein(inst)
-            assert got == _ref_check_lie_weinstein(inst)
+            want = _ref_check_lie_weinstein(inst)
+            cross = got.pop("cross_omega_residual")
+            assert abs(cross - want.pop("cross_omega_residual")) <= (
+                2 * n * m * eps * _norm2(inst.point))
+            assert got == want
             assert isinstance(got["dim_left_orbit"], int)
-            assert isinstance(got["cross_omega_residual"], float)
+            assert isinstance(cross, float)
 
 
 @pytest.mark.parametrize("n,m", SHAPES)
 def test_seesaw_diagrams_equal_the_loop_reference(n, m):
     rng = stream_rng(31, 100 * n + m)
     E = _complex(rng, n, m)
-    assert seesaw.check_diagram_sp_u(E) == _ref_check_diagram_sp_u(E)
     pt = gl.CotangentPoint(rng.standard_normal((n, m)), rng.standard_normal((n, m)))
-    assert seesaw.check_diagram_sp_gl(pt) == _ref_check_diagram_sp_gl(pt)
+    for x, got, want in ((E, seesaw.check_diagram_sp_u(E), _ref_check_diagram_sp_u(E)),
+                         (pt, seesaw.check_diagram_sp_gl(pt), _ref_check_diagram_sp_gl(pt))):
+        assert got["right"] == want["right"]
+        assert abs(got["left"] - want["left"]) <= n * n * np.finfo(float).eps * _norm2(x)
 
 
 @pytest.mark.parametrize("n,m", SHAPES)

@@ -9,14 +9,18 @@ from dualpairs.pairs import (
     DualPairInstance,
     LevelMismatchError,
     act,
+    algebra_size,
+    algebra_tag,
     basis_stack,
     check_equivariance,
     check_level_invariance,
     check_lie_weinstein,
     check_pairing_identity,
+    infinitesimal_action,
     momentum,
     orbit_correspondence,
     require_level_match,
+    tangent_omega,
 )
 
 
@@ -268,6 +272,28 @@ def test_lie_weinstein_cross_residual_random():
                  _gl_inst(3, 2, 51)):
         rep = check_lie_weinstein(inst)
         assert rep["cross_omega_residual"] <= 1e-10
+
+
+@pytest.mark.parametrize("make", [_unitary_inst, _symplectic_inst, _gl_inst])
+def test_tangent_parts_are_darboux_halves(make):
+    # tangent_parts gives (q, p) with omega(t1, t2) = q1 . p2 - p1 . q2,
+    # the contract behind check_lie_weinstein's one-product cross term.
+    # Left x left values are O(1), not roundoff, so swapped halves or a
+    # dropped sign show far above the tolerance.
+    inst = make(4, 3, 61)
+    basis = basis_stack(algebra_tag(inst.pair_id, "left"), algebra_size(inst, "left"))
+    t = infinitesimal_action(inst, "left", basis)
+    q, p = (a.reshape(len(basis), -1) for a in inst.module.tangent_parts(t))
+    gram = np.hstack([q, p]) @ np.hstack([p, -q]).T
+
+    def lift(key):
+        return tuple(a[key] for a in t) if isinstance(t, tuple) else t[key]
+
+    want = tangent_omega(inst, lift(np.s_[:, np.newaxis]), lift(np.newaxis))
+    assert want.shape == gram.shape == (len(basis), len(basis))
+    scale = float(np.max(np.abs(want)))
+    assert scale > 1.0
+    assert np.max(np.abs(gram - want)) <= 1e-13 * scale
 
 
 # ---------------------------------------------------------------------------
