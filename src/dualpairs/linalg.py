@@ -32,9 +32,9 @@ MATCH_RTOL = 1e-8
 # as pairing like its input within PAIRING_RTOL times max(1, |input|_F);
 ANTI_HERMITIAN_RTOL = 1e-10
 PAIRING_RTOL = 1e-12
-# the deterministic completion scans (orthonormal_complement, the GL
-# joint completion and the symplectic complement) keep a unit candidate
-# direction only when its residual against the span so far exceeds this.
+# the deterministic completion scans (the GL joint completion and the
+# symplectic complement) keep a unit candidate direction only when its
+# residual against the span so far exceeds this.
 KEEP_RESIDUAL = 1e-8
 
 
@@ -306,51 +306,22 @@ def require_member(group: str, g: np.ndarray):
         raise ValueError("matrix is not in the expected group")
 
 
-def orthonormal_complement(Q: np.ndarray) -> np.ndarray:
-    """Deterministic orthonormal basis of the complement of the columns of Q.
-
-    Standard basis vectors are scanned in index order and kept whenever
-    their residual against the span built so far is not negligible.  The
-    residual takes two passes of classical Gram-Schmidt against all
-    columns at once.  Both real and complex inputs are supported; the
-    result has the same dtype.  Raises ValueError unless Q has orthonormal
-    columns, |Q^H Q - I|_F <= MATCH_RTOL.
-    """
-    n, k0 = Q.shape
-    if np.linalg.norm(np.conj(Q).T @ Q - np.eye(k0)) > MATCH_RTOL:
-        raise ValueError("the columns of Q are not orthonormal")
-    C = np.zeros((n, n), dtype=Q.dtype)
-    C[:, :k0] = Q
-    k = k0
-    for i in range(n):
-        if k == n:
-            break
-        span = C[:, :k]
-        v = -(span @ np.conj(span[i]))  # e_i - C C^H e_i
-        v[i] += 1.0
-        # second pass stabilizes near-dependent candidates
-        v -= span @ (np.conj(span).T @ v)
-        nv = np.linalg.norm(v)
-        if nv > KEEP_RESIDUAL:
-            C[:, k] = v / nv
-            k += 1
-    if k != n:
-        raise ValueError("failed to complete orthonormal basis")
-    return C[:, k0:]
-
-
 def isometry_between(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Square isometry W (unitary or orthogonal) with W @ A close to B.
 
     Requires the two column families to have equal Gram matrices,
     A^dagger A = B^dagger B; that makes the map column_i(A) to
     column_i(B) an isometry of spans, which is extended to the whole
-    space by matching deterministic complement bases.
+    space by mapping the complement of A's span onto that of B's.
 
-    The spans are read off A V_r and B V_r, with V_r the leading r right
-    singular vectors of A and r counted by the rank_tol rule.  Their thin
-    QR factors with positive diagonal share R, because the Gram matrices
-    agree, so W maps A V_r onto B V_r and the kernel of A onto that of B.
+    W is F U^dagger, from two factorizations.  The SVD A = U S V^dagger,
+    with r counted by the rank_tol rule, gives A's frame U[:, :r] and the
+    complement of its span U[:, r:].  The complete QR B V_r = F R, with
+    V_r the leading r right singular vectors and R's diagonal made
+    positive, gives B's frame F[:, :r] and complement F[:, r:].  Equal
+    Gram matrices make the columns of B V_r orthogonal with norms s_i, so
+    R is diag(s_1..s_r) to roundoff and W maps A V_r onto B V_r.  W is
+    unitary to roundoff whatever the inputs, since F and U are.
     """
     A = np.asarray(A)
     B = np.asarray(B)
@@ -366,20 +337,12 @@ def isometry_between(A: np.ndarray, B: np.ndarray) -> np.ndarray:
             raise ValueError("Gram matrices differ: one input is zero")
         return np.eye(n, dtype=dtype)
 
-    _, s, Vh = np.linalg.svd(A, full_matrices=False)
+    # U is n x n: full when A is tall, and already square when it is not
+    U, s, Vh = np.linalg.svd(A, full_matrices=A.shape[0] > A.shape[1])
     cutoff = RANK_TOL_FACTOR * max(A.shape) * np.finfo(float).eps * s[0]
     r = int(np.sum(s > cutoff))
-    V_r = np.conj(Vh[:r]).T
-
-    def thin_q(M):
-        Q, R = np.linalg.qr(M @ V_r)
-        d = np.diagonal(R).copy()
-        d = np.where(np.abs(d) == 0, 1.0, d)
-        return Q * (d / np.abs(d))  # force positive diagonal in R
-
-    QA = thin_q(A)
-    QB = thin_q(B)
-    NA = orthonormal_complement(QA)
-    NB = orthonormal_complement(QB)
-    W = np.column_stack([QB, NB]) @ np.conj(np.column_stack([QA, NA])).T
-    return W
+    F, R = np.linalg.qr(B @ np.conj(Vh[:r]).T, mode="complete")
+    d = np.diagonal(R)
+    d = np.where(np.abs(d) == 0, 1.0, d)
+    F[:, :r] *= d / np.abs(d)  # force positive diagonal in R
+    return F @ np.conj(U).T

@@ -74,8 +74,9 @@ def witness_left(E: np.ndarray, E_prime: np.ndarray) -> WitnessReport:
 
     Equal right momenta mean equal column Gram matrices, so mapping
     columns of E to the matching columns of E_prime is an isometry of
-    spans; it is extended to all of C^n along deterministic orthonormal
-    complement bases.  Rank-deficient inputs are fine.
+    spans; ``isometry_between`` extends it to all of C^n by mapping the
+    complement of one span onto the other's.  Rank-deficient inputs are
+    fine.
     """
     E = np.asarray(E, dtype=complex)
     E_prime = np.asarray(E_prime, dtype=complex)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from dualpairs import cli, general_linear as gl, seesaw, symplectic, unitary
-from dualpairs.linalg import (orthonormal_complement, random_group_element,
+from dualpairs.linalg import (KEEP_RESIDUAL, MATCH_RTOL, random_group_element,
                               relative_diff, standard_J, stream_rng)
 from dualpairs.pairs import (DualPairInstance, algebra_size, algebra_tag,
                              basis_stack, check_equivariance,
@@ -148,13 +148,39 @@ def _gl_same_left_level(pt, rng):
                              Vt[:m].T * np.sqrt(s[:m]))
 
 
+def _orthonormal_complement(Q):
+    # the standard-basis scan that drew this file's GL points, kept
+    # verbatim so that criterion 3's inputs stay bit-identical
+    n, k0 = Q.shape
+    if np.linalg.norm(np.conj(Q).T @ Q - np.eye(k0)) > MATCH_RTOL:
+        raise ValueError("the columns of Q are not orthonormal")
+    C = np.zeros((n, n), dtype=Q.dtype)
+    C[:, :k0] = Q
+    k = k0
+    for i in range(n):
+        if k == n:
+            break
+        span = C[:, :k]
+        v = -(span @ np.conj(span[i]))  # e_i - C C^H e_i
+        v[i] += 1.0
+        # second pass stabilizes near-dependent candidates
+        v -= span @ (np.conj(span).T @ v)
+        nv = np.linalg.norm(v)
+        if nv > KEEP_RESIDUAL:
+            C[:, k] = v / nv
+            k += 1
+    if k != n:
+        raise ValueError("failed to complete orthonormal basis")
+    return C[:, k0:]
+
+
 def _gl_same_right_level(pt, rng):
     n, m = pt.Q.shape
     xi = pt.P.T @ pt.Q
     P2 = rng.standard_normal((n, m))
     Q2 = P2 @ np.linalg.solve(P2.T @ P2, xi)
     if n > m:
-        W = orthonormal_complement(np.linalg.qr(P2)[0])
+        W = _orthonormal_complement(np.linalg.qr(P2)[0])
         Q2 = Q2 + W @ rng.standard_normal((n - m, m))
     return gl.CotangentPoint(Q2, P2)
 

@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualpairs.linalg import (
+    MATCH_RTOL,
     block_diag_skew,
     isometry_between,
     omega_complex,
     omega_real,
-    orthonormal_complement,
     random_group_element,
     rank_tol,
     relative_diff,
@@ -228,75 +228,6 @@ def test_random_group_element_rejects_bad_input():
         random_group_element("symplectic", 3, 0)
 
 
-def test_orthonormal_complement_real():
-    Q = np.array([[1.0], [0.0], [0.0]])
-    N = orthonormal_complement(Q)
-    assert N.shape == (3, 2)
-    np.testing.assert_allclose(N.T @ N, np.eye(2), atol=1e-12)
-    np.testing.assert_allclose(Q.T @ N, 0.0, atol=1e-12)
-
-
-def test_orthonormal_complement_complex_and_deterministic():
-    rng = stream_rng(18, 0)
-    A = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
-    Q = np.linalg.qr(A)[0]
-    N1 = orthonormal_complement(Q)
-    N2 = orthonormal_complement(Q)
-    np.testing.assert_array_equal(N1, N2)
-    np.testing.assert_allclose(np.conj(Q).T @ N1, 0.0, atol=1e-12)
-
-
-def _complement_loop(Q):
-    # reference: modified Gram-Schmidt, one column at a time, two passes
-    n = Q.shape[0]
-    total = n - Q.shape[1]
-    cols = [Q[:, k] for k in range(Q.shape[1])]
-    out = []
-    for i in range(n):
-        if len(out) == total:
-            break
-        v = np.eye(n, dtype=Q.dtype)[:, i]
-        for _ in range(2):
-            for c in cols:
-                v = v - c * (np.conj(c) @ v)
-        nv = np.linalg.norm(v)
-        if nv > 1e-8:
-            cols.append(v / nv)
-            out.append(v / nv)
-    return np.column_stack(out) if out else np.zeros((n, 0), dtype=Q.dtype)
-
-
-@pytest.mark.parametrize("n,k,cplx", [(3, 1, False), (6, 2, True), (12, 7, False),
-                                      (16, 12, True), (16, 0, False), (5, 5, True)])
-def test_orthonormal_complement_matches_the_loop_reference(n, k, cplx):
-    rng = stream_rng(30 + n, k)
-    A = rng.standard_normal((n, k))
-    if cplx:
-        A = A + 1j * rng.standard_normal((n, k))
-    Q = np.linalg.qr(A)[0] if k else np.zeros((n, 0), dtype=A.dtype)
-    N = orthonormal_complement(Q)
-    assert N.dtype == Q.dtype and N.shape == (n, n - k)
-    np.testing.assert_allclose(N, _complement_loop(Q), rtol=0, atol=1e-13)
-    np.testing.assert_allclose(np.conj(N).T @ N, np.eye(n - k), atol=1e-14)
-
-
-def test_orthonormal_complement_scans_in_index_order():
-    # e_0 lies in the span, so the scan keeps e_1 and e_2, exactly
-    Q = np.array([[1.0], [0.0], [0.0]])
-    np.testing.assert_array_equal(orthonormal_complement(Q), [[0, 0], [1, 0], [0, 1]])
-    # a non-finite Q leaves every residual below the keep threshold
-    with pytest.raises(ValueError, match="failed to complete"):
-        orthonormal_complement(np.array([[np.nan], [0.0], [0.0]]))
-
-
-@pytest.mark.parametrize("Q", [np.eye(4)[:, [0, 0]], np.eye(3)[:, [0, 0, 0]],
-                               np.array([[1.0 + 1e-7], [0.0]])])
-def test_orthonormal_complement_refuses_non_orthonormal_columns(Q):
-    # repeated columns span fewer directions than Q has columns
-    with pytest.raises(ValueError, match="not orthonormal"):
-        orthonormal_complement(Q)
-
-
 def test_isometry_between_transports_columns():
     rng = stream_rng(19, 0)
     A = rng.standard_normal((4, 2))
@@ -327,12 +258,19 @@ def test_isometry_between_rank_deficient():
     np.testing.assert_allclose(W @ A, W0 @ A, atol=1e-10 * np.linalg.norm(A))
 
 
+def _unitarity_defect(W):
+    return np.linalg.norm(np.conj(W).T @ W - np.eye(W.shape[0]))
+
+
 def _assert_isometry_transport(A, B):
+    # W maps A onto B, is unitary to 10 n eps, keeps the dtype, and two
+    # calls agree bit for bit
     W = isometry_between(A, B)
     n = A.shape[0]
-    np.testing.assert_allclose(np.conj(W).T @ W, np.eye(n), rtol=0, atol=1e-13)
-    assert np.iscomplexobj(W) == np.iscomplexobj(A)
-    assert relative_diff(W @ A, B) <= 1e-13
+    assert W.dtype == A.dtype and W.shape == (n, n)
+    assert relative_diff(W @ A, B) <= 1e-14
+    assert _unitarity_defect(W) <= 10 * n * np.finfo(float).eps
+    np.testing.assert_array_equal(isometry_between(A, B), W)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -355,6 +293,48 @@ def test_isometry_between_more_columns_than_rows(seed, cplx):
     else:
         W0 = random_group_element("orthogonal", 3, seed, 26)
     _assert_isometry_transport(A, W0 @ A)
+
+
+def _transport_case(n, k, rank, cplx, seed):
+    # A of the given rank, and B = W0 A for a random isometry W0
+    rng = stream_rng(seed, 40 + n)
+
+    def draw(rows, cols):
+        M = rng.standard_normal((rows, cols))
+        return M + 1j * rng.standard_normal((rows, cols)) if cplx else M
+
+    A = draw(n, rank) @ draw(rank, k)
+    W0 = random_group_element("unitary" if cplx else "orthogonal", n, seed, 41)
+    return A, W0 @ A
+
+
+_SHAPES = [(32, 16), (16, 1), (4, 4), (16, 16), (4, 16), (12, 16), (16, 32)]
+
+
+@pytest.mark.parametrize("cplx", [False, True])
+@pytest.mark.parametrize("half_rank", [False, True])
+@pytest.mark.parametrize("n,k", _SHAPES)
+def test_isometry_between_properties(n, k, half_rank, cplx):
+    rank = max(1, min(n, k) // 2) if half_rank else min(n, k)
+    A, B = _transport_case(n, k, rank, cplx, seed=n + k)
+    assert rank_tol(A) == rank
+    _assert_isometry_transport(A, B)
+
+
+@pytest.mark.parametrize("cplx", [False, True])
+@pytest.mark.parametrize("n,k,rank", [(16, 12, 12), (12, 16, 6), (8, 8, 4)])
+def test_isometry_between_stays_unitary_on_nearly_equal_grams(n, k, rank, cplx):
+    # B's Gram matrix is off by about 1e-9 relative, inside MATCH_RTOL:
+    # W no longer maps A onto B exactly, but it is still an isometry
+    A, B = _transport_case(n, k, rank, cplx, seed=60 + n)
+    N = _transport_case(n, k, min(n, k), cplx, seed=61 + n)[0]
+    B = B + 1e-9 * np.linalg.norm(A) / np.linalg.norm(N) * N
+    gram = np.conj(A).T @ A
+    gap = np.linalg.norm(np.conj(B).T @ B - gram) / np.linalg.norm(gram)
+    assert 1e-10 < gap <= MATCH_RTOL
+    W = isometry_between(A, B)
+    assert _unitarity_defect(W) <= 10 * n * np.finfo(float).eps
+    assert relative_diff(W @ A, B) <= 1e-8
 
 
 def test_isometry_between_zero_cases():
