@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .jsonio import matrix_from_obj, matrix_to_obj
-from .linalg import KEEP_RESIDUAL, omega_real, rank_tol, relative_diff, stream_rng
+from .linalg import omega_real, rank_tol, relative_diff, stream_rng, svd_rank
 from .pairs import OrbitReport, WitnessReport, require_level_match as _require_level_match
 
 ALGEBRA = {"left": "gl", "right": "gl"}
@@ -128,111 +128,57 @@ def momentum_right(pt: CotangentPoint) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # witnesses
 
-def _require_full_rank(who: str, *points: CotangentPoint):
-    if not all(map(full_rank, points)):
-        raise ValueError(f"{who} requires both Q and P of full column rank")
+def _frames(who: str, *named, uv: bool = True):
+    """One thin SVD of each (name, matrix) pair, stacked in one call when
+    there are several of one shape (only the singular values when uv is
+    false), refused unless every matrix has full column rank by the
+    ``svd_rank`` rule."""
+    names, mats = zip(*named)
+    svd = np.linalg.svd(np.stack(mats), full_matrices=False, compute_uv=uv)
+    for name, M, s in zip(names, mats, svd[1] if uv else svd):
+        r = svd_rank(s, M.shape)
+        if r < M.shape[1]:
+            raise ValueError(f"{who} requires {name} of full column rank {M.shape[1]}; "
+                             f"its rank is {r}")
+    return svd
 
 
 def witness_right(pt: CotangentPoint, pt_prime: CotangentPoint) -> WitnessReport:
     """B with (Q B, P B^-T) close to (Q', P'), given equal left momenta.
 
-    B is the least-squares solution of Q B = Q', i.e. the normal
-    equation value (Q^T Q)^-1 Q^T Q'.  For genuinely related points B
-    is invertible and also transports P; both residuals are reported.
+    B is the least-squares solution of Q B = Q', V S^-1 U^T Q' from the
+    thin SVD Q = U S V^T.  That one SVD is also Q's rank check and gives
+    the reported cond, s_max / s_min of Q.  For genuinely related points
+    B is invertible and also transports P; both residuals are reported.
     """
-    _require_full_rank("witness_right", pt, pt_prime)
+    (U, *_), (s, *_), (Vh, *_) = _frames("witness_right", ("Q", pt.Q))
+    _frames("witness_right", ("P", pt.P), ("Q'", pt_prime.Q), ("P'", pt_prime.P), uv=False)
     _require_level_match(momentum_left(pt), momentum_left(pt_prime), "left")
-    B, *_ = np.linalg.lstsq(pt.Q, pt_prime.Q, rcond=None)
+    B = Vh.T @ ((U.T @ pt_prime.Q) / s[:, None])
     res_q = relative_diff(pt.Q @ B, pt_prime.Q)
     try:
         res_p = relative_diff(np.linalg.solve(B, pt.P.T).T, pt_prime.P)
     except np.linalg.LinAlgError:
         res_p = np.inf
-    return WitnessReport(B, max(res_q, res_p), "right",
-                         cond=float(np.linalg.cond(pt.Q)))
+    cond = float(s[0] / s[-1]) if s.size else 1.0
+    return WitnessReport(B, max(res_q, res_p), "right", cond=cond)
 
 
-def complete_pair(M1: np.ndarray, M2: np.ndarray = None) -> np.ndarray:
-    """Columns X making [M1 X] (and [M2 X], if given) invertible.
+def _common_complement(B1: np.ndarray, B2: np.ndarray) -> np.ndarray:
+    """Orthonormal X completing both orthonormal n x m bases B1 and B2.
 
-    Candidates are scanned in a fixed order: the standard basis vectors
-    by index, then normalized sums e_i + e_j for i < j.  A candidate is
-    kept when its residual against each matrix's column span plus the
-    kept columns exceeds ``KEEP_RESIDUAL``.  The second tier makes the
-    scan total: whenever two proper subspaces each swallow some basis
-    vector, a sum of two basis vectors avoids both.
-
-    The residuals of a whole tier are formed at once as projector
-    residuals C - B B^T C, in two passes, and each kept direction is
-    projected out of the candidates after it.  A rejected residual can
-    only shrink as the span grows, so the scan runs forward from the
-    kept candidate instead of restarting.  Each input is factorised once:
-    one rank check and, unless it is square, one QR.  Both matrices must
-    have equal shape and full column rank; when they are square the
-    result is an empty n x 0 array.
+    The SVD B1^T B2 = U_y S V_z^T gives the principal vectors B1 U_y and
+    B2 V_z of the two spans (Bjorck & Golub 1973), paired at angles of at
+    most 90 degrees.  Their sums are orthogonal and span the bisector
+    subspace, and X is the orthogonal complement of that subspace, the
+    last n - m columns of the complete QR of B1 U_y + B2 V_z.  Every
+    principal vector lies within 45 degrees of the bisectors, so no unit
+    vector of either span has a component longer than sin 45 degrees in
+    span X, and cond([B1 X]) and cond([B2 X]) are at most 1 + sqrt 2.
     """
-    M1 = np.asarray(M1, dtype=float)
-    n, m = M1.shape
-    sides = [M1]
-    if M2 is not None:
-        M2 = np.asarray(M2, dtype=float)
-        if M2.shape != (n, m):
-            raise ValueError("the two matrices must have equal shape")
-        sides.append(M2)
-    for M in sides:
-        _require_full_column_rank(M)
-    return _complete(sides)
-
-
-def _require_full_column_rank(M: np.ndarray):
-    if rank_tol(M) != M.shape[1]:
-        raise ValueError("complete_pair requires full column rank")
-
-
-def _pair_candidates(n: int) -> np.ndarray:
-    # (e_i + e_j) / sqrt 2 for i < j, in row-major order of (i, j)
-    i, j = np.triu_indices(n, 1)
-    cols = np.arange(i.size)
-    C = np.zeros((n, i.size))
-    C[i, cols] = C[j, cols] = np.sqrt(0.5)
-    return C
-
-
-def _complete(sides: list) -> np.ndarray:
-    """complete_pair on matrices already checked for equal shape and
-    full column rank."""
-    n, m = sides[0].shape
-    need = n - m
-    if need == 0:
-        return np.zeros((n, 0))
-    # orthonormal bases, (sides, n, m); numpy before 2.0 has no stacked qr
-    B = np.stack([np.linalg.qr(M)[0] if m else np.zeros((n, 0)) for M in sides])
-    kept, shadows = [], []
-    for tier in (np.eye, _pair_candidates):
-        if shadows:  # the basis vectors ran out; the pairs see their shadows too
-            B = np.concatenate([B, *shadows], axis=2)
-        C = tier(n)
-        Bt = B.transpose(0, 2, 1)
-        R = C - B @ (Bt @ C)
-        R -= B @ (Bt @ R)
-        j = 0
-        while True:
-            norms = np.linalg.norm(R[:, :, j:], axis=1)
-            hits = np.flatnonzero((norms > KEEP_RESIDUAL).all(axis=0))
-            if hits.size == 0:
-                break
-            k = hits[0]
-            j += k
-            kept.append(C[:, j])
-            if len(kept) == need:
-                return np.column_stack(kept)
-            u = R[:, :, j, None] / norms[:, k, None, None]  # (sides, n, 1)
-            shadows.append(u)
-            j += 1
-            rest = R[:, :, j:]
-            for _ in range(2):
-                rest -= u @ (u.transpose(0, 2, 1) @ rest)
-    raise ValueError("failed to complete to an invertible matrix")
+    m = B1.shape[1]
+    Uy, _, Vzh = np.linalg.svd(B1.T @ B2)
+    return np.linalg.qr(B1 @ Uy + B2 @ Vzh.T, mode="complete")[0][:, m:]
 
 
 def witness_left(pt: CotangentPoint, pt_prime: CotangentPoint) -> WitnessReport:
@@ -242,30 +188,36 @@ def witness_left(pt: CotangentPoint, pt_prime: CotangentPoint) -> WitnessReport:
     C^T = [P Y][P' Y]^-1 satisfies C^T P' = P and fixes Y.  Any X
     completing both Q and C^-1 Q' then yields A = [Q' CX][Q X]^-1,
     which maps Q to Q' and, because P'^T C X = P^T X, transports P as
-    well.  The report's cond field is the larger condition number of
-    the two completed matrices that get inverted.
+    well.  A depends only on the spans of Y and X.  The report's cond
+    field is the larger condition number of the two completed matrices
+    that get inverted.
 
-    Both completions are ``complete_pair``'s scan, with its candidate
-    order and keep rule.  Each of Q, P, Q', P' gets one rank check, and
-    the new matrix C^-1 Q' one more, before its completion.
+    Y and X are ``_common_complement``s of the orthonormal bases of the
+    two spans they complete, so [B Y] and [B X] have cond at most
+    1 + sqrt 2 for every orthonormal basis B involved.  Each of Q, P,
+    P' and C^-1 Q' gets one thin SVD, which is both its rank check and
+    the source of its basis (Q' needs only the check), and the
+    first four share one stacked call.
     """
-    _require_full_rank("witness_left", pt, pt_prime)
-    _require_level_match(momentum_right(pt), momentum_right(pt_prime), "right")
+    who = "witness_left"
     Q, P = pt.Q, pt.P
     Q2, P2 = pt_prime.Q, pt_prime.P
-    Y = _complete([P, P2])
-    PY = np.column_stack([P, Y]) if Y.size else P
-    P2Y = np.column_stack([P2, Y]) if Y.size else P2
-    C = (PY @ np.linalg.inv(P2Y)).T
+    n, m = Q.shape
+    tall = m < n  # a square Q needs no complements, hence no bases
+    U = _frames(who, ("Q", Q), ("P", P), ("Q'", Q2), ("P'", P2), uv=tall)[0]
+    _require_level_match(momentum_right(pt), momentum_right(pt_prime), "right")
+    Y = _common_complement(U[1], U[3]) if tall else np.zeros((n, 0))
+    P2Y = np.column_stack([P2, Y])
+    C = (np.column_stack([P, Y]) @ np.linalg.inv(P2Y)).T
     CQ2 = np.linalg.solve(C, Q2)
-    _require_full_column_rank(CQ2)
-    X = _complete([Q, CQ2])
-    QX = np.column_stack([Q, X]) if X.size else Q
-    Q2X = np.column_stack([Q2, C @ X]) if X.size else Q2
-    A = Q2X @ np.linalg.inv(QX)
+    UC = _frames(who, ("C^-1 Q'", CQ2), uv=tall)[0]
+    X = _common_complement(U[0], UC[0]) if tall else Y
+    QX = np.column_stack([Q, X])
+    A = np.column_stack([Q2, C @ X]) @ np.linalg.inv(QX)
     res_q = relative_diff(A @ Q, Q2)
     res_p = relative_diff(np.linalg.solve(A.T, P), P2)
-    cond = max(float(np.linalg.cond(QX)), float(np.linalg.cond(P2Y)))
+    s = np.linalg.svd(np.stack([QX, P2Y]), compute_uv=False)
+    cond = float(np.max(s[:, 0] / s[:, -1]))
     return WitnessReport(A, max(res_q, res_p), "left", cond=cond)
 
 
@@ -414,7 +366,7 @@ def orbit(pt: CotangentPoint) -> OrbitReport:
     """The Jordan data of the left momentum label both orbits (the right
     form drops one from each nilpotent block size); only full-rank
     points have a label."""
-    _require_full_rank("orbit labelling", pt)
+    _frames("orbit labelling", ("Q", pt.Q), ("P", pt.P), uv=False)
     jd = jordan_structure(momentum_left(pt), side="left")
     return OrbitReport(jd, jd, jd.to_obj(), *jordan_correspond(jd))
 

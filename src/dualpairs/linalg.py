@@ -20,7 +20,7 @@ import numpy as np
 
 # The tolerance policy, one constant per decision:
 # a singular value counts toward the rank when it exceeds
-# RANK_TOL_FACTOR * max(shape) * eps * s_max;
+# RANK_TOL_FACTOR * max(shape) * eps * s_max (``svd_rank``);
 RANK_TOL_FACTOR = 100.0
 # skew_canonical accepts xi when |xi + xi^T|_F <= max(SKEW_RTOL |xi|_F, 1e-13);
 SKEW_RTOL = 1e-9
@@ -32,10 +32,12 @@ MATCH_RTOL = 1e-8
 # as pairing like its input within PAIRING_RTOL times max(1, |input|_F);
 ANTI_HERMITIAN_RTOL = 1e-10
 PAIRING_RTOL = 1e-12
-# the deterministic completion scans (the GL joint completion and the
-# symplectic complement) keep a unit candidate direction only when its
-# residual against the span so far exceeds this.
+# the symplectic complement scan (``symplectic.witt_extend``) keeps a
+# unit candidate direction only when its residual against the span so
+# far exceeds this.
 KEEP_RESIDUAL = 1e-8
+
+_EPS = np.finfo(float).eps
 
 
 def standard_J(n: int) -> np.ndarray:
@@ -91,16 +93,21 @@ def _scalar(values):
     return float(values) if np.ndim(values) == 0 else values
 
 
+def svd_rank(s: np.ndarray, shape) -> int:
+    """Numerical rank of a matrix of the given shape from its singular
+    values s, in descending order: the count of those above
+    RANK_TOL_FACTOR * max(shape) * eps * s[0]."""
+    if s.size == 0:
+        return 0
+    return int(np.count_nonzero(s > RANK_TOL_FACTOR * max(shape) * _EPS * s[0]))
+
+
 def rank_tol(M: np.ndarray) -> int:
-    """Numerical rank: singular values above factor * max(dim) * eps * s_max."""
+    """Numerical rank of M by the ``svd_rank`` rule."""
     M = np.asarray(M)
     if M.size == 0:
         return 0
-    s = np.linalg.svd(M, compute_uv=False)
-    if s[0] == 0.0:
-        return 0
-    cutoff = RANK_TOL_FACTOR * max(M.shape) * np.finfo(float).eps * s[0]
-    return int(np.sum(s > cutoff))
+    return svd_rank(np.linalg.svd(M, compute_uv=False), M.shape)
 
 
 def relative_diff(A: np.ndarray, B: np.ndarray) -> float:
@@ -315,7 +322,7 @@ def isometry_between(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     space by mapping the complement of A's span onto that of B's.
 
     W is F U^dagger, from two factorizations.  The SVD A = U S V^dagger,
-    with r counted by the rank_tol rule, gives A's frame U[:, :r] and the
+    with r counted by ``svd_rank``, gives A's frame U[:, :r] and the
     complement of its span U[:, r:].  The complete QR B V_r = F R, with
     V_r the leading r right singular vectors and R's diagonal made
     positive, gives B's frame F[:, :r] and complement F[:, r:].  Equal
@@ -339,8 +346,7 @@ def isometry_between(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
     # U is n x n: full when A is tall, and already square when it is not
     U, s, Vh = np.linalg.svd(A, full_matrices=A.shape[0] > A.shape[1])
-    cutoff = RANK_TOL_FACTOR * max(A.shape) * np.finfo(float).eps * s[0]
-    r = int(np.sum(s > cutoff))
+    r = svd_rank(s, A.shape)
     F, R = np.linalg.qr(B @ np.conj(Vh[:r]).T, mode="complete")
     d = np.diagonal(R)
     d = np.where(np.abs(d) == 0, 1.0, d)

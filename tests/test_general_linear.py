@@ -193,61 +193,112 @@ def test_witness_left_level_mismatch():
         gl.witness_left(pt, _point(3, 2, 143))
 
 
+def test_witness_left_residual_scales_with_cond_of_gaussian_A0():
+    # A0 far from I; the worst of these reads 1.2e-14 cond(A0), at 16x16
+    for n, m in [(2, 1), (3, 2), (4, 4), (6, 3), (8, 6), (12, 8), (16, 12), (16, 16)]:
+        for seed in range(100):
+            rng = stream_rng(47, 1000 * n + 10 * m + 100000 * seed)
+            pt = gl.CotangentPoint(rng.standard_normal((n, m)), rng.standard_normal((n, m)))
+            A0 = rng.standard_normal((n, n))
+            rep = gl.witness_left(pt, gl.act_left(A0, pt))
+            assert rep.residual <= 1e-13 * np.linalg.cond(A0)
+
+
+def test_witness_left_on_normal_form_partners_of_every_shape():
+    for n in range(1, 17):
+        for m in range(1, n + 1):
+            for seed in range(4):
+                rep = gl.witness_left(*gl.normal_form_partners(n, m, seed))
+                assert rep.residual <= 1e-13
+
+
+@pytest.mark.parametrize("who,name", [("witness_left", "Q'"), ("witness_right", "P"),
+                                      ("orbit labelling", "Q")])
+def test_refusal_names_witness_matrix_and_rank(who, name):
+    pt = _point(4, 3, 146)
+    mats = {"Q": pt.Q.copy(), "P": pt.P.copy()}
+    M = mats[name.rstrip("'")]
+    M[:, 2] = M[:, 0] - M[:, 1]
+    bad = gl.CotangentPoint(mats["Q"], mats["P"])
+    run = {"witness_left": lambda: gl.witness_left(pt, bad),
+           "witness_right": lambda: gl.witness_right(bad, pt),
+           "orbit labelling": lambda: gl.orbit(bad)}[who]
+    with pytest.raises(ValueError, match=f"^{who} requires {name} of full column rank 3; "
+                                         "its rank is 2$"):
+        run()
+
+
+def test_refusal_of_a_rank_deficient_transported_frame():
+    # C^-1 Q' is formed inside witness_left; its refusal names it too
+    M = np.eye(4)[:, [0, 1, 1]]
+    with pytest.raises(ValueError, match="^witness_left requires C\\^-1 Q' of full column "
+                                         "rank 3; its rank is 2$"):
+        gl._frames("witness_left", ("C^-1 Q'", M))
+
+
 # ---------------------------------------------------------------------------
-# joint completion
+# common complement
 
-def test_complete_pair_tiny_disjoint_spans():
-    # e1 blocks the first span, e2 the second; the sum candidate clears both
-    Q1 = np.array([[1.0], [0.0]])
-    Q2 = np.array([[0.0], [1.0]])
-    X = gl.complete_pair(Q1, Q2)
-    assert X.shape == (2, 1)
-    assert abs(np.linalg.det(np.hstack([Q1, X]))) > 1e-8
-    assert abs(np.linalg.det(np.hstack([Q2, X]))) > 1e-8
-    np.testing.assert_allclose(np.abs(X[:, 0]), [np.sqrt(0.5), np.sqrt(0.5)])
+BOUND = (1 + np.sqrt(2)) * (1 + 1e-12)
 
 
-def test_complete_pair_single_matrix():
-    Q = np.array([[1.0], [0.0], [0.0]])
-    X = gl.complete_pair(Q)
-    assert abs(np.linalg.det(np.hstack([Q, X]))) > 1e-8
+def _orthonormal(rng, n, m):
+    return np.linalg.qr(rng.standard_normal((n, m)))[0]
 
 
-def test_complete_pair_random():
-    for trial in range(100):
-        rng = stream_rng(144, trial)
-        n = int(rng.integers(1, 7))
-        m = int(rng.integers(1, n + 1))
-        Q1 = rng.standard_normal((n, m))
-        Q2 = rng.standard_normal((n, m))
-        X = gl.complete_pair(Q1, Q2)
-        assert X.shape == (n, n - m)
-        assert abs(np.linalg.det(np.hstack([Q1, X]))) > 1e-10
-        assert abs(np.linalg.det(np.hstack([Q2, X]))) > 1e-10
+def _complement_conds(B1, B2):
+    n, m = B1.shape
+    X = gl._common_complement(B1, B2)
+    assert X.shape == (n, n - m)
+    np.testing.assert_allclose(X.T @ X, np.eye(n - m), atol=1e-14)
+    return np.linalg.cond(np.hstack([B1, X])), np.linalg.cond(np.hstack([B2, X]))
 
 
-def test_complete_pair_refuses_unequal_shapes():
-    with pytest.raises(ValueError, match="equal shape"):
-        gl.complete_pair(np.eye(3)[:, :1], np.eye(3)[:, :2])
-    with pytest.raises(ValueError, match="equal shape"):
-        gl.complete_pair(np.eye(3)[:, :1], np.eye(4)[:, :1])
+def test_common_complement_bound_on_random_bases():
+    for n in range(1, 17):
+        for m in range(0, n):
+            rng = stream_rng(144, 100 * n + m)
+            assert max(_complement_conds(_orthonormal(rng, n, m),
+                                         _orthonormal(rng, n, m))) <= BOUND
 
 
-@pytest.mark.parametrize("deficient", [0, 1])
-def test_complete_pair_refuses_rank_deficiency(deficient):
-    M = [np.eye(4)[:, :2], np.eye(4)[:, 2:]]
-    M[deficient] = np.column_stack([M[deficient][:, 0], 3.0 * M[deficient][:, 0]])
-    with pytest.raises(ValueError, match="requires full column rank"):
-        gl.complete_pair(*M)
-    with pytest.raises(ValueError, match="requires full column rank"):
-        gl.complete_pair(M[deficient])
+def test_common_complement_square_input_needs_no_columns():
+    # square bases already span the space: the complement is n x 0 and
+    # both completed matrices are the bases themselves
+    for n in range(1, 17):
+        rng = stream_rng(144, 101 * n)
+        np.testing.assert_allclose(_complement_conds(_orthonormal(rng, n, n),
+                                                     _orthonormal(rng, n, n)),
+                                   1.0, atol=1e-12)
 
 
-def test_complete_pair_square_input_needs_no_columns():
-    rng = stream_rng(145, 0)
-    X = gl.complete_pair(rng.standard_normal((3, 3)), rng.standard_normal((3, 3)))
-    assert X.shape == (3, 0)
-    assert gl.complete_pair(np.eye(1)).shape == (1, 0)
+def test_common_complement_bound_on_equal_spans():
+    for n in range(1, 17):
+        for m in range(1, n + 1):
+            rng = stream_rng(145, 100 * n + m)
+            B = _orthonormal(rng, n, m)
+            conds = _complement_conds(B, B @ _orthonormal(rng, m, m))
+            # equal spans are completed by their orthogonal complement
+            np.testing.assert_allclose(conds, 1.0, atol=1e-12)
+
+
+def test_common_complement_bound_on_partly_orthogonal_spans():
+    # the spans share m - k directions and are orthogonal in k others,
+    # seen through a random rotation of the whole space
+    for n in range(2, 17):
+        for m in range(1, n // 2 + 1):
+            for k in range(1, m + 1):
+                R = _orthonormal(stream_rng(146, 1000 * n + 10 * m + k), n, n)
+                B1, B2 = R[:, :m], R[:, m - k:2 * m - k]
+                assert max(_complement_conds(B1, B2)) <= BOUND
+
+
+def test_common_complement_right_angle_is_sharp():
+    # Q = e1 -> Q' = e2 in R^2: the spans meet at 90 degrees, the bound's
+    # sharp case
+    conds = _complement_conds(np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]]))
+    np.testing.assert_allclose(conds, 1 + np.sqrt(2), rtol=1e-12)
+    assert max(conds) <= BOUND
 
 
 # ---------------------------------------------------------------------------
