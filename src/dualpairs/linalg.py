@@ -16,6 +16,8 @@ numpy is the only library these kernels use.
 
 from __future__ import annotations
 
+from functools import cache, wraps
+
 import numpy as np
 
 # The tolerance policy, one constant per decision:
@@ -40,8 +42,26 @@ KEEP_RESIDUAL = 1e-8
 _EPS = np.finfo(float).eps
 
 
+def shared_array(build):
+    """Memoise an array builder per argument tuple, marking each result
+    read-only: every caller then shares one build, and an in-place
+    write to it raises ValueError.  A call that raises caches nothing."""
+    @cache
+    @wraps(build)
+    def shared(*args, **kwargs):
+        out = build(*args, **kwargs)
+        out.setflags(write=False)
+        return out
+    return shared
+
+
+@shared_array
 def standard_J(n: int) -> np.ndarray:
-    """Return the 2n x 2n block matrix [[0, I], [-I, 0]]."""
+    """Return the 2n x 2n block matrix [[0, I], [-I, 0]].
+
+    The matrix is built once per n and shared, so it is read-only (see
+    ``shared_array``); copy it to modify.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     J = np.zeros((2 * n, 2 * n))

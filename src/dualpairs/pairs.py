@@ -27,7 +27,8 @@ from typing import Any
 
 import numpy as np
 
-from .linalg import MATCH_RTOL, rank_tol, require_member, standard_J, trace_pairing
+from .linalg import (MATCH_RTOL, rank_tol, require_member, shared_array, standard_J,
+                     trace_pairing)
 
 
 @dataclass(frozen=True)
@@ -129,9 +130,13 @@ class DualPairInstance:
 # ---------------------------------------------------------------------------
 # algebra bases
 
+@shared_array
 def basis_stack(algebra: str, size: int) -> np.ndarray:
     """Fixed enumerated basis of u(n), o(m), sp(2n,R) or gl(n,R), as one
     (dim, size, size) array.
+
+    The stack is built once per (algebra, size) and shared, so it is
+    read-only (see ``linalg.shared_array``).
 
     Orderings are part of the contract (orbit-dimension computations and
     oracle solves must be reproducible):

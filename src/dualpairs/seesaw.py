@@ -36,7 +36,13 @@ def embed_u_to_sp(zeta: np.ndarray) -> np.ndarray:
     zeta = np.asarray(zeta, dtype=complex)
     _require_anti_hermitian(zeta, "embed_u_to_sp input")
     z1, z2 = np.real(zeta), np.imag(zeta)
-    return np.block([[z1, -z2], [z2, z1]])
+    n = zeta.shape[-1]
+    out = np.empty(zeta.shape[:-2] + (2 * n, 2 * n))
+    out[..., :n, :n] = z1
+    out[..., :n, n:] = -z2
+    out[..., n:, :n] = z2
+    out[..., n:, n:] = z1
+    return out
 
 
 def embed_gl_to_sp(zeta: np.ndarray) -> np.ndarray:

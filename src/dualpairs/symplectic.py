@@ -292,9 +292,14 @@ def witt_extend(V: np.ndarray, W: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # witnesses and the template factorization
 
-def _require_rank_m(who, *points):
-    if not all(map(full_rank, points)):
-        raise ValueError(f"{who} requires full column rank")
+def _require_rank_m(who, *named):
+    # named lists (name, point) pairs; the refusal names the first point
+    # short of full column rank, with m and the rank found
+    for name, E in named:
+        r = rank_tol(E)
+        if r < E.shape[1]:
+            raise ValueError(f"{who} requires {name} of full column rank {E.shape[1]}; "
+                             f"its rank is {r}")
 
 
 def witness_left(E: np.ndarray, E_prime: np.ndarray) -> WitnessReport:
@@ -306,7 +311,7 @@ def witness_left(E: np.ndarray, E_prime: np.ndarray) -> WitnessReport:
     """
     E = np.asarray(E, dtype=float)
     E_prime = np.asarray(E_prime, dtype=float)
-    _require_rank_m("witness_left", E, E_prime)
+    _require_rank_m("witness_left", ("E", E), ("E'", E_prime))
     _require_level_match(momentum_right(E), momentum_right(E_prime), "right")
     S = witt_extend(E, E_prime)
     return WitnessReport(S, relative_diff(S @ E, E_prime), "left")
@@ -322,7 +327,7 @@ def witness_right(E: np.ndarray, E_prime: np.ndarray) -> WitnessReport:
     """
     E = np.asarray(E, dtype=float)
     E_prime = np.asarray(E_prime, dtype=float)
-    _require_rank_m("witness_right", E, E_prime)
+    _require_rank_m("witness_right", ("E", E), ("E'", E_prime))
     _require_level_match(momentum_left(E), momentum_left(E_prime), "left")
     O = isometry_between(E.T, E_prime.T)
     return WitnessReport(O, relative_diff(E @ O.T, E_prime), "right")
@@ -343,7 +348,7 @@ def symplectic_svd(E: np.ndarray):
     E = np.asarray(E, dtype=float)
     two_n, m = E.shape
     n = two_n // 2
-    _require_rank_m("symplectic_svd", E)
+    _require_rank_m("symplectic_svd", ("E", E))
     xi = momentum_right(E)
     O0, a_vals = skew_canonical(xi)
     # xi is quadratic in E, so its noise floor sits at eps * |E|^2; pairs

@@ -143,7 +143,12 @@ def jacobian_rank_right(E: np.ndarray) -> int:
     """Rank of the differential of the right momentum map at E.
 
     The differential sends X to (i/2)(X^dagger E + E^dagger X); the rank
-    is computed over a real basis of the domain.  With k zero singular
+    is computed over a real basis of the domain, with each image T in
+    orthonormal coordinates of u(m): Im T_ii, then sqrt 2 Re T_ij and
+    sqrt 2 Im T_ij for i < j, m^2 rows in all.  They have the singular
+    values of the 2m^2 rows of real and imaginary parts of every entry,
+    since the rows left out are zero (Re T_ii) or repeat the upper
+    triangle up to sign (T_ji = -conj T_ij).  With k zero singular
     values the observed rank is m^2 - k^2, so the map has full rank m^2
     exactly when E has full column rank.
     """
@@ -157,5 +162,8 @@ def jacobian_rank_right(E: np.ndarray) -> int:
     X[a, 1, i, j] = 1.0j
     X = X.reshape(2 * n * m, n, m)
     T = 0.5j * (np.swapaxes(np.conj(X), -1, -2) @ E + np.conj(E).T @ X)
-    T = T.reshape(2 * n * m, m * m)
-    return rank_tol(np.concatenate([np.real(T), np.imag(T)], axis=1).T)
+    d = np.arange(m)
+    i, j = np.triu_indices(m, 1)
+    upper = np.sqrt(2.0) * T[:, i, j]
+    return rank_tol(np.concatenate([np.imag(T[:, d, d]), np.real(upper), np.imag(upper)],
+                                   axis=1).T)

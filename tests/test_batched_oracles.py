@@ -286,6 +286,24 @@ def test_basis_stack_matches_the_loop_basis(algebra, sizes):
         stack = basis_stack(algebra, size)
         assert stack.shape == (len(ref), size, size)
         assert all(_same_bits(a, b) for a, b in zip(ref, stack))
+        # the cached stack is the one every call shares, and equals a build
+        # that bypasses the cache
+        assert basis_stack(algebra, size) is stack
+        assert not stack.flags.writeable
+        with pytest.raises(ValueError):
+            stack += stack
+        assert _same_bits(stack, basis_stack.__wrapped__(algebra, size))
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_embed_u_to_sp_matches_the_block_reference(n):
+    basis = basis_stack("u", n)
+    got = seesaw.embed_u_to_sp(basis)
+    assert got.shape == (n * n, 2 * n, 2 * n)
+    assert all(_same_bits(g, _ref_embed_u_to_sp(b)) for g, b in zip(got, basis))
+    A = _complex(stream_rng(41, n), n, n)
+    zeta = A - np.conj(A).T
+    assert _same_bits(seesaw.embed_u_to_sp(zeta), _ref_embed_u_to_sp(zeta))
 
 
 @pytest.mark.parametrize("n,m", SHAPES)
@@ -349,6 +367,21 @@ def test_jacobian_rank_right_equals_the_loop_reference(n, m):
     D[:, -1] = 0.0
     assert rank_tol(D) < m
     assert unitary.jacobian_rank_right(D) == _ref_jacobian_rank_right(D)
+
+
+@pytest.mark.parametrize("n,m", [(6, 4), (3, 5), (4, 8)])
+def test_jacobian_rank_right_at_every_defect_level(n, m):
+    # E = U diag(sig) V^H with r = m - k nonzero singular values; a wide E
+    # has at least m - n zero ones, so k starts there
+    rng = stream_rng(47, 100 * n + m)
+    U = np.linalg.qr(_complex(rng, n, n))[0]
+    V = np.linalg.qr(_complex(rng, m, m))[0]
+    for k in range(max(0, m - n), m + 1):
+        r = m - k
+        E = (U[:, :r] * np.linspace(2.0, 1.0, r)) @ np.conj(V[:, :r]).T
+        got = unitary.jacobian_rank_right(E)
+        assert got == _ref_jacobian_rank_right(E)
+        assert got == m * m - k * k
 
 
 @pytest.mark.parametrize("n,m", [(2, 1), (3, 2), (4, 4), (6, 3), (8, 6), (12, 8),

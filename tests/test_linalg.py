@@ -37,6 +37,27 @@ def test_standard_J_skew():
         standard_J(0)
 
 
+def test_standard_J_is_one_shared_read_only_array():
+    for n in range(1, 17):
+        J = standard_J(n)
+        assert standard_J(n) is J
+        Z, I = np.zeros((n, n)), np.eye(n)
+        assert np.array_equal(J, np.block([[Z, I], [-I, Z]]))
+        assert J.dtype == float and not J.flags.writeable
+        with pytest.raises(ValueError):
+            J[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            J *= 2.0
+
+
+def test_standard_J_refusal_is_not_cached():
+    size = standard_J.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            standard_J(0)
+    assert standard_J.cache_info().currsize == size
+
+
 def test_omega_real_vanishes_on_equal_args():
     X = stream_rng(11, 0).standard_normal((4, 2))
     assert omega_real(X, X) == pytest.approx(0.0, abs=1e-13)

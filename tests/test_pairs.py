@@ -111,10 +111,14 @@ def test_algebra_basis_independent():
 
 
 def test_algebra_basis_rejects_bad_tags():
-    with pytest.raises(ValueError):
-        basis_stack("x", 2)
-    with pytest.raises(ValueError):
-        basis_stack("sp", 3)
+    size = basis_stack.cache_info().currsize
+    # a refused key raises on every call and is never cached
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            basis_stack("x", 2)
+        with pytest.raises(ValueError):
+            basis_stack("sp", 3)
+    assert basis_stack.cache_info().currsize == size
 
 
 # ---------------------------------------------------------------------------

@@ -161,6 +161,25 @@ def test_witness_left_needs_full_rank():
         symplectic.witness_left(E, E)
 
 
+@pytest.mark.parametrize("who", ["witness_left", "witness_right"])
+def test_rank_refusal_names_the_point_m_and_rank(who):
+    # two equal columns: rank 1 against m = 2
+    E = np.array([[1.0, 1.0], [2.0, 2.0], [0.0, 0.0], [3.0, 3.0]])
+    witness = getattr(symplectic, who)
+    with pytest.raises(ValueError, match=f"^{who} requires E of full column rank 2; "
+                                         "its rank is 1$"):
+        witness(E, E)
+    with pytest.raises(ValueError, match=f"^{who} requires E' of full column rank 2; "
+                                         "its rank is 1$"):
+        witness(_random_rank_m(2, 2, 96), E)
+
+
+def test_symplectic_svd_rank_refusal_names_the_point():
+    with pytest.raises(ValueError, match="^symplectic_svd requires E of full column rank 2; "
+                                         "its rank is 1$"):
+        symplectic.symplectic_svd(np.eye(4)[:, [0, 0]])
+
+
 def test_witness_right_fixed_point():
     E = _random_rank_m(2, 2, 92)
     assert symplectic.witness_right(E, E).residual <= 1e-12
