@@ -31,13 +31,9 @@ SKEW_RTOL = 1e-9
 MATCH_RTOL = 1e-8
 # seesaw takes zeta as anti-Hermitian when |zeta + zeta^H|_F is at most
 # ANTI_HERMITIAN_RTOL times max(1, |zeta|_F), and a restriction to o(m)
-# as pairing like its input within PAIRING_RTOL times max(1, |input|_F);
+# as pairing like its input within PAIRING_RTOL times max(1, |input|_F).
 ANTI_HERMITIAN_RTOL = 1e-10
 PAIRING_RTOL = 1e-12
-# the symplectic complement scan (``symplectic.witt_extend``) keeps a
-# unit candidate direction only when its residual against the span so
-# far exceeds this.
-KEEP_RESIDUAL = 1e-8
 
 _EPS = np.finfo(float).eps
 
@@ -219,27 +215,11 @@ def skew_canonical(xi: np.ndarray):
         rows.extend([u, v])
         pairs.append(a)
 
-    # kernel block: remaining eigenvectors, re-orthogonalized against the
-    # chosen rows to keep O orthogonal to machine precision
-    for k in range(npos, m):
-        u = V[:, k]
-        if rows:
-            R = np.column_stack(rows)
-            u = u - R @ (R.T @ u)
-        nu = np.linalg.norm(u)
-        if nu < 0.5:
-            # eigh basis overlapped a chosen plane; fall back to the
-            # first standard direction clear of everything selected
-            R = np.column_stack(rows)
-            for e in np.eye(m):
-                u = e - R @ (R.T @ e)
-                nu = np.linalg.norm(u)
-                if nu > 0.5:
-                    break
-        rows.append(u / nu)
-
-    O = np.array(rows)
-    return O, pairs
+    # kernel block: the orthogonal complement of the chosen planes, the
+    # last columns of one complete QR of them
+    planes = np.array(rows).reshape(npos, m)
+    K = np.linalg.qr(planes.T, mode="complete")[0][:, npos:]
+    return np.vstack([planes, K.T]), pairs
 
 
 def block_diag_skew(pairs, m: int) -> np.ndarray:

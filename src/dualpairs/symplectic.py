@@ -6,10 +6,12 @@ Momentum maps for the form Tr(E^T J F):
     right E -> -1/2 E^T J E    in o(m).
 
 The module also provides the constructive isometry-extension solver for
-the symplectic form (the engine behind the left witness), an SVD-like
-factorization E = S D O with S symplectic, O orthogonal and D a sparse
-template, and the matched orbit normal forms read off from D.  The
-module is the symplectic record of ``pairs.PAIRS``.
+the symplectic form (``witt_extend``, the engine behind the left
+witness), which completes both column families to Darboux bases from
+``skew_canonical`` planes, one minimum-norm solve and one complete QR;
+an SVD-like factorization E = S D O with S symplectic, O orthogonal and
+D a sparse template; and the matched orbit normal forms read off from
+D.  The module is the symplectic record of ``pairs.PAIRS``.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ import numpy as np
 
 from .jsonio import matrix_point_from_obj as point_from_obj, matrix_point_to_obj as point_to_obj
 from .linalg import (
-    KEEP_RESIDUAL,
     MATCH_RTOL,
     RANK_TOL_FACTOR,
     isometry_between,
@@ -145,90 +146,51 @@ def build_template(inv: SpOrbitInvariants) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # constructive isometry extension for the symplectic form
 
-def _sym_gs(G0: np.ndarray, rad_tol: float):
-    """Symplectic Gram-Schmidt on an abstract Gram matrix.
+def _planes(G: np.ndarray, E: np.ndarray):
+    """``skew_canonical`` of a skew Gram G quadratic in E, above its noise.
 
-    Returns (T, pairs, radical): T is the change of coordinates such
-    that in the transformed family the listed (i, j) positions satisfy
-    omega(col_i, col_j) = 1 and couple to nothing else, and the radical
-    positions couple to nothing at all (below rad_tol).
+    G's entries carry roundoff near eps |E|_2^2, so pair values at or
+    below RANK_TOL_FACTOR * m * eps * |E|_2^2, with m the order of G,
+    are roundoff from an isotropic plane, not structure.  skew_canonical
+    alone cannot see this (it only knows |G|), and the dropped pairs sit
+    at the tail of its descending order, so dropping them turns their
+    rows into kernel rows without reshuffling O.  Returns (O, pair
+    values).
     """
-    k = G0.shape[0]
-    T = np.eye(k)
-    free = list(range(k))
-    pairs = []
-    while True:
-        G = T.T @ G0 @ T
-        best_ij = None
-        best = rad_tol
-        for ai, i in enumerate(free):
-            for j in free[ai + 1:]:
-                if abs(G[i, j]) > best:
-                    best = abs(G[i, j])
-                    best_ij = (i, j)
-        if best_ij is None:
-            break
-        i, j = best_ij
-        T[:, j] = T[:, j] / G[i, j]
-        G = T.T @ G0 @ T
-        for u in free:
-            if u == i or u == j:
-                continue
-            T[:, u] = T[:, u] - G[u, j] * T[:, i] + G[u, i] * T[:, j]
-        pairs.append((i, j))
-        free.remove(i)
-        free.remove(j)
-    return T, pairs, free
+    O, a = skew_canonical(G)
+    smax = float(np.linalg.norm(E, 2))
+    floor = RANK_TOL_FACTOR * G.shape[0] * np.finfo(float).eps * smax * smax
+    return O, [x for x in a if x > floor]
 
 
-def _radical_partner(L: np.ndarray, J: np.ndarray, row: int) -> np.ndarray:
-    """Minimum-norm p with omega(L_col, p) = delta(col, row)."""
-    A = L.T @ J
-    c = np.zeros(A.shape[0])
-    c[row] = 1.0
-    p, *_ = np.linalg.lstsq(A, c, rcond=None)
-    return p
+def _darboux_basis(M: np.ndarray, p: int, J: np.ndarray) -> np.ndarray:
+    """A Darboux basis B (B^T J B = J) whose columns include M's.
 
-
-def _complete_darboux(L_pairs: list, J: np.ndarray):
-    """Darboux pairs spanning the omega-complement of an existing family.
-
-    L_pairs lists the current Darboux family as (a, b) tuples with
-    omega(a, b) = 1.  Candidate directions come from standard basis
-    vectors scanned in index order, pushed into the complement with the
-    symplectic projector, and kept while linearly independent; the
-    collected set is then organized into pairs by Gram-Schmidt for the
-    restricted form.
+    M holds p planes, column pairs (2i, 2i + 1) with omega = 1 that
+    couple to nothing else, followed by radical columns R.  The first
+    half of B takes the planes' first columns, R and the complement's
+    first columns; the second half their partners in the same order.
     """
-    dim = J.shape[0]
-    kept = []
-    kept_orth = []  # Euclidean orthonormal shadow for independence tests
-    for idx in range(dim):
-        if 2 * len(L_pairs) + len(kept) >= dim:
-            break
-        u = np.zeros(dim)
-        u[idx] = 1.0
-        for a, b in L_pairs:
-            u = u - (u @ J @ b) * a + (u @ J @ a) * b
-        v = u.copy()
-        for w in kept_orth:
-            v = v - (w @ v) * w
-        nv = np.linalg.norm(v)
-        if nv > KEEP_RESIDUAL:
-            kept.append(u)
-            kept_orth.append(v / nv)
-    need = dim - 2 * len(L_pairs)
-    if len(kept) != need:
-        raise ValueError("failed to span the symplectic complement")
-    if need == 0:
-        return []
-    C = np.column_stack(kept)
-    G = C.T @ J @ C
-    T, pairs, radical = _sym_gs(G, rad_tol=1e-10 * max(1.0, float(np.abs(G).max())))
-    if radical:
+    k = M.shape[1]
+    R = M[:, 2 * p:]
+    # every radical partner from one minimum-norm solve of
+    # omega(M, P) = [0; I].  Adding R X keeps omega(M, P), since R couples
+    # to nothing in span(M), and with omega(R, P) = I it turns P^T J P
+    # into P^T J P - 2X for skew X, so X = P^T J P / 2 makes P isotropic
+    C = np.zeros((k, k - 2 * p))
+    C[2 * p:] = np.eye(k - 2 * p)
+    P = J.T @ M @ np.linalg.solve(M.T @ M, C)
+    P += 0.5 * R @ (P.T @ J @ P)
+    # the omega-complement of [M P] is the orthogonal complement of
+    # J [M P]: the last columns of its complete QR, put in Darboux form
+    F = np.hstack([M, P])
+    Q = np.linalg.qr(J @ F, mode="complete")[0][:, F.shape[1]:]
+    O, a = _planes(Q.T @ J @ Q, Q)
+    if 2 * len(a) != Q.shape[1]:
         raise ValueError("degenerate restricted form on the complement")
-    CT = C @ T
-    return [(CT[:, i], CT[:, j]) for i, j in pairs]
+    Qc = (Q @ O.T) / np.sqrt(np.repeat(a, 2))
+    return np.hstack([M[:, 0:2 * p:2], R, Qc[:, 0::2],
+                      M[:, 1:2 * p:2], P, Qc[:, 1::2]])
 
 
 def witt_extend(V: np.ndarray, W: np.ndarray) -> np.ndarray:
@@ -236,14 +198,17 @@ def witt_extend(V: np.ndarray, W: np.ndarray) -> np.ndarray:
 
     Both families must be linearly independent and have equal pairwise
     symplectic products.  The classical extension theorem guarantees S
-    exists; this builds one deterministically:
+    exists; this builds one deterministically, as S = B_W B_V^-1 for two
+    Darboux bases that contain the families:
 
-    1. run Gram-Schmidt for the symplectic form on the source Gram,
-       applying the same column transform to both families,
-    2. adjoin a partner vector to every radical direction (a
-       minimum-norm solve keeps it clear of everything processed),
-    3. complete each side to a full Darboux basis and map one onto the
-       other.
+    1. ``skew_canonical`` of the source Gram (``_planes``) gives one
+       column transform T for both families: its planes, scaled by
+       a^(-1/2) to omega = 1, then its kernel, the radical;
+    2. the radical's partners come from one minimum-norm solve, shifted
+       along the radical to be isotropic;
+    3. the omega-complement of the family and its partners, from one
+       complete QR, is put in Darboux form by ``_planes`` of its
+       restricted Gram.
     """
     V = np.asarray(V, dtype=float)
     W = np.asarray(W, dtype=float)
@@ -265,27 +230,11 @@ def witt_extend(V: np.ndarray, W: np.ndarray) -> np.ndarray:
     if np.abs(Gv - Gw).max() > MATCH_RTOL * scale:
         raise ValueError("pairwise symplectic products do not match")
 
-    T, gs_pairs, radical = _sym_gs(Gv, rad_tol=1e-9 * scale)
-    VT = V @ T
-    WT = W @ T
-
-    def build_side(M):
-        pairs = [(M[:, i], M[:, j]) for i, j in gs_pairs]
-        cols = [M[:, t] for t in range(k)]
-        for rpos in radical:
-            L = np.column_stack(cols)
-            p = _radical_partner(L, J, rpos)
-            pairs.append((M[:, rpos], p))
-            cols.append(p)
-        pairs = pairs + _complete_darboux(pairs, J)
-        B = np.empty((dim, dim))
-        for t, (a, b) in enumerate(pairs):
-            B[:, 2 * t] = a
-            B[:, 2 * t + 1] = b
-        return B
-
-    BV = build_side(VT)
-    BW = build_side(WT)
+    O, a = _planes(Gv, V)
+    T = O.T
+    T[:, :2 * len(a)] /= np.sqrt(np.repeat(a, 2))
+    BV = _darboux_basis(V @ T, len(a), J)
+    BW = _darboux_basis(W @ T, len(a), J)
     return BW @ np.linalg.inv(BV)
 
 
@@ -339,9 +288,10 @@ def symplectic_svd(E: np.ndarray):
     S is symplectic, O orthogonal, and D the sparse template of
     ``build_template``; the sigma values in D are the symplectic
     singular values of E.  Algorithm: put the right momentum into skew
-    canonical form to get O and the sigmas, then extend the column
-    correspondence D -> E O^T to a symplectic matrix (both families
-    have identical pairwise products by construction).
+    canonical form above its noise floor (``_planes``) to get O and the
+    sigmas, then extend the column correspondence D -> E O^T to a
+    symplectic matrix (both families have identical pairwise products by
+    construction).
 
     Returns (S, D, O, invariants).
     """
@@ -349,16 +299,7 @@ def symplectic_svd(E: np.ndarray):
     two_n, m = E.shape
     n = two_n // 2
     _require_rank_m("symplectic_svd", ("E", E))
-    xi = momentum_right(E)
-    O0, a_vals = skew_canonical(xi)
-    # xi is quadratic in E, so its noise floor sits at eps * |E|^2; pairs
-    # below that are roundoff from an isotropic plane, not structure.
-    # skew_canonical alone cannot see this (it only knows |xi|), and the
-    # dropped pairs sit at the tail of its descending order, so trimming
-    # them turns their rows into kernel rows without reshuffling O0.
-    smax = float(np.linalg.norm(E, 2))
-    floor = RANK_TOL_FACTOR * m * np.finfo(float).eps * smax * smax
-    a_vals = [a for a in a_vals if a > floor]
+    O0, a_vals = _planes(momentum_right(E), E)
     p = len(a_vals)
     q = m - 2 * p
     r = n - m + p
@@ -370,16 +311,7 @@ def symplectic_svd(E: np.ndarray):
     # reorder the canonical-form rows so the conjugated momentum matches
     # the template's block layout: pair (2a, 2a+1) goes to rows (p+q+a, a),
     # kernel rows fill the middle block
-    src = np.empty(m, dtype=int)
-    for a in range(p):
-        src[a] = 2 * a + 1
-        src[p + q + a] = 2 * a
-    for b in range(q):
-        src[p + b] = 2 * p + b
-    Pi = np.zeros((m, m))
-    for i in range(m):
-        Pi[i, src[i]] = 1.0
-    O = Pi @ O0
+    O = O0[np.r_[1:2 * p:2, 2 * p:m, 0:2 * p:2]]
 
     D = build_template(inv)
     S = witt_extend(D, E @ O.T)

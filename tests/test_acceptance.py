@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from dualpairs import cli, general_linear as gl, seesaw, symplectic, unitary
-from dualpairs.linalg import (KEEP_RESIDUAL, MATCH_RTOL, random_group_element,
-                              relative_diff, standard_J, stream_rng)
+from dualpairs.linalg import (MATCH_RTOL, random_group_element, relative_diff,
+                              standard_J, stream_rng)
 from dualpairs.pairs import (DualPairInstance, algebra_size, algebra_tag,
                              basis_stack, check_equivariance,
                              check_level_invariance, check_lie_weinstein,
@@ -166,7 +166,7 @@ def _orthonormal_complement(Q):
         # second pass stabilizes near-dependent candidates
         v -= span @ (np.conj(span).T @ v)
         nv = np.linalg.norm(v)
-        if nv > KEEP_RESIDUAL:
+        if nv > 1e-8:
             C[:, k] = v / nv
             k += 1
     if k != n:

@@ -163,15 +163,21 @@ def test_skew_canonical_roundtrip_6x6():
     np.testing.assert_allclose(pairs, a_true, atol=1e-10)
 
 
-@given(st.integers(min_value=1, max_value=7),
+@given(st.integers(min_value=1, max_value=16),
+       st.sampled_from(("0", "2", "m-2", "full")),
        st.integers(min_value=0, max_value=2**32 - 1))
-@settings(max_examples=40, deadline=None)
-def test_skew_canonical_random_block_form(m, seed):
+@settings(max_examples=80, deadline=None)
+def test_skew_canonical_random_block_form(m, rank, seed):
+    # xi = B C^T - C B^T with B, C of width k has rank 2 min(k, m // 2),
+    # so "m-2" leaves a kernel of 2 or 3 rows beside the planes
+    k = {"0": 0, "2": 1, "m-2": max(0, (m - 2) // 2), "full": m}[rank]
     rng = stream_rng(seed, 5)
-    A = rng.standard_normal((m, m))
-    xi = A - A.T
+    B = rng.standard_normal((m, k))
+    C = rng.standard_normal((m, k))
+    xi = B @ C.T - C @ B.T
     O, pairs = skew_canonical(xi)
     scale = max(1.0, float(np.linalg.norm(xi)))
+    assert len(pairs) == min(k, m // 2)
     np.testing.assert_allclose(O @ O.T, np.eye(m), atol=1e-12)
     np.testing.assert_allclose(O @ xi @ O.T, block_diag_skew(pairs, m),
                                atol=1e-10 * scale)

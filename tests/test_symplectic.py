@@ -121,6 +121,48 @@ def test_witt_extend_rejects_gram_mismatch():
         symplectic.witt_extend(E, 2.0 * E)
 
 
+def _template_partners(n, p, sigmas, q, seed):
+    # one template moved by two seeded symplectic elements (cond <= 9)
+    m = 2 * p + q
+    inv = symplectic.SpOrbitInvariants(p, sigmas, q, n - m + p, n, m)
+    D = symplectic.build_template(inv)
+    return (random_group_element("symplectic", 2 * n, seed, 1) @ D,
+            random_group_element("symplectic", 2 * n, seed, 2) @ D)
+
+
+def _assert_extends(V, W, S):
+    J = standard_J(V.shape[0] // 2)
+    assert np.linalg.norm(S, 2) <= 10.0
+    assert np.linalg.norm(S @ V - W) <= 1e-14 * max(1.0, np.linalg.norm(W))
+    assert np.linalg.norm(S.T @ J @ S - J) <= 1e-13
+
+
+@pytest.mark.parametrize("n,m", [(1, 1), (2, 1), (2, 2), (4, 3), (6, 6), (16, 16)])
+def test_witt_extend_isotropic_family(n, m):
+    # p = 0: every column is in the radical and gets a partner
+    V, W = _template_partners(n, 0, (), m, 100 + n + m)
+    _assert_extends(V, W, symplectic.witt_extend(V, W))
+
+
+@pytest.mark.parametrize("n,p,q", [(2, 1, 1), (4, 2, 1), (5, 2, 2), (8, 3, 4),
+                                   (16, 4, 8)])
+def test_witt_extend_mixed_family(n, p, q):
+    # planes with sigmas 1.6, 1.3, ... and a radical beside them
+    sigmas = tuple(1.6 - 0.3 * np.arange(p))
+    V, W = _template_partners(n, p, sigmas, q, 200 + n)
+    _assert_extends(V, W, symplectic.witt_extend(V, W))
+
+
+@pytest.mark.parametrize("n", [1, 3, 8])
+def test_witt_extend_square_family_has_empty_complement(n):
+    # m = 2n forces p = n: V is a basis and S = W V^-1 is unique
+    sigmas = tuple(1.8 - 1.0 * np.arange(n) / n)
+    V, W = _template_partners(n, n, sigmas, 0, 300 + n)
+    S = symplectic.witt_extend(V, W)
+    _assert_extends(V, W, S)
+    np.testing.assert_allclose(S, W @ np.linalg.inv(V), atol=1e-13)
+
+
 # ---------------------------------------------------------------------------
 # witnesses
 
@@ -140,12 +182,23 @@ def test_witness_left_recovers_fiber():
 
 
 def test_witness_left_independent_template_realizations():
-    inv = _random_invariants(3, 3, 87)
-    D = symplectic.build_template(inv)
-    S1 = random_group_element("symplectic", 6, 88)
-    S2 = random_group_element("symplectic", 6, 89)
-    rep = symplectic.witness_left(S1 @ D, S2 @ D)
-    assert rep.residual <= 1e-7
+    # every shape n <= 16, m <= min(2n, 16) at seeds 0-3: 800 pairs of
+    # seeded template points moved by symplectic elements of cond <= 9,
+    # so a witness of norm <= 9 exists
+    worst = {"norm": 0.0, "map": 0.0, "defining": 0.0}
+    for n in range(1, 17):
+        J = standard_J(n)
+        for m in range(1, min(2 * n, 16) + 1):
+            for seed in range(4):
+                E, E2 = symplectic.normal_form_partners(n, m, seed)
+                rep = symplectic.witness_left(E, E2)
+                S = rep.witness
+                for key, value in (("norm", np.linalg.norm(S, 2)), ("map", rep.residual),
+                                   ("defining", np.linalg.norm(S.T @ J @ S - J))):
+                    worst[key] = max(worst[key], value)
+    assert worst["norm"] <= 10.0, worst
+    assert worst["map"] <= 1e-14, worst
+    assert worst["defining"] <= 1e-13, worst
 
 
 def test_witness_left_level_mismatch():
