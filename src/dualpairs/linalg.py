@@ -139,8 +139,7 @@ def skew_canonical(xi: np.ndarray):
     Parameters
     ----------
     xi
-        Real m x m matrix with xi^T = -xi (within ``SKEW_RTOL`` relative);
-        the rank threshold decides which blocks count as zero.
+        Real m x m matrix with xi^T = -xi (within ``SKEW_RTOL`` relative).
 
     Returns
     -------
@@ -148,16 +147,18 @@ def skew_canonical(xi: np.ndarray):
         Orthogonal matrix such that ``O @ xi @ O.T`` is block diagonal
         with 2x2 blocks [[0, a_i], [-a_i, 0]] followed by a zero block.
     pairs : list of float
-        The values a_i > 0, sorted descending (ties keep first
-        occurrence order).
+        The values a_i > 0, sorted descending.
 
-    The planes come from the symmetric eigenproblem of -xi^2, which
-    avoids complex arithmetic and lets us pin the sign convention: for
-    each unit eigenvector u with eigenvalue a^2 we take v along -xi u,
-    so that u^T xi v > 0.  The value reported is the Rayleigh quotient
-    a = u^T xi v of the normalised plane, not sqrt of the eigenvalue:
-    the eigenvalue carries an absolute error near eps |xi|^2, which the
-    square root would turn into a relative error near eps (|xi| / a)^2.
+    The planes come from one eigh of the Hermitian matrix i xi, whose
+    eigenvalues are +-a_i and zeros, so their magnitudes are the singular
+    values of xi: ``svd_rank`` of them, halved, counts the pairs (an odd
+    count drops the straggler of a pair that straddles the cutoff).  An
+    eigenvector z = x + iy of +a gives the plane sqrt(2) (y, x), with
+    y^T xi x = a/2; the real and imaginary parts are orthonormal even
+    when a repeats, since the conjugates belong to -a.  One complete QR,
+    R's diagonal made positive, re-orthonormalises the planes and gives
+    the kernel rows.  The value reported is the Rayleigh quotient
+    u^T xi v of each plane (u, v).
     """
     xi = np.asarray(xi, dtype=float)
     m = xi.shape[0]
@@ -169,57 +170,17 @@ def skew_canonical(xi: np.ndarray):
     if np.linalg.norm(xi + xi.T) > max(SKEW_RTOL * nrm, 1e-13):
         raise ValueError("input is not skew-symmetric within tolerance")
 
-    A = -xi @ xi  # symmetric PSD, eigenvalues a_i^2 in pairs plus zeros
-    w, V = np.linalg.eigh(A)
-    order = np.argsort(-w)  # descending
-    w = w[order]
-    V = V[:, order]
-
-    smax = np.linalg.norm(xi, 2)
-    cutoff = RANK_TOL_FACTOR * m * np.finfo(float).eps * smax
-    npos = int(np.sum(w > cutoff * smax))
-    if npos % 2 == 1:
-        # a pair straddling the rank threshold; push the straggler into
-        # the kernel together with its partner
-        npos -= 1
-
-    # Extract one (u, v) plane per pair.  The pivot is the positive-part
-    # eigenvector with the largest residual against the planes already
-    # taken, which is well conditioned even when eigenvalues collide;
-    # v along -xi u completes the plane and pins the sign convention.
-    triples = []
-    chosen: list[np.ndarray] = []
-    for _ in range(npos // 2):
-        basis = V[:, :npos].copy()
-        if chosen:
-            C = np.column_stack(chosen)
-            basis = basis - C @ (C.T @ basis)
-        norms = np.linalg.norm(basis, axis=0)
-        k = int(np.argmax(norms))
-        u = basis[:, k] / norms[k]
-        v = -(xi @ u)
-        v = v - u * (u @ v)
-        if chosen:
-            C = np.column_stack(chosen)
-            v = v - C @ (C.T @ v)
-        v = v / np.linalg.norm(v)
-        a = float(u @ xi @ v)
-        chosen.extend([u, v])
-        triples.append((a, u, v))
-
-    # stable sort by descending a keeps first-occurrence order on ties
-    triples.sort(key=lambda t: -t[0])
-    rows = []
-    pairs = []
-    for a, u, v in triples:
-        rows.extend([u, v])
-        pairs.append(a)
-
-    # kernel block: the orthogonal complement of the chosen planes, the
-    # last columns of one complete QR of them
-    planes = np.array(rows).reshape(npos, m)
-    K = np.linalg.qr(planes.T, mode="complete")[0][:, npos:]
-    return np.vstack([planes, K.T]), pairs
+    w, Z = np.linalg.eigh(1j * xi)  # ascending, so +a_i lead from the end
+    k = 2 * (svd_rank(np.sort(np.abs(w))[::-1], xi.shape) // 2)
+    Z = Z[:, ::-1][:, :k // 2]
+    planes = np.sqrt(2.0) * np.stack([Z.imag, Z.real], axis=-1).reshape(m, k)
+    Q, R = np.linalg.qr(planes, mode="complete")
+    Q[:, :k] *= np.sign(np.diagonal(R))
+    a = np.sum(Q[:, 0:k:2] * (xi @ Q[:, 1:k:2]), axis=0)
+    # the Rayleigh quotients of a repeated value come out in any order
+    order = np.argsort(-a, kind="stable")
+    Q[:, :k] = Q[:, np.stack([2 * order, 2 * order + 1], axis=-1).ravel()]
+    return Q.T, a[order].tolist()
 
 
 def block_diag_skew(pairs, m: int) -> np.ndarray:

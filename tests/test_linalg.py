@@ -164,25 +164,42 @@ def test_skew_canonical_roundtrip_6x6():
 
 
 @given(st.integers(min_value=1, max_value=16),
-       st.sampled_from(("0", "2", "m-2", "full")),
+       st.sampled_from(("0", "2", "m-2", "full", "repeated")),
        st.integers(min_value=0, max_value=2**32 - 1))
 @settings(max_examples=80, deadline=None)
 def test_skew_canonical_random_block_form(m, rank, seed):
     # xi = B C^T - C B^T with B, C of width k has rank 2 min(k, m // 2),
-    # so "m-2" leaves a kernel of 2 or 3 rows beside the planes
-    k = {"0": 0, "2": 1, "m-2": max(0, (m - 2) // 2), "full": m}[rank]
+    # so "m-2" leaves a kernel of 2 or 3 rows beside the planes;
+    # "repeated" conjugates blocks whose values come in equal pairs
+    k = {"0": 0, "2": 1, "m-2": max(0, (m - 2) // 2), "full": m,
+         "repeated": m // 2}[rank]
     rng = stream_rng(seed, 5)
-    B = rng.standard_normal((m, k))
-    C = rng.standard_normal((m, k))
-    xi = B @ C.T - C @ B.T
+    if rank == "repeated":
+        a = np.repeat(rng.uniform(0.5, 2.0, size=(k + 1) // 2), 2)[:k]
+        O0 = random_group_element("orthogonal", m, seed, 6)
+        xi = O0.T @ block_diag_skew(a, m) @ O0
+    else:
+        B = rng.standard_normal((m, k))
+        C = rng.standard_normal((m, k))
+        xi = B @ C.T - C @ B.T
     O, pairs = skew_canonical(xi)
-    scale = max(1.0, float(np.linalg.norm(xi)))
     assert len(pairs) == min(k, m // 2)
     np.testing.assert_allclose(O @ O.T, np.eye(m), atol=1e-12)
-    np.testing.assert_allclose(O @ xi @ O.T, block_diag_skew(pairs, m),
-                               atol=1e-10 * scale)
+    blocks = block_diag_skew(pairs, m)
+    assert np.linalg.norm(O @ xi @ O.T - blocks) <= 1e-14 * max(1.0, np.linalg.norm(xi))
     assert pairs == sorted(pairs, reverse=True)
     assert all(a > 0 for a in pairs)
+
+
+@pytest.mark.parametrize("t,count", [(1e-12, 2), (1e-15, 1)])
+def test_skew_canonical_cutoff_on_pair_values(t, count):
+    # the rank rule applies to the pair values (the singular values of
+    # xi), not to their squares: t = 1e-12 lies above 100 * 4 * eps
+    O0 = random_group_element("orthogonal", 4, 8)
+    xi = O0.T @ block_diag_skew([1.0, t], 4) @ O0
+    _, pairs = skew_canonical(xi)
+    assert len(pairs) == count
+    assert pairs[0] == pytest.approx(1.0, abs=1e-14)
 
 
 def test_block_diag_skew_layout():

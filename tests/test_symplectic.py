@@ -392,3 +392,17 @@ def test_symplectic_svd_small_sigma_keeps_relative_accuracy():
     assert abs(inv.sigmas[-1] - 0.0371) < 1e-4
     for got, want in zip(inv.sigmas, ref):
         assert abs(got - float(want)) <= 1e-12 * float(want)
+
+
+@pytest.mark.parametrize("s", [1e-4, 1e-5, 1e-6])
+def test_symplectic_svd_resolves_small_sigma_pair(s):
+    # sigma_2^2 / 2 lies far above the Gram's noise floor near eps |E|^2,
+    # so the pair must be counted, not folded into q; its accuracy may
+    # degrade as (|E| / s)^2
+    inv = symplectic.SpOrbitInvariants(2, (1.0, s), 0, 1, 3, 4)
+    E = (random_group_element("symplectic", 6, 7, 3) @ symplectic.build_template(inv)
+         @ random_group_element("orthogonal", 4, 7, 4))
+    _, _, _, out = symplectic.symplectic_svd(E)
+    assert (out.p, out.q) == (2, 0)
+    bound = 100 * np.finfo(float).eps * np.linalg.norm(E, 2) ** 2 / s ** 2
+    assert abs(out.sigmas[1] - s) / s <= bound
