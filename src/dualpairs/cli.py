@@ -359,7 +359,7 @@ def cmd_suite(args) -> int:
     tol_override = args.tol if args.tol is not None else config["tol"]
     out = args.out or config["out"]
     if not (tol_override is None or is_number(tol_override)):
-        raise ValueError(f"{where}: tol must be a number or null, not {tol_override!r}")
+        raise ValueError(f"{where}: tol must be a finite number or null, not {tol_override!r}")
     if not isinstance(out, str):
         raise ValueError(f"{where}: out must be a file name, not {out!r}")
     if trials < 1:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .jsonio import matrix_from_obj, matrix_to_obj
-from .linalg import omega_real, rank_tol, relative_diff, stream_rng, svd_rank
+from .linalg import column_frames, omega_real, rank_tol, relative_diff, stream_rng
 from .pairs import OrbitReport, WitnessReport, require_level_match as _require_level_match
 
 ALGEBRA = {"left": "gl", "right": "gl"}
@@ -128,21 +128,6 @@ def momentum_right(pt: CotangentPoint) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # witnesses
 
-def _frames(who: str, *named, uv: bool = True):
-    """One thin SVD of each (name, matrix) pair, stacked in one call when
-    there are several of one shape (only the singular values when uv is
-    false), refused unless every matrix has full column rank by the
-    ``svd_rank`` rule."""
-    names, mats = zip(*named)
-    svd = np.linalg.svd(np.stack(mats), full_matrices=False, compute_uv=uv)
-    for name, M, s in zip(names, mats, svd[1] if uv else svd):
-        r = svd_rank(s, M.shape)
-        if r < M.shape[1]:
-            raise ValueError(f"{who} requires {name} of full column rank {M.shape[1]}; "
-                             f"its rank is {r}")
-    return svd
-
-
 def witness_right(pt: CotangentPoint, pt_prime: CotangentPoint) -> WitnessReport:
     """B with (Q B, P B^-T) close to (Q', P'), given equal left momenta.
 
@@ -151,8 +136,9 @@ def witness_right(pt: CotangentPoint, pt_prime: CotangentPoint) -> WitnessReport
     the reported cond, s_max / s_min of Q.  For genuinely related points
     B is invertible and also transports P; both residuals are reported.
     """
-    (U, *_), (s, *_), (Vh, *_) = _frames("witness_right", ("Q", pt.Q))
-    _frames("witness_right", ("P", pt.P), ("Q'", pt_prime.Q), ("P'", pt_prime.P), uv=False)
+    (U, *_), (s, *_), (Vh, *_) = column_frames("witness_right", ("Q", pt.Q))
+    column_frames("witness_right", ("P", pt.P), ("Q'", pt_prime.Q), ("P'", pt_prime.P),
+                  uv=False)
     _require_level_match(momentum_left(pt), momentum_left(pt_prime), "left")
     B = Vh.T @ ((U.T @ pt_prime.Q) / s[:, None])
     res_q = relative_diff(pt.Q @ B, pt_prime.Q)
@@ -204,13 +190,13 @@ def witness_left(pt: CotangentPoint, pt_prime: CotangentPoint) -> WitnessReport:
     Q2, P2 = pt_prime.Q, pt_prime.P
     n, m = Q.shape
     tall = m < n  # a square Q needs no complements, hence no bases
-    U = _frames(who, ("Q", Q), ("P", P), ("Q'", Q2), ("P'", P2), uv=tall)[0]
+    U = column_frames(who, ("Q", Q), ("P", P), ("Q'", Q2), ("P'", P2), uv=tall)[0]
     _require_level_match(momentum_right(pt), momentum_right(pt_prime), "right")
     Y = _common_complement(U[1], U[3]) if tall else np.zeros((n, 0))
     P2Y = np.column_stack([P2, Y])
     C = (np.column_stack([P, Y]) @ np.linalg.inv(P2Y)).T
     CQ2 = np.linalg.solve(C, Q2)
-    UC = _frames(who, ("C^-1 Q'", CQ2), uv=tall)[0]
+    UC = column_frames(who, ("C^-1 Q'", CQ2), uv=tall)[0]
     X = _common_complement(U[0], UC[0]) if tall else Y
     QX = np.column_stack([Q, X])
     A = np.column_stack([Q2, C @ X]) @ np.linalg.inv(QX)
@@ -366,7 +352,7 @@ def orbit(pt: CotangentPoint) -> OrbitReport:
     """The Jordan data of the left momentum label both orbits (the right
     form drops one from each nilpotent block size); only full-rank
     points have a label."""
-    _frames("orbit labelling", ("Q", pt.Q), ("P", pt.P), uv=False)
+    column_frames("orbit labelling", ("Q", pt.Q), ("P", pt.P), uv=False)
     jd = jordan_structure(momentum_left(pt), side="left")
     return OrbitReport(jd, jd, jd.to_obj(), *jordan_correspond(jd))
 

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+_FLOAT_MAX = float(np.finfo(float).max)
+
 
 def matrix_to_obj(M: np.ndarray) -> dict:
     M = np.asarray(M)
@@ -34,8 +36,11 @@ def read_int(obj: dict, key: str, where: str) -> int:
 
 
 def is_number(value) -> bool:
-    """A JSON number: an int or a float, not a bool."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A finite JSON number: an int or a float, not a bool.  json reads
+    NaN, Infinity and ints of any size, so the value must also lie in the
+    float range, which NaN does not."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= _FLOAT_MAX)
 
 
 def matrix_from_obj(obj: dict) -> np.ndarray:
@@ -54,9 +59,11 @@ def matrix_from_obj(obj: dict) -> np.ndarray:
         return (isinstance(v, list) and len(v) == 2 and all(map(is_number, v))
                 if cplx else is_number(v))
 
-    if not all(entry(v) for row in data for v in row):
-        raise ValueError("matrix entries must be numbers, or [re, im] pairs of "
-                         "numbers in a complex matrix")
+    for i, row in enumerate(data):
+        for j, v in enumerate(row):
+            if not entry(v):
+                want = "an [re, im] pair of finite numbers" if cplx else "a finite number"
+                raise ValueError(f"matrix entry [{i}][{j}] must be {want}, not {v!r}")
     if cplx:
         # each [re, im] pair is the two float64 halves of one complex128
         return np.array(data, dtype=float).reshape(rows, cols, 2).view(complex)[..., 0]

@@ -26,8 +26,8 @@ import numpy as np
 RANK_TOL_FACTOR = 100.0
 # skew_canonical accepts xi when |xi + xi^T|_F <= max(SKEW_RTOL |xi|_F, 1e-13);
 SKEW_RTOL = 1e-9
-# two momentum values or Gram matrices match when their difference is
-# at most MATCH_RTOL times max(1, their norms);
+# two momentum values match when their difference is at most
+# MATCH_RTOL times max(1, their norms);
 MATCH_RTOL = 1e-8
 # seesaw takes zeta as anti-Hermitian when |zeta + zeta^H|_F is at most
 # ANTI_HERMITIAN_RTOL times max(1, |zeta|_F), and a restriction to o(m)
@@ -124,6 +124,21 @@ def rank_tol(M: np.ndarray) -> int:
     if M.size == 0:
         return 0
     return svd_rank(np.linalg.svd(M, compute_uv=False), M.shape)
+
+
+def column_frames(who: str, *named, uv: bool = True):
+    """One thin SVD of each (name, matrix) pair, stacked in one call
+    (only the singular values when uv is false), refused unless every
+    matrix has full column rank by the ``svd_rank`` rule; the refusal
+    names who asked, the first matrix short of rank and its rank."""
+    names, mats = zip(*named)
+    svd = np.linalg.svd(np.stack(mats), full_matrices=False, compute_uv=uv)
+    for name, M, s in zip(names, mats, svd[1] if uv else svd):
+        r = svd_rank(s, M.shape)
+        if r < M.shape[1]:
+            raise ValueError(f"{who} requires {name} of full column rank {M.shape[1]}; "
+                             f"its rank is {r}")
+    return svd
 
 
 def relative_diff(A: np.ndarray, B: np.ndarray) -> float:

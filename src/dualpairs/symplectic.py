@@ -5,13 +5,12 @@ Momentum maps for the form Tr(E^T J F):
     left  E -> -1/2 E E^T J    in sp(2n,R),
     right E -> -1/2 E^T J E    in o(m).
 
-The module also provides the constructive isometry-extension solver for
-the symplectic form (``witt_extend``, the engine behind the left
-witness), which completes both column families to Darboux bases from
-``skew_canonical`` planes, one minimum-norm solve and one complete QR;
-an SVD-like factorization E = S D O with S symplectic, O orthogonal and
-D a sparse template; and the matched orbit normal forms read off from
-D.  The module is the symplectic record of ``pairs.PAIRS``.
+The left witness extends the column map E -> E' to a symplectic S
+(Witt's theorem) through two Darboux completions, and one completion
+builds S in an SVD-like factorization E = S D O with S symplectic, O
+orthogonal and D a sparse template; the matched orbit normal forms are
+read off from D.  The module is the symplectic record of
+``pairs.PAIRS``.
 """
 
 from __future__ import annotations
@@ -22,8 +21,8 @@ import numpy as np
 
 from .jsonio import matrix_point_from_obj as point_from_obj, matrix_point_to_obj as point_to_obj
 from .linalg import (
-    MATCH_RTOL,
     RANK_TOL_FACTOR,
+    column_frames,
     isometry_between,
     omega_real,
     random_group_element,
@@ -144,21 +143,21 @@ def build_template(inv: SpOrbitInvariants) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# constructive isometry extension for the symplectic form
+# Darboux completion
 
-def _planes(G: np.ndarray, E: np.ndarray):
-    """``skew_canonical`` of a skew Gram G quadratic in E, above its noise.
+def _planes(G: np.ndarray, smax: float):
+    """``skew_canonical`` of a skew Gram G, above its noise.
 
-    G's entries carry roundoff near eps |E|_2^2, so pair values at or
-    below RANK_TOL_FACTOR * m * eps * |E|_2^2, with m the order of G,
-    are roundoff from an isotropic plane, not structure.  skew_canonical
+    G is quadratic in a family of 2-norm smax, so its entries carry
+    roundoff near eps smax^2, and pair values at or below
+    RANK_TOL_FACTOR * m * eps * smax^2, with m the order of G, are
+    roundoff from an isotropic plane, not structure.  skew_canonical
     alone cannot see this (it only knows |G|), and the dropped pairs sit
     at the tail of its descending order, so dropping them turns their
     rows into kernel rows without reshuffling O.  Returns (O, pair
     values).
     """
     O, a = skew_canonical(G)
-    smax = float(np.linalg.norm(E, 2))
     floor = RANK_TOL_FACTOR * G.shape[0] * np.finfo(float).eps * smax * smax
     return O, [x for x in a if x > floor]
 
@@ -170,8 +169,11 @@ def _darboux_basis(M: np.ndarray, p: int, J: np.ndarray) -> np.ndarray:
     couple to nothing else, followed by radical columns R.  The first
     half of B takes the planes' first columns, R and the complement's
     first columns; the second half their partners in the same order.
+    An empty M gets the identity.
     """
     k = M.shape[1]
+    if k == 0:
+        return np.eye(J.shape[0])
     R = M[:, 2 * p:]
     # every radical partner from one minimum-norm solve of
     # omega(M, P) = [0; I].  Adding R X keeps omega(M, P), since R couples
@@ -182,10 +184,11 @@ def _darboux_basis(M: np.ndarray, p: int, J: np.ndarray) -> np.ndarray:
     P = J.T @ M @ np.linalg.solve(M.T @ M, C)
     P += 0.5 * R @ (P.T @ J @ P)
     # the omega-complement of [M P] is the orthogonal complement of
-    # J [M P]: the last columns of its complete QR, put in Darboux form
+    # J [M P]: the last columns of its complete QR, orthonormal, so its
+    # restricted Gram has noise scale 1, put in Darboux form
     F = np.hstack([M, P])
     Q = np.linalg.qr(J @ F, mode="complete")[0][:, F.shape[1]:]
-    O, a = _planes(Q.T @ J @ Q, Q)
+    O, a = _planes(Q.T @ J @ Q, 1.0)
     if 2 * len(a) != Q.shape[1]:
         raise ValueError("degenerate restricted form on the complement")
     Qc = (Q @ O.T) / np.sqrt(np.repeat(a, 2))
@@ -193,76 +196,32 @@ def _darboux_basis(M: np.ndarray, p: int, J: np.ndarray) -> np.ndarray:
                       M[:, 1:2 * p:2], P, Qc[:, 1::2]])
 
 
-def witt_extend(V: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """Symplectic matrix S with S @ V = W for two matched column families.
-
-    Both families must be linearly independent and have equal pairwise
-    symplectic products.  The classical extension theorem guarantees S
-    exists; this builds one deterministically, as S = B_W B_V^-1 for two
-    Darboux bases that contain the families:
-
-    1. ``skew_canonical`` of the source Gram (``_planes``) gives one
-       column transform T for both families: its planes, scaled by
-       a^(-1/2) to omega = 1, then its kernel, the radical;
-    2. the radical's partners come from one minimum-norm solve, shifted
-       along the radical to be isotropic;
-    3. the omega-complement of the family and its partners, from one
-       complete QR, is put in Darboux form by ``_planes`` of its
-       restricted Gram.
-    """
-    V = np.asarray(V, dtype=float)
-    W = np.asarray(W, dtype=float)
-    if V.shape != W.shape:
-        raise ValueError("source and destination families differ in shape")
-    dim, k = V.shape
-    if dim % 2 != 0:
-        raise ValueError("ambient dimension must be even")
-    if k > dim:
-        raise ValueError("too many vectors")
-    J = standard_J(dim // 2)
-    if k == 0:
-        return np.eye(dim)
-    if rank_tol(V) < k or rank_tol(W) < k:
-        raise ValueError("input families must be linearly independent")
-    Gv = V.T @ J @ V
-    Gw = W.T @ J @ W
-    scale = max(1.0, float(np.abs(Gv).max()))
-    if np.abs(Gv - Gw).max() > MATCH_RTOL * scale:
-        raise ValueError("pairwise symplectic products do not match")
-
-    O, a = _planes(Gv, V)
-    T = O.T
-    T[:, :2 * len(a)] /= np.sqrt(np.repeat(a, 2))
-    BV = _darboux_basis(V @ T, len(a), J)
-    BW = _darboux_basis(W @ T, len(a), J)
-    return BW @ np.linalg.inv(BV)
-
-
 # ---------------------------------------------------------------------------
 # witnesses and the template factorization
-
-def _require_rank_m(who, *named):
-    # named lists (name, point) pairs; the refusal names the first point
-    # short of full column rank, with m and the rank found
-    for name, E in named:
-        r = rank_tol(E)
-        if r < E.shape[1]:
-            raise ValueError(f"{who} requires {name} of full column rank {E.shape[1]}; "
-                             f"its rank is {r}")
-
 
 def witness_left(E: np.ndarray, E_prime: np.ndarray) -> WitnessReport:
     """S in Sp(2n,R) with S E close to E_prime, given equal right momenta.
 
-    Equal right momenta mean the two column families have equal
-    pairwise symplectic products, so the extension solver applies
-    directly (full column rank keeps the families independent).
+    Equal right momenta are equal Grams E^T J E, so Witt's extension
+    theorem gives a symplectic S mapping the columns of E to those of
+    E_prime: S = B' B^-1 for Darboux bases B and B' that contain them.
+    One stacked SVD checks both for full column rank, which keeps the
+    families independent, and gives |E|_2, the noise scale of the Gram.
+    ``_planes`` of the Gram gives one column transform T for both: its
+    planes scaled by a^(-1/2) to omega = 1, then its kernel, the
+    radical.  ``_darboux_basis`` completes E T to B and E_prime T to B'.
     """
     E = np.asarray(E, dtype=float)
     E_prime = np.asarray(E_prime, dtype=float)
-    _require_rank_m("witness_left", ("E", E), ("E'", E_prime))
-    _require_level_match(momentum_right(E), momentum_right(E_prime), "right")
-    S = witt_extend(E, E_prime)
+    s = column_frames("witness_left", ("E", E), ("E'", E_prime), uv=False)
+    xi = momentum_right(E)
+    _require_level_match(xi, momentum_right(E_prime), "right")
+    O, a = _planes(-2.0 * xi, np.max(s[0], initial=0.0))  # the Gram is -2 xi
+    T = O.T
+    T[:, :2 * len(a)] /= np.sqrt(np.repeat(a, 2))
+    J = standard_J(E.shape[0] // 2)
+    B, B_prime = (_darboux_basis(F @ T, len(a), J) for F in (E, E_prime))
+    S = B_prime @ np.linalg.inv(B)
     return WitnessReport(S, relative_diff(S @ E, E_prime), "left")
 
 
@@ -276,7 +235,7 @@ def witness_right(E: np.ndarray, E_prime: np.ndarray) -> WitnessReport:
     """
     E = np.asarray(E, dtype=float)
     E_prime = np.asarray(E_prime, dtype=float)
-    _require_rank_m("witness_right", ("E", E), ("E'", E_prime))
+    column_frames("witness_right", ("E", E), ("E'", E_prime), uv=False)
     _require_level_match(momentum_left(E), momentum_left(E_prime), "left")
     O = isometry_between(E.T, E_prime.T)
     return WitnessReport(O, relative_diff(E @ O.T, E_prime), "right")
@@ -287,19 +246,20 @@ def symplectic_svd(E: np.ndarray):
 
     S is symplectic, O orthogonal, and D the sparse template of
     ``build_template``; the sigma values in D are the symplectic
-    singular values of E.  Algorithm: put the right momentum into skew
-    canonical form above its noise floor (``_planes``) to get O and the
-    sigmas, then extend the column correspondence D -> E O^T to a
-    symplectic matrix (both families have identical pairwise products by
-    construction).
+    singular values of E.  One SVD is the rank check and gives |E|_2,
+    the noise scale at which ``_planes`` puts the right momentum into
+    skew canonical form: O and the sigmas.  Then S D = W = E O^T fixes
+    S's columns a, n + a and p + b as the Darboux planes
+    (W_a, W_p+q+a) / sigma_a and the radical W_p+b, and one
+    ``_darboux_basis`` completes them to S.
 
     Returns (S, D, O, invariants).
     """
     E = np.asarray(E, dtype=float)
     two_n, m = E.shape
     n = two_n // 2
-    _require_rank_m("symplectic_svd", ("E", E))
-    O0, a_vals = _planes(momentum_right(E), E)
+    s = column_frames("symplectic_svd", ("E", E), uv=False)
+    O0, a_vals = _planes(momentum_right(E), np.max(s, initial=0.0))
     p = len(a_vals)
     q = m - 2 * p
     r = n - m + p
@@ -308,13 +268,15 @@ def symplectic_svd(E: np.ndarray):
     sigmas = tuple(float(np.sqrt(2.0 * a)) for a in a_vals)
     inv = SpOrbitInvariants(p, sigmas, q, r, n, m)
 
-    # reorder the canonical-form rows so the conjugated momentum matches
-    # the template's block layout: pair (2a, 2a+1) goes to rows (p+q+a, a),
-    # kernel rows fill the middle block
+    # reorder the canonical-form rows to the template's block layout: pair
+    # (2a, 2a+1) goes to rows (p+q+a, a), kernel rows fill the middle block
     O = O0[np.r_[1:2 * p:2, 2 * p:m, 0:2 * p:2]]
+    # W's planes (W_a, W_p+q+a) are E (o_2a+1, o_2a) for the rows o of O0
+    M = E @ O0[np.r_[np.arange(2 * p) ^ 1, 2 * p:m]].T
+    M[:, :2 * p] /= np.repeat(sigmas, 2)
+    S = _darboux_basis(M, p, standard_J(n))
 
     D = build_template(inv)
-    S = witt_extend(D, E @ O.T)
     recon = relative_diff(S @ D @ O, E)
     if recon > 1e-6:
         raise ValueError(f"factorization failed to reconstruct (residual {recon:.3e})")

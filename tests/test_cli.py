@@ -291,7 +291,8 @@ def test_suite_config_file(tmp_path, capsys):
 
 @pytest.mark.parametrize("bad", [{"trials": None}, {"trials": 1.7}, {"seed": 1.5},
                                  {"seed": "3"}, {"pairs": [["u"]]}, {"pairs": "u"},
-                                 {"tol": [1]}, {"tol": True}, {"out": 5}])
+                                 {"tol": [1]}, {"tol": True}, {"out": 5},
+                                 {"tol": float("nan")}])
 def test_suite_malformed_config_exits_2(tmp_path, capsys, bad):
     cfg = tmp_path / "cfg.json"
     out = tmp_path / "rep.json"
@@ -340,6 +341,33 @@ def test_malformed_matrix_exits_2(tmp_path, capsys, case):
     assert cli.main(["momentum", str(f), "--side", "left"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _nonfinite_argv(tmp_path, command):
+    # json.dumps writes NaN and Infinity tokens, which json.loads reads back
+    bad = np.eye(2)
+    bad[1, 0] = np.inf if command == "orbit sp" else np.nan
+    if command == "momentum":
+        f = _write_instance(tmp_path / "u.json", "unitary", 1, 1, matrix=[[np.nan]])
+        return ["momentum", f, "--side", "left"], "[0][0]", "nan"
+    if command == "witness":
+        good = _write_instance(tmp_path / "a.json", "symplectic", 1, 2, matrix=np.eye(2))
+        f = _write_instance(tmp_path / "b.json", "symplectic", 1, 2, matrix=bad)
+        return ["witness", good, f, "--side", "left"], "[1][0]", "nan"
+    if command == "orbit gl":
+        f = _write_instance(tmp_path / "g.json", "general_linear", 2, 2, Q=bad, P=np.eye(2))
+        return ["orbit", f], "[1][0]", "nan"
+    f = _write_instance(tmp_path / "s.json", "symplectic", 1, 2, matrix=bad)
+    return ["orbit", f], "[1][0]", "inf"
+
+
+@pytest.mark.parametrize("command", ["momentum", "witness", "orbit gl", "orbit sp"])
+def test_nonfinite_matrix_entry_exits_2_naming_it(tmp_path, capsys, command):
+    argv, where, value = _nonfinite_argv(tmp_path, command)
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: matrix entry {where} must be a finite number, not {value}\n"
 
 
 @pytest.mark.parametrize("kind,n,fields", [("symplectic", 1, ["matrix"]),

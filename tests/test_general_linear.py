@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dualpairs import general_linear as gl
-from dualpairs.linalg import random_group_element, stream_rng
+from dualpairs.linalg import column_frames, random_group_element, stream_rng
 from dualpairs.pairs import LevelMismatchError
 
 
@@ -233,7 +233,7 @@ def test_refusal_of_a_rank_deficient_transported_frame():
     M = np.eye(4)[:, [0, 1, 1]]
     with pytest.raises(ValueError, match="^witness_left requires C\\^-1 Q' of full column "
                                          "rank 3; its rank is 2$"):
-        gl._frames("witness_left", ("C^-1 Q'", M))
+        column_frames("witness_left", ("C^-1 Q'", M))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Symplectic/orthogonal pair: momenta, Witt extension, decomposition."""
+"""Symplectic/orthogonal pair: momenta, Witt extension by the left witness,
+decomposition."""
 
 import numpy as np
 import pytest
@@ -90,11 +91,11 @@ def test_build_template_mixed_blocks():
 
 
 # ---------------------------------------------------------------------------
-# Witt extension
+# Witt extension: the left witness on matched column families
 
 def test_witt_extend_fixed_family():
     E = _random_rank_m(2, 2, 81)
-    S = symplectic.witt_extend(E, E)
+    S = symplectic.witness_left(E, E).witness
     J = standard_J(2)
     assert np.linalg.norm(S.T @ J @ S - J) <= 1e-10
     np.testing.assert_allclose(S @ E, E, atol=1e-10 * np.linalg.norm(E))
@@ -102,14 +103,14 @@ def test_witt_extend_fixed_family():
 
 def test_witt_extend_full_basis_unique():
     S0 = random_group_element("symplectic", 4, 82)
-    S = symplectic.witt_extend(np.eye(4), S0)
+    S = symplectic.witness_left(np.eye(4), S0).witness
     np.testing.assert_allclose(S, S0, atol=1e-10)
 
 
 def test_witt_extend_isotropic_vector():
     e1 = np.array([[1.0], [0.0]])
     e2 = np.array([[0.0], [1.0]])
-    S = symplectic.witt_extend(e1, e2)
+    S = symplectic.witness_left(e1, e2).witness
     J = standard_J(1)
     assert np.linalg.norm(S.T @ J @ S - J) <= 1e-12
     np.testing.assert_allclose(S @ e1, e2, atol=1e-12)
@@ -117,8 +118,8 @@ def test_witt_extend_isotropic_vector():
 
 def test_witt_extend_rejects_gram_mismatch():
     E = _random_rank_m(2, 2, 83)
-    with pytest.raises(ValueError):
-        symplectic.witt_extend(E, 2.0 * E)
+    with pytest.raises(LevelMismatchError):
+        symplectic.witness_left(E, 2.0 * E)
 
 
 def _template_partners(n, p, sigmas, q, seed):
@@ -141,7 +142,7 @@ def _assert_extends(V, W, S):
 def test_witt_extend_isotropic_family(n, m):
     # p = 0: every column is in the radical and gets a partner
     V, W = _template_partners(n, 0, (), m, 100 + n + m)
-    _assert_extends(V, W, symplectic.witt_extend(V, W))
+    _assert_extends(V, W, symplectic.witness_left(V, W).witness)
 
 
 @pytest.mark.parametrize("n,p,q", [(2, 1, 1), (4, 2, 1), (5, 2, 2), (8, 3, 4),
@@ -150,7 +151,7 @@ def test_witt_extend_mixed_family(n, p, q):
     # planes with sigmas 1.6, 1.3, ... and a radical beside them
     sigmas = tuple(1.6 - 0.3 * np.arange(p))
     V, W = _template_partners(n, p, sigmas, q, 200 + n)
-    _assert_extends(V, W, symplectic.witt_extend(V, W))
+    _assert_extends(V, W, symplectic.witness_left(V, W).witness)
 
 
 @pytest.mark.parametrize("n", [1, 3, 8])
@@ -158,7 +159,7 @@ def test_witt_extend_square_family_has_empty_complement(n):
     # m = 2n forces p = n: V is a basis and S = W V^-1 is unique
     sigmas = tuple(1.8 - 1.0 * np.arange(n) / n)
     V, W = _template_partners(n, n, sigmas, 0, 300 + n)
-    S = symplectic.witt_extend(V, W)
+    S = symplectic.witness_left(V, W).witness
     _assert_extends(V, W, S)
     np.testing.assert_allclose(S, W @ np.linalg.inv(V), atol=1e-13)
 
@@ -299,6 +300,58 @@ def test_decomposition_needs_full_rank():
     E[0, 0] = 1.0
     with pytest.raises(ValueError):
         symplectic.symplectic_svd(E)
+
+
+@pytest.mark.parametrize("n,p,q", [(1, 0, 1), (4, 0, 3), (16, 0, 16),  # p = 0
+                                   (4, 2, 0), (8, 3, 0),                # q = 0
+                                   (4, 1, 3), (8, 3, 5),                # r = 0
+                                   (1, 1, 0), (3, 3, 0), (16, 16, 0)])  # m = 2n
+def test_symplectic_svd_of_template_partners(n, p, q):
+    # S D = E O^T fixes S's template columns; one Darboux completion
+    # adds the rest, and the invariants are those of the template
+    sigmas = tuple(1.8 - 1.0 * np.arange(p) / max(p, 1))
+    J = standard_J(n)
+    for seed in range(4):
+        for E in _template_partners(n, p, sigmas, q, 400 + seed):
+            S, D, O, inv = symplectic.symplectic_svd(E)
+            assert (inv.p, inv.q, inv.r) == (p, q, n - p - q)
+            np.testing.assert_allclose(inv.sigmas, sigmas, rtol=1e-13, atol=0)
+            assert np.linalg.norm(S.T @ J @ S - J) <= 1e-13
+            assert np.linalg.norm(S @ D @ O - E) <= 1e-14 * np.linalg.norm(E)
+
+
+def test_no_columns_give_the_identity():
+    E = np.zeros((4, 0))
+    np.testing.assert_array_equal(symplectic.witness_left(E, E).witness, np.eye(4))
+    S, D, O, inv = symplectic.symplectic_svd(E)
+    np.testing.assert_array_equal(S, np.eye(4))
+    assert D.shape == (4, 0) and O.shape == (0, 0)
+    assert (inv.p, inv.q, inv.r) == (0, 0, 2)
+
+
+@pytest.mark.parametrize("who", ["witness_left", "symplectic_svd"])
+def test_one_svd_and_no_two_norm_per_call(monkeypatch, who):
+    # the rank check's SVD also gives |E|_2, the Gram's noise scale
+    counts = {"svd": 0, "2-norm": 0}
+    svd, norm = np.linalg.svd, np.linalg.norm
+
+    def counting_svd(*args, **kwargs):
+        counts["svd"] += 1
+        return svd(*args, **kwargs)
+
+    def counting_norm(x, ord=None, *args, **kwargs):
+        counts["2-norm"] += ord == 2
+        return norm(x, ord, *args, **kwargs)
+
+    # a radical, planes and a nonempty complement: every step runs
+    V, W = _template_partners(5, 2, (1.6, 1.3), 1, 500)
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(np.linalg, "norm", counting_norm)
+    if who == "witness_left":
+        symplectic.witness_left(V, W)
+    else:
+        symplectic.symplectic_svd(V)
+    assert counts == {"svd": 1, "2-norm": 0}
 
 
 # ---------------------------------------------------------------------------
