@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import general_linear, seesaw, symplectic
+from . import general_linear, seesaw, symplectic, unitary
 from .jsonio import is_number, matrix_to_obj, read_int, report_record
 from .linalg import (
     group_residual,
@@ -100,8 +100,12 @@ def _load_instance(path: str, pair: str = None) -> DualPairInstance:
     expected = _normalize_pair(pair) if pair else kind
     if kind != expected:
         raise ValueError(f"{path}: holds a {kind} instance, expected {expected}")
-    n, m = read_int(obj, "n", path), read_int(obj, "m", path)
-    return DualPairInstance(kind, n, m, PAIRS[kind].point_from_obj(obj))
+    try:
+        n, m = read_int(obj, "n", path), read_int(obj, "m", path)
+        point = PAIRS[kind].point_from_obj(obj)
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing field {exc}") from None
+    return DualPairInstance(kind, n, m, point)
 
 
 def _random_instance(pair: str, n: int, m: int, seed: int,
@@ -284,8 +288,7 @@ def _run_omega_real(inst, seed, base):
     shape = (inst.n, inst.m)
     E = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     F = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    return abs(omega_complex(E, F)
-               - omega_real(seesaw.complex_to_real(E), seesaw.complex_to_real(F)))
+    return abs(omega_complex(E, F) - omega_real(unitary.to_real(E), unitary.to_real(F)))
 
 
 def _draw_u(rng, n):
@@ -348,6 +351,10 @@ def cmd_suite(args) -> int:
         given = json.loads(Path(args.config).read_text())
         if not isinstance(given, dict):
             raise ValueError("config file must hold a JSON object")
+        unknown = sorted(given.keys() - config.keys())
+        if unknown:
+            raise ValueError(f"{args.config}: unknown config key {unknown[0]!r}; "
+                             "use pairs, trials, seed, tol or out")
         config.update(given)
     where = args.config
     pairs = config["pairs"]

@@ -27,10 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .jsonio import matrix_from_obj, matrix_to_obj
-from .linalg import column_frames, omega_real, rank_tol, relative_diff, stream_rng
+from .linalg import column_frames, rank_tol, relative_diff, stream_rng
 from .pairs import OrbitReport, WitnessReport, require_level_match as _require_level_match
 
-ALGEBRA = {"left": "gl", "right": "gl"}
 GROUP = {"left": "general_linear", "right": "general_linear"}
 
 
@@ -51,9 +50,10 @@ class CotangentPoint:
         object.__setattr__(self, "Q", Q)
         object.__setattr__(self, "P", P)
 
-
-def side_sizes(n: int, m: int) -> dict:
-    return {"left": n, "right": m}
+    @property
+    def shape(self) -> tuple:
+        """(n, m): GL(n) acts on the rows of Q and P, GL(m) on the columns."""
+        return self.Q.shape
 
 
 def check_dims(n: int, m: int):
@@ -97,14 +97,11 @@ def infinitesimal_right(pt: CotangentPoint, xi: np.ndarray) -> tuple:
     return pt.Q @ xi, -pt.P @ np.swapaxes(xi, -1, -2)
 
 
-def tangent_omega(t1, t2):
-    """omega_real on tangents (dQ, dP) read as the matrices [dQ; dP]."""
-    return omega_real(np.concatenate(t1, axis=-2), np.concatenate(t2, axis=-2))
-
-
-def tangent_parts(t) -> tuple:
-    """Darboux halves (q, p) = (dQ, dP): omega = q1 . p2 - p1 . q2."""
-    return t
+def to_real(x) -> np.ndarray:
+    """The real model [Q; P] of a point, or [dQ; dP] of a tangent
+    (dQ, dP) or a stack of tangents."""
+    q, p = (x.Q, x.P) if isinstance(x, CotangentPoint) else x
+    return np.concatenate([q, p], axis=-2)
 
 
 def act_left(A: np.ndarray, pt: CotangentPoint) -> CotangentPoint:

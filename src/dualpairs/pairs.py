@@ -8,11 +8,14 @@ geometries with a concrete manifold point:
 * ``general_linear`` pairs (Q, P) of real rank-m n x m matrices,
                      groups GL(n,R) acting on the left, GL(m,R) on the right
 
-Each pair module is the record of its pair: it names its side algebras
-and groups and supplies the point checks, random points, instance-file
-fields, actions, tangent form, momenta, witnesses and orbit labels
-under the same names.  ``PAIRS`` maps each pair id to its module and is
-the only place that dispatches on the id.
+Each pair module is the record of its pair: it names its side groups
+and supplies the point checks, random points, instance-file fields,
+actions, momenta, witnesses and orbit labels under the same names, and
+``to_real``, which writes a point or tangent as a real 2n x m matrix
+carrying the form ``omega_real``.  A side's algebra follows from its
+group, and its size from the point's shape (the left group acts on the
+rows, the right group on the columns).  ``PAIRS`` maps each pair id to
+its module and is the only place that dispatches on the id.
 
 The checks in this module exercise the general theory: equivariance of
 the momentum maps, invariance of each level set under the opposite
@@ -27,8 +30,8 @@ from typing import Any
 
 import numpy as np
 
-from .linalg import (MATCH_RTOL, rank_tol, require_member, shared_array, standard_J,
-                     trace_pairing)
+from .linalg import (MATCH_RTOL, omega_real, rank_tol, require_member, shared_array,
+                     standard_J, trace_pairing)
 
 
 @dataclass(frozen=True)
@@ -198,12 +201,16 @@ def bracket(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b - b @ a
 
 
+_ALGEBRA_OF_GROUP = {"unitary": "u", "orthogonal": "o", "symplectic": "sp",
+                     "general_linear": "gl"}
+
+
 def algebra_tag(pair_id: str, side: str) -> str:
-    return PAIRS[pair_id].ALGEBRA[side]
+    return _ALGEBRA_OF_GROUP[PAIRS[pair_id].GROUP[side]]
 
 
 def algebra_size(inst: DualPairInstance, side: str) -> int:
-    return inst.module.side_sizes(inst.n, inst.m)[side]
+    return inst.point.shape[0 if side == "left" else 1]
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +222,7 @@ def momentum(inst: DualPairInstance, side: str) -> MomentumValue:
         raise ValueError("side must be 'left' or 'right'")
     mod = inst.module
     fn = mod.momentum_left if side == "left" else mod.momentum_right
-    return MomentumValue(side, mod.ALGEBRA[side], fn(inst.point))
+    return MomentumValue(side, algebra_tag(inst.pair_id, side), fn(inst.point))
 
 
 def act(inst: DualPairInstance, side: str, g: np.ndarray) -> DualPairInstance:
@@ -251,17 +258,17 @@ def tangent_omega(inst: DualPairInstance, t1, t2):
     Stacks of tangents broadcast over their leading axes and give an
     array of values.
     """
-    return inst.module.tangent_omega(t1, t2)
+    to_real = inst.module.to_real
+    return omega_real(to_real(t1), to_real(t2))
 
 
 def _vectorize_tangent(inst: DualPairInstance, t) -> np.ndarray:
     """Real coordinates of a tangent, along the last axis for a stack:
-    the n m entries of its Darboux half q, then those of p."""
-    def flat(a):
-        *lead, rows, cols = np.shape(a)
-        return np.reshape(a, (*lead, rows * cols))
-
-    return np.concatenate([flat(a) for a in inst.module.tangent_parts(t)], axis=-1)
+    its real model read row-major, so the n m entries of the Darboux
+    half q (the top n rows) come before those of p."""
+    x = inst.module.to_real(t)
+    # the explicit product, as -1 cannot be inferred for an empty stack
+    return x.reshape(*x.shape[:-2], x.shape[-2] * x.shape[-1])
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,12 @@ u(n) and gl(n,R) sit inside sp(2n,R) through
     zeta1 + i zeta2  ->  [[zeta1, -zeta2], [zeta2, zeta1]],
     zeta             ->  [[zeta, 0], [0, -zeta^T]],
 
-matching the identification of a complex n x m matrix E1 + i E2 with
-the real stack [E1; E2] (and of a pair (Q, P) with [Q; P]).  Dually,
-o(m) sits inside u(m) and gl(m,R), and under the trace-form
-identifications the restriction maps are the real part and the skew
-part.  The two check functions evaluate both legs of the resulting
-momentum-map diagrams and report residuals.
+matching each pair module's real model ``to_real``: a complex n x m
+matrix E1 + i E2 is the real stack [E1; E2] and a pair (Q, P) is
+[Q; P].  Dually, o(m) sits inside u(m) and gl(m,R), and under the
+trace-form identifications the restriction maps are the real part and
+the skew part.  The two check functions evaluate both legs of the
+resulting momentum-map diagrams and report residuals.
 """
 
 from __future__ import annotations
@@ -57,12 +57,6 @@ def embed_gl_to_sp(zeta: np.ndarray) -> np.ndarray:
     return out
 
 
-def complex_to_real(E: np.ndarray) -> np.ndarray:
-    """Stack [Re E; Im E]; a symplectomorphism onto the real model."""
-    E = np.asarray(E, dtype=complex)
-    return np.vstack([np.real(E), np.imag(E)])
-
-
 def _check_adjoint_relation(out: np.ndarray, mu: np.ndarray):
     # the restriction is correct iff it pairs like the original against
     # every real skew matrix; verified rather than trusted.  Pairing x
@@ -94,10 +88,11 @@ def restrict_gl_to_o(xi: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_diagram(pt, stacked, mod, algebra: str, embed, restrict) -> dict:
-    # pt is a point of the pair module mod and stacked its real 2n x m
-    # model; algebra, embed and restrict name the left algebra, its
-    # embedding into sp(2n,R) and the restriction of right momenta to o(m)
+def _check_diagram(pt, mod, algebra: str, embed, restrict) -> dict:
+    # pt is a point of the pair module mod; algebra, embed and restrict
+    # name the left algebra, its embedding into sp(2n,R) and the
+    # restriction of right momenta to o(m)
+    stacked = mod.to_real(pt)
     j_sp = symplectic.momentum_left(stacked)
     basis = basis_stack(algebra, stacked.shape[0] // 2)
     # the trace pairings Re Tr(j b) = Re sum_ij b_ij j_ji with every basis
@@ -120,10 +115,9 @@ def check_diagram_sp_u(E: np.ndarray) -> dict:
     real right momentum on the nose.
     """
     E = np.asarray(E, dtype=complex)
-    return _check_diagram(E, complex_to_real(E), unitary, "u", embed_u_to_sp, restrict_u_to_o)
+    return _check_diagram(E, unitary, "u", embed_u_to_sp, restrict_u_to_o)
 
 
 def check_diagram_sp_gl(pt) -> dict:
     """Same two residuals for a (Q, P) point stacked into [Q; P]."""
-    stacked = np.vstack([np.asarray(pt.Q, dtype=float), np.asarray(pt.P, dtype=float)])
-    return _check_diagram(pt, stacked, general_linear, "gl", embed_gl_to_sp, restrict_gl_to_o)
+    return _check_diagram(pt, general_linear, "gl", embed_gl_to_sp, restrict_gl_to_o)

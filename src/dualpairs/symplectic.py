@@ -24,7 +24,6 @@ from .linalg import (
     RANK_TOL_FACTOR,
     column_frames,
     isometry_between,
-    omega_real,
     random_group_element,
     rank_tol,
     relative_diff,
@@ -34,15 +33,11 @@ from .linalg import (
 )
 from .pairs import OrbitReport, WitnessReport, require_level_match as _require_level_match
 
-ALGEBRA = {"left": "sp", "right": "o"}
 GROUP = {"left": "symplectic", "right": "orthogonal"}
 # both actions and their derivatives are matrix products
 act_left = act_right = infinitesimal_left = infinitesimal_right = np.matmul
-tangent_omega = omega_real
-
-
-def side_sizes(n: int, m: int) -> dict:
-    return {"left": 2 * n, "right": m}
+# a point, a tangent or a stack of tangents is its own real model
+to_real = np.asarray
 
 
 def check_dims(n: int, m: int):
@@ -68,12 +63,6 @@ def full_rank(E: np.ndarray) -> bool:
 
 def random_point(n: int, m: int, rng) -> np.ndarray:
     return rng.standard_normal((2 * n, m))
-
-
-def tangent_parts(t) -> tuple:
-    """Darboux halves (q, p), the top and bottom n rows of a 2n x m
-    tangent: omega = q1 . p2 - p1 . q2."""
-    return tuple(np.split(np.asarray(t, dtype=float), 2, axis=-2))
 
 
 def momentum_left(E: np.ndarray) -> np.ndarray:

@@ -18,19 +18,12 @@ from __future__ import annotations
 import numpy as np
 
 from .jsonio import matrix_point_from_obj as point_from_obj, matrix_point_to_obj as point_to_obj
-from .linalg import (isometry_between, omega_complex, random_group_element, rank_tol,
-                     relative_diff, stream_rng)
+from .linalg import isometry_between, random_group_element, rank_tol, relative_diff, stream_rng
 from .pairs import OrbitReport, WitnessReport, require_level_match as _require_level_match
 
-ALGEBRA = {"left": "u", "right": "u"}
 GROUP = {"left": "unitary", "right": "unitary"}
 # both actions and their derivatives are matrix products
 act_left = act_right = infinitesimal_left = infinitesimal_right = np.matmul
-tangent_omega = omega_complex
-
-
-def side_sizes(n: int, m: int) -> dict:
-    return {"left": n, "right": m}
 
 
 def check_dims(n: int, m: int):
@@ -52,9 +45,10 @@ def random_point(n: int, m: int, rng) -> np.ndarray:
     return rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
 
 
-def tangent_parts(t) -> tuple:
-    """Darboux halves (q, p) = (Re t, Im t): omega = q1 . p2 - p1 . q2."""
-    return np.real(t), np.imag(t)
+def to_real(x) -> np.ndarray:
+    """The real model [Re x; Im x] of a point, a tangent or a stack of
+    tangents; it carries Im Tr(E^dagger F) to omega_real."""
+    return np.concatenate([np.real(x), np.imag(x)], axis=-2)
 
 
 def momentum_left(E: np.ndarray) -> np.ndarray:

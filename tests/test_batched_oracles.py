@@ -12,6 +12,12 @@ seesaw diagrams (one matrix-vector product per leg).  Their orbit
 dimensions and right legs are still compared exactly.  So is the GL left
 witness, whose reference finds the same common complements by another
 route (QR bases and a null space instead of SVD bases and a complete QR).
+
+The unitary reference form is omega_real of the stacked real and
+imaginary parts, the real model the batched code evaluates, so it is
+compared exactly too; that the real model carries the complex form
+Im Tr(E^dagger F) is checked in test_seesaw and by the suite's
+omega_realification record.
 """
 
 import numpy as np
@@ -94,10 +100,6 @@ def _ref_omega_real(X, Y):
     return float(np.sum(X[:n] * Y[n:]) - np.sum(X[n:] * Y[:n]))
 
 
-def _ref_omega_complex(E, F):
-    return float(np.imag(np.sum(np.conj(E) * F)))
-
-
 def _ref_trace_pairing(a, b):
     return float(np.real(np.sum(a * b.T)))
 
@@ -115,7 +117,8 @@ def _ref_infinitesimal_action(inst, side, xi):
 
 def _ref_tangent_omega(inst, t1, t2):
     if inst.pair_id == "unitary":
-        return _ref_omega_complex(t1, t2)
+        return _ref_omega_real(np.vstack([np.real(t1), np.imag(t1)]),
+                               np.vstack([np.real(t2), np.imag(t2)]))
     if inst.pair_id == "symplectic":
         return _ref_omega_real(t1, t2)
     return _ref_omega_real(np.vstack(t1), np.vstack(t2))
@@ -170,7 +173,7 @@ def _ref_embed_gl_to_sp(zeta):
 def _ref_check_diagram_sp_u(E):
     E = np.asarray(E, dtype=complex)
     n = E.shape[0]
-    Er = seesaw.complex_to_real(E)
+    Er = unitary.to_real(E)
     j_sp = symplectic.momentum_left(Er)
     j_u = unitary.momentum_left(E)
     left = 0.0

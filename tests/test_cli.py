@@ -246,6 +246,20 @@ def test_non_integer_dimensions_exit_2(tmp_path, capsys, key, value):
         assert f"{key} must be an integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind,field", [("unitary", "n"), ("unitary", "matrix"),
+                                        ("general_linear", "P")])
+def test_missing_instance_field_exits_2_naming_it(tmp_path, capsys, kind, field):
+    mats = {"matrix": np.eye(2)} if kind == "unitary" else {"Q": np.eye(2), "P": np.eye(2)}
+    f = _write_instance(tmp_path / "bad.json", kind, 2, 2, **mats)
+    obj = json.loads(Path(f).read_text())
+    del obj[field]
+    Path(f).write_text(json.dumps(obj))
+    for argv in (["momentum", f, "--side", "left"], ["orbit", f],
+                 ["witness", f, f, "--side", "left"]):
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == f"error: {f}: missing field '{field}'\n"
+
+
 def test_integral_float_dimensions_are_read(tmp_path, capsys):
     f = _write_instance(tmp_path / "ok.json", "unitary", 2.0, 2, matrix=np.eye(2))
     assert cli.main(["momentum", f, "--side", "left"]) == 0
@@ -292,7 +306,7 @@ def test_suite_config_file(tmp_path, capsys):
 @pytest.mark.parametrize("bad", [{"trials": None}, {"trials": 1.7}, {"seed": 1.5},
                                  {"seed": "3"}, {"pairs": [["u"]]}, {"pairs": "u"},
                                  {"tol": [1]}, {"tol": True}, {"out": 5},
-                                 {"tol": float("nan")}])
+                                 {"tol": float("nan")}, {"trails": 7}])
 def test_suite_malformed_config_exits_2(tmp_path, capsys, bad):
     cfg = tmp_path / "cfg.json"
     out = tmp_path / "rep.json"
@@ -301,6 +315,13 @@ def test_suite_malformed_config_exits_2(tmp_path, capsys, bad):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+def test_suite_unknown_config_key_exits_2_naming_it(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"pairs": ["u"], "trails": 7, "out": str(tmp_path / "r.json")}))
+    assert cli.main(["suite", "--config", str(cfg)]) == 2
+    assert "unknown config key 'trails'" in capsys.readouterr().err
 
 
 def test_suite_config_reads_integral_floats(tmp_path, capsys):

@@ -280,14 +280,14 @@ def test_lie_weinstein_cross_residual_random():
 
 @pytest.mark.parametrize("make", [_unitary_inst, _symplectic_inst, _gl_inst])
 def test_tangent_parts_are_darboux_halves(make):
-    # tangent_parts gives (q, p) with omega(t1, t2) = q1 . p2 - p1 . q2,
+    # the halves of to_real give (q, p) with omega(t1, t2) = q1 . p2 - p1 . q2,
     # the contract behind check_lie_weinstein's one-product cross term.
     # Left x left values are O(1), not roundoff, so swapped halves or a
     # dropped sign show far above the tolerance.
     inst = make(4, 3, 61)
     basis = basis_stack(algebra_tag(inst.pair_id, "left"), algebra_size(inst, "left"))
     t = infinitesimal_action(inst, "left", basis)
-    q, p = (a.reshape(len(basis), -1) for a in inst.module.tangent_parts(t))
+    q, p = (a.reshape(len(basis), -1) for a in np.split(inst.module.to_real(t), 2, axis=-2))
     gram = np.hstack([q, p]) @ np.hstack([p, -q]).T
 
     def lift(key):

@@ -6,6 +6,7 @@ import pytest
 from dualpairs import seesaw, symplectic, unitary
 from dualpairs.general_linear import CotangentPoint
 from dualpairs.linalg import omega_complex, omega_real, stream_rng
+from dualpairs.pairs import PAIRS, DualPairInstance, algebra_size, algebra_tag, basis_stack
 
 
 def test_embed_u_zero():
@@ -77,9 +78,9 @@ def test_embed_gl_rejects_nonsquare():
 
 
 def test_complex_to_real_stacking():
-    np.testing.assert_array_equal(seesaw.complex_to_real(np.zeros((2, 1), complex)),
+    np.testing.assert_array_equal(unitary.to_real(np.zeros((2, 1), complex)),
                                   np.zeros((4, 1)))
-    np.testing.assert_array_equal(seesaw.complex_to_real(np.array([[1j]])),
+    np.testing.assert_array_equal(unitary.to_real(np.array([[1j]])),
                                   [[0.0], [1.0]])
 
 
@@ -88,7 +89,7 @@ def test_complex_to_real_preserves_form():
     E = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
     F = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
     assert abs(omega_complex(E, F) -
-               omega_real(seesaw.complex_to_real(E), seesaw.complex_to_real(F))) <= 1e-12
+               omega_real(unitary.to_real(E), unitary.to_real(F))) <= 1e-12
 
 
 def test_complex_to_real_intertwines_action():
@@ -96,9 +97,32 @@ def test_complex_to_real_intertwines_action():
     E = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     A = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     zeta = A - A.conj().T
-    lhs = seesaw.complex_to_real(zeta @ E)
-    rhs = seesaw.embed_u_to_sp(zeta) @ seesaw.complex_to_real(E)
+    lhs = unitary.to_real(zeta @ E)
+    rhs = seesaw.embed_u_to_sp(zeta) @ unitary.to_real(E)
     np.testing.assert_allclose(lhs, rhs, atol=1e-12)
+
+
+@pytest.mark.parametrize("pair,embed", [("unitary", seesaw.embed_u_to_sp),
+                                        ("symplectic", lambda zeta: zeta),
+                                        ("general_linear", seesaw.embed_gl_to_sp)])
+@pytest.mark.parametrize("n,m", [(2, 1), (3, 2), (4, 4)])
+def test_to_real_is_the_seesaw_real_model(pair, embed, n, m):
+    # each pair's real model is a point of Sp(2n,R) x O(m): 2n x m, with
+    # o(m) acting on the right by the same product and the left algebra
+    # acting through its embedding into sp(2n,R)
+    mod = PAIRS[pair]
+    rng = stream_rng(171, 16 * n + m)
+    inst = DualPairInstance(pair, n, m, mod.random_point(n, m, rng))
+    x = mod.to_real(inst.point)
+    assert x.shape == (2 * n, m)
+    o = basis_stack("o", m)
+    xi = np.tensordot(rng.standard_normal(len(o)), o, axes=1)
+    assert np.array_equal(mod.to_real(mod.infinitesimal_right(inst.point, xi)), x @ xi)
+    basis = basis_stack(algebra_tag(pair, "left"), algebra_size(inst, "left"))
+    zeta = np.tensordot(rng.standard_normal(len(basis)), basis, axes=1)
+    err = np.linalg.norm(mod.to_real(mod.infinitesimal_left(zeta, inst.point)) - embed(zeta) @ x)
+    bound = 4 * 2 * n * np.finfo(float).eps * np.linalg.norm(zeta) * np.linalg.norm(x)
+    assert err <= bound
 
 
 def test_restrict_u_fixed_on_real_skew():
@@ -199,7 +223,7 @@ def test_diagram_u_left_pairing_hand_case():
     E = np.array([[3.0 + 2.0j]])
     ju = unitary.momentum_left(E)
     assert abs(np.real(np.trace(ju @ np.array([[1j]]))) + 6.5) <= 1e-13
-    jsp = symplectic.momentum_left(seesaw.complex_to_real(E))
+    jsp = symplectic.momentum_left(unitary.to_real(E))
     emb = seesaw.embed_u_to_sp(np.array([[1j]]))
     assert abs(np.trace(jsp @ emb) + 6.5) <= 1e-13
 
@@ -208,5 +232,5 @@ def test_diagram_u_right_restriction_direct():
     rng = stream_rng(168, 0)
     E = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     lhs = seesaw.restrict_u_to_o(unitary.momentum_right(E))
-    rhs = symplectic.momentum_right(seesaw.complex_to_real(E))
+    rhs = symplectic.momentum_right(unitary.to_real(E))
     np.testing.assert_allclose(lhs, rhs, atol=1e-12)
