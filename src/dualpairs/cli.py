@@ -102,6 +102,7 @@ def _load_instance(path: str, pair: str = None) -> DualPairInstance:
         raise ValueError(f"{path}: holds a {kind} instance, expected {expected}")
     try:
         n, m = read_int(obj, "n", path), read_int(obj, "m", path)
+        _validate_dims(kind, n, m)
         point = PAIRS[kind].point_from_obj(obj)
     except KeyError as exc:
         raise ValueError(f"{path}: missing field {exc}") from None
@@ -358,8 +359,9 @@ def cmd_suite(args) -> int:
         config.update(given)
     where = args.config
     pairs = config["pairs"]
-    if not isinstance(pairs, list) or not all(isinstance(p, str) for p in pairs):
-        raise ValueError(f"{where}: pairs must be a list of pair names, not {pairs!r}")
+    if not isinstance(pairs, list) or not pairs or not all(isinstance(p, str) for p in pairs):
+        raise ValueError(f"{where}: pairs must be a non-empty list of pair names, "
+                         f"not {pairs!r}")
     pairs = [_normalize_pair(p) for p in ([args.pair] if args.pair else pairs)]
     trials = args.trials if args.trials is not None else read_int(config, "trials", where)
     seed = args.seed if args.seed is not None else read_int(config, "seed", where)

@@ -4,10 +4,12 @@ Everything operates on plain numpy arrays (real float64 or complex128).
 Conventions fixed here and relied on everywhere else:
 
 * the standard symplectic matrix is J = [[0, I], [-I, 0]],
+* U, O and Sp preserve a form F, g^H F g = F (I, or J for Sp), and
+  their algebras are X^H F + F X = 0: ``group_residual`` and
+  ``algebra_residual`` test membership (GL preserves no form),
 * rank decisions are SVD based with a relative threshold,
 * the canonical form of a skew matrix puts +a in the upper right of
-  each 2x2 block, blocks sorted by descending a.
-
+  each 2x2 block, blocks sorted by descending a,
 * random symplectic and general linear elements are Cayley transforms
   of a normalised algebra element.
 
@@ -22,7 +24,9 @@ import numpy as np
 
 # The tolerance policy, one constant per decision:
 # a singular value counts toward the rank when it exceeds
-# RANK_TOL_FACTOR * max(shape) * eps * s_max (``svd_rank``);
+# RANK_TOL_FACTOR * max(shape) * eps * s_max (``svd_rank``), and a pair
+# value of an m x m skew matrix counts when it exceeds
+# RANK_TOL_FACTOR * m * eps * scale (``skew_canonical``);
 RANK_TOL_FACTOR = 100.0
 # skew_canonical accepts xi when |xi + xi^T|_F <= max(SKEW_RTOL |xi|_F, 1e-13);
 SKEW_RTOL = 1e-9
@@ -30,10 +34,8 @@ SKEW_RTOL = 1e-9
 # MATCH_RTOL times max(1, their norms);
 MATCH_RTOL = 1e-8
 # seesaw takes zeta as anti-Hermitian when |zeta + zeta^H|_F is at most
-# ANTI_HERMITIAN_RTOL times max(1, |zeta|_F), and a restriction to o(m)
-# as pairing like its input within PAIRING_RTOL times max(1, |input|_F).
+# ANTI_HERMITIAN_RTOL times max(1, |zeta|_F).
 ANTI_HERMITIAN_RTOL = 1e-10
-PAIRING_RTOL = 1e-12
 
 _EPS = np.finfo(float).eps
 
@@ -148,13 +150,17 @@ def relative_diff(A: np.ndarray, B: np.ndarray) -> float:
     return float(np.linalg.norm(A - B) / max(1.0, np.linalg.norm(B)))
 
 
-def skew_canonical(xi: np.ndarray):
+def skew_canonical(xi: np.ndarray, scale: float | None = None):
     """Canonical form of a real skew matrix under orthogonal congruence.
 
     Parameters
     ----------
     xi
         Real m x m matrix with xi^T = -xi (within ``SKEW_RTOL`` relative).
+    scale
+        Noise scale: pair values at or below RANK_TOL_FACTOR * m * eps *
+        scale are roundoff.  The default |xi|_2 is the ``svd_rank`` rule;
+        a Gram of a family of 2-norm s carries roundoff near eps s^2.
 
     Returns
     -------
@@ -166,7 +172,7 @@ def skew_canonical(xi: np.ndarray):
 
     The planes come from one eigh of the Hermitian matrix i xi, whose
     eigenvalues are +-a_i and zeros, so their magnitudes are the singular
-    values of xi: ``svd_rank`` of them, halved, counts the pairs (an odd
+    values of xi: those above the cutoff, halved, count the pairs (an odd
     count drops the straggler of a pair that straddles the cutoff).  An
     eigenvector z = x + iy of +a gives the plane sqrt(2) (y, x), with
     y^T xi x = a/2; the real and imaginary parts are orthonormal even
@@ -182,11 +188,13 @@ def skew_canonical(xi: np.ndarray):
     nrm = np.linalg.norm(xi)
     if nrm == 0.0:
         return np.eye(m), []
-    if np.linalg.norm(xi + xi.T) > max(SKEW_RTOL * nrm, 1e-13):
+    if algebra_residual("orthogonal", xi) > max(SKEW_RTOL * nrm, 1e-13):
         raise ValueError("input is not skew-symmetric within tolerance")
 
     w, Z = np.linalg.eigh(1j * xi)  # ascending, so +a_i lead from the end
-    k = 2 * (svd_rank(np.sort(np.abs(w))[::-1], xi.shape) // 2)
+    s = np.abs(w)
+    cut = RANK_TOL_FACTOR * m * _EPS * (np.max(s) if scale is None else scale)
+    k = 2 * (int(np.count_nonzero(s > cut)) // 2)
     Z = Z[:, ::-1][:, :k // 2]
     planes = np.sqrt(2.0) * np.stack([Z.imag, Z.real], axis=-1).reshape(m, k)
     Q, R = np.linalg.qr(planes, mode="complete")
@@ -259,22 +267,40 @@ def _cayley(xi: np.ndarray) -> np.ndarray:
     return np.linalg.solve(eye - half, eye + half)
 
 
+def _form(group: str, k: int):
+    # the form F with g^H F g = F on k x k matrices: None for the
+    # identity form of U and O, J for Sp
+    if group not in ("unitary", "orthogonal", "symplectic"):
+        raise ValueError(f"unknown group tag: {group!r}")
+    return standard_J(k // 2) if group == "symplectic" else None
+
+
 def group_residual(group: str, g: np.ndarray) -> float:
     """Defect of g from the defining identity of U, O, Sp or GL.
 
-    ||g^H g - I||_F for the unitary and orthogonal groups and
-    ||g^T J g - J||_F for the symplectic group; a general linear element
-    reads 0.0 when it has full rank by ``rank_tol`` and 1.0 otherwise.
+    ||g^H F g - F||_F for the form F that U, O or Sp preserves (see
+    ``_form``); a general linear element preserves no form, and reads 0.0
+    when it has full rank by ``rank_tol`` and 1.0 otherwise.
     """
     k = g.shape[0]
-    if group in ("unitary", "orthogonal"):
-        return float(np.linalg.norm(np.conj(g).T @ g - np.eye(k)))
-    if group == "symplectic":
-        J = standard_J(k // 2)
-        return float(np.linalg.norm(g.T @ J @ g - J))
     if group == "general_linear":
         return 0.0 if rank_tol(g) == k else 1.0
-    raise ValueError(f"unknown group tag: {group!r}")
+    F = _form(group, k)
+    gh = np.conj(g).T
+    return float(np.linalg.norm(gh @ g - np.eye(k) if F is None else gh @ F @ g - F))
+
+
+def algebra_residual(group: str, X: np.ndarray):
+    """Defect ||X^H F + F X||_F of X from u(n), o(m) or sp(2n,R), the
+    algebra of the group preserving F; 0.0 for gl(n,R), which has no
+    defining identity.  A float for one matrix, an array for a stack."""
+    X = np.asarray(X)
+    if group == "general_linear":
+        return _scalar(np.zeros(X.shape[:-2]))
+    F = _form(group, X.shape[-1])
+    Xh = np.conj(np.swapaxes(X, -1, -2))
+    R = Xh + X if F is None else Xh @ F + F @ X
+    return _scalar(np.linalg.norm(R, axis=(-2, -1)))
 
 
 def require_member(group: str, g: np.ndarray):

@@ -30,8 +30,8 @@ from typing import Any
 
 import numpy as np
 
-from .linalg import (MATCH_RTOL, omega_real, rank_tol, require_member, shared_array,
-                     standard_J, trace_pairing)
+from .linalg import (MATCH_RTOL, algebra_residual, omega_real, rank_tol, relative_diff,
+                     require_member, shared_array, trace_pairing)
 
 
 @dataclass(frozen=True)
@@ -43,19 +43,12 @@ class MomentumValue:
     value: np.ndarray
 
     def identity_residual(self) -> float:
-        """Distance of the value from its algebra's defining identity."""
+        """Distance of the value from its algebra's defining identity
+        (``linalg.algebra_residual``), relative to max(1, |value|_F)."""
+        group = next((g for g, a in _ALGEBRA_OF_GROUP.items() if a == self.algebra),
+                     self.algebra)
         v = self.value
-        scale = max(1.0, float(np.linalg.norm(v)))
-        if self.algebra == "u":
-            return float(np.linalg.norm(v + np.conj(v).T)) / scale
-        if self.algebra == "o":
-            return float(np.linalg.norm(v + v.T)) / scale
-        if self.algebra == "sp":
-            J = standard_J(v.shape[0] // 2)
-            return float(np.linalg.norm(v.T @ J + J @ v)) / scale
-        if self.algebra == "gl":
-            return 0.0
-        raise ValueError(f"unknown algebra tag {self.algebra!r}")
+        return algebra_residual(group, v) / max(1.0, float(np.linalg.norm(v)))
 
 
 class LevelMismatchError(ValueError):
@@ -288,7 +281,7 @@ def check_equivariance(inst: DualPairInstance, side: str, g: np.ndarray) -> floa
         expected = np.linalg.solve(g.T, (g @ j_before).T).T
     else:
         expected = np.linalg.solve(g, j_before @ g)
-    return float(np.linalg.norm(j_after - expected) / max(1.0, np.linalg.norm(expected)))
+    return relative_diff(j_after, expected)
 
 
 def check_level_invariance(inst: DualPairInstance, side: str,
@@ -297,7 +290,7 @@ def check_level_invariance(inst: DualPairInstance, side: str,
     other = "right" if side == "left" else "left"
     j_before = momentum(inst, side).value
     j_after = momentum(act(inst, other, g_opposite), side).value
-    return float(np.linalg.norm(j_after - j_before) / max(1.0, np.linalg.norm(j_before)))
+    return relative_diff(j_after, j_before)
 
 
 def check_pairing_identity(inst: DualPairInstance, xi: np.ndarray, zeta: np.ndarray,

@@ -21,7 +21,6 @@ import numpy as np
 
 from .jsonio import matrix_point_from_obj as point_from_obj, matrix_point_to_obj as point_to_obj
 from .linalg import (
-    RANK_TOL_FACTOR,
     column_frames,
     isometry_between,
     random_group_element,
@@ -134,23 +133,6 @@ def build_template(inv: SpOrbitInvariants) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Darboux completion
 
-def _planes(G: np.ndarray, smax: float):
-    """``skew_canonical`` of a skew Gram G, above its noise.
-
-    G is quadratic in a family of 2-norm smax, so its entries carry
-    roundoff near eps smax^2, and pair values at or below
-    RANK_TOL_FACTOR * m * eps * smax^2, with m the order of G, are
-    roundoff from an isotropic plane, not structure.  skew_canonical
-    alone cannot see this (it only knows |G|), and the dropped pairs sit
-    at the tail of its descending order, so dropping them turns their
-    rows into kernel rows without reshuffling O.  Returns (O, pair
-    values).
-    """
-    O, a = skew_canonical(G)
-    floor = RANK_TOL_FACTOR * G.shape[0] * np.finfo(float).eps * smax * smax
-    return O, [x for x in a if x > floor]
-
-
 def _darboux_basis(M: np.ndarray, p: int, J: np.ndarray) -> np.ndarray:
     """A Darboux basis B (B^T J B = J) whose columns include M's.
 
@@ -177,7 +159,7 @@ def _darboux_basis(M: np.ndarray, p: int, J: np.ndarray) -> np.ndarray:
     # restricted Gram has noise scale 1, put in Darboux form
     F = np.hstack([M, P])
     Q = np.linalg.qr(J @ F, mode="complete")[0][:, F.shape[1]:]
-    O, a = _planes(Q.T @ J @ Q, 1.0)
+    O, a = skew_canonical(Q.T @ J @ Q, 1.0)
     if 2 * len(a) != Q.shape[1]:
         raise ValueError("degenerate restricted form on the complement")
     Qc = (Q @ O.T) / np.sqrt(np.repeat(a, 2))
@@ -195,17 +177,17 @@ def witness_left(E: np.ndarray, E_prime: np.ndarray) -> WitnessReport:
     theorem gives a symplectic S mapping the columns of E to those of
     E_prime: S = B' B^-1 for Darboux bases B and B' that contain them.
     One stacked SVD checks both for full column rank, which keeps the
-    families independent, and gives |E|_2, the noise scale of the Gram.
-    ``_planes`` of the Gram gives one column transform T for both: its
-    planes scaled by a^(-1/2) to omega = 1, then its kernel, the
-    radical.  ``_darboux_basis`` completes E T to B and E_prime T to B'.
+    families independent, and gives |E|_2; the Gram is quadratic in E,
+    so ``skew_canonical`` of it at noise scale |E|_2^2 gives one column
+    transform T for both: its planes scaled by a^(-1/2) to omega = 1,
+    then its kernel, the radical.  ``_darboux_basis`` completes E T to B and E_prime T to B'.
     """
     E = np.asarray(E, dtype=float)
     E_prime = np.asarray(E_prime, dtype=float)
     s = column_frames("witness_left", ("E", E), ("E'", E_prime), uv=False)
     xi = momentum_right(E)
     _require_level_match(xi, momentum_right(E_prime), "right")
-    O, a = _planes(-2.0 * xi, np.max(s[0], initial=0.0))  # the Gram is -2 xi
+    O, a = skew_canonical(-2.0 * xi, np.max(s[0], initial=0.0) ** 2)  # the Gram is -2 xi
     T = O.T
     T[:, :2 * len(a)] /= np.sqrt(np.repeat(a, 2))
     J = standard_J(E.shape[0] // 2)
@@ -236,8 +218,8 @@ def symplectic_svd(E: np.ndarray):
     S is symplectic, O orthogonal, and D the sparse template of
     ``build_template``; the sigma values in D are the symplectic
     singular values of E.  One SVD is the rank check and gives |E|_2,
-    the noise scale at which ``_planes`` puts the right momentum into
-    skew canonical form: O and the sigmas.  Then S D = W = E O^T fixes
+    and ``skew_canonical`` at noise scale |E|_2^2 puts the right
+    momentum into skew canonical form: O and the sigmas.  Then S D = W = E O^T fixes
     S's columns a, n + a and p + b as the Darboux planes
     (W_a, W_p+q+a) / sigma_a and the radical W_p+b, and one
     ``_darboux_basis`` completes them to S.
@@ -248,7 +230,7 @@ def symplectic_svd(E: np.ndarray):
     two_n, m = E.shape
     n = two_n // 2
     s = column_frames("symplectic_svd", ("E", E), uv=False)
-    O0, a_vals = _planes(momentum_right(E), np.max(s, initial=0.0))
+    O0, a_vals = skew_canonical(momentum_right(E), np.max(s, initial=0.0) ** 2)
     p = len(a_vals)
     q = m - 2 * p
     r = n - m + p

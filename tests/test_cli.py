@@ -260,6 +260,20 @@ def test_missing_instance_field_exits_2_naming_it(tmp_path, capsys, kind, field)
         assert capsys.readouterr().err == f"error: {f}: missing field '{field}'\n"
 
 
+@pytest.mark.parametrize("kind,n,m", [("unitary", 17, 1), ("general_linear", 2, 0)])
+def test_instance_dimensions_outside_the_cli_range_exit_2(tmp_path, capsys, kind, n, m):
+    # the dimension rule of gen holds for instance files too
+    mats = ({"matrix": np.ones((n, m), dtype=complex)} if kind == "unitary"
+            else {"Q": np.ones((n, m)), "P": np.ones((n, m))})
+    f = _write_instance(tmp_path / "big.json", kind, n, m, **mats)
+    for argv in (["momentum", f, "--side", "left"], ["orbit", f],
+                 ["witness", f, f, "--side", "left"]):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: dimensions must lie in 1..16\n"
+
+
 def test_integral_float_dimensions_are_read(tmp_path, capsys):
     f = _write_instance(tmp_path / "ok.json", "unitary", 2.0, 2, matrix=np.eye(2))
     assert cli.main(["momentum", f, "--side", "left"]) == 0
@@ -306,7 +320,7 @@ def test_suite_config_file(tmp_path, capsys):
 @pytest.mark.parametrize("bad", [{"trials": None}, {"trials": 1.7}, {"seed": 1.5},
                                  {"seed": "3"}, {"pairs": [["u"]]}, {"pairs": "u"},
                                  {"tol": [1]}, {"tol": True}, {"out": 5},
-                                 {"tol": float("nan")}, {"trails": 7}])
+                                 {"tol": float("nan")}, {"trails": 7}, {"pairs": []}])
 def test_suite_malformed_config_exits_2(tmp_path, capsys, bad):
     cfg = tmp_path / "cfg.json"
     out = tmp_path / "rep.json"

@@ -202,6 +202,18 @@ def test_skew_canonical_cutoff_on_pair_values(t, count):
     assert pairs[0] == pytest.approx(1.0, abs=1e-14)
 
 
+def test_skew_canonical_scale_drops_a_pair_the_default_keeps():
+    # 1e-12 lies above the default cutoff 100 * 4 * eps * |xi|_2 but below
+    # 100 * 4 * eps * scale at the noise scale 1e6 of a Gram's caller
+    O0 = random_group_element("orthogonal", 4, 9)
+    xi = O0.T @ block_diag_skew([1.0, 1e-12], 4) @ O0
+    assert len(skew_canonical(xi)[1]) == 2
+    O, pairs = skew_canonical(xi, 1e6)
+    assert pairs == [pytest.approx(1.0, abs=1e-14)]
+    np.testing.assert_allclose(O @ O.T, np.eye(4), atol=1e-14)
+    np.testing.assert_allclose(O @ xi @ O.T, block_diag_skew(pairs, 4), atol=1e-11)
+
+
 def test_block_diag_skew_layout():
     B = block_diag_skew([2.0], 3)
     expected = np.array([[0.0, 2.0, 0.0], [-2.0, 0.0, 0.0], [0.0, 0.0, 0.0]])

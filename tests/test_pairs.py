@@ -3,11 +3,20 @@
 import numpy as np
 import pytest
 
-from dualpairs import general_linear, symplectic, unitary
-from dualpairs.linalg import random_group_element, standard_J, stream_rng
+from dualpairs import general_linear, seesaw, symplectic, unitary
+from dualpairs.linalg import (
+    SKEW_RTOL,
+    algebra_residual,
+    group_residual,
+    random_group_element,
+    skew_canonical,
+    standard_J,
+    stream_rng,
+)
 from dualpairs.pairs import (
     DualPairInstance,
     LevelMismatchError,
+    MomentumValue,
     act,
     algebra_size,
     algebra_tag,
@@ -150,6 +159,50 @@ def test_momentum_identity_residuals_vanish():
                  _gl_inst(3, 2, 30)):
         for side in ("left", "right"):
             assert momentum(inst, side).identity_residual() <= 1e-13
+
+
+# each group with an instance it acts on, the side, and its algebra
+_MEMBERSHIP = {
+    "unitary": (_unitary_inst, "left", "u"),
+    "orthogonal": (_symplectic_inst, "right", "o"),
+    "symplectic": (_symplectic_inst, "left", "sp"),
+    "general_linear": (_gl_inst, "left", "gl"),
+}
+
+
+@pytest.mark.parametrize("group", sorted(_MEMBERSHIP))
+def test_membership_residuals_and_refusals(group):
+    make, side, algebra = _MEMBERSHIP[group]
+    inst = make(3, 2, 32)
+    k = algebra_size(inst, side)
+    g = random_group_element(group, k, 32, 1)
+    assert group_residual(group, g) <= 1e-14
+    basis = basis_stack(algebra, k)
+    assert np.all(algebra_residual(group, basis) == 0.0)
+    # a hand-made non-member of the algebra, when it has an identity
+    X = basis.sum(axis=0) + 1e-6 * np.eye(k)
+    identity = MomentumValue(side, algebra, X).identity_residual()
+    if group == "general_linear":
+        # no form to preserve: only rank decides, and the action's solve
+        # refuses an exactly singular element
+        assert identity == 0.0
+        g[:, 0] = 0.0
+        assert group_residual(group, g) == 1.0
+        with pytest.raises(np.linalg.LinAlgError):
+            act(inst, side, g)
+        return
+    assert identity > 1e-13
+    # require_member's bound, then its refusal inside act
+    assert group_residual(group, g + 1e-3 * np.eye(k)) > 1e-6 * max(1.0, np.linalg.norm(g))
+    with pytest.raises(ValueError, match="not in the expected group"):
+        act(inst, side, 2.0 * np.eye(k))
+    if group == "unitary":
+        with pytest.raises(ValueError, match="must be anti-Hermitian"):
+            seesaw.embed_u_to_sp(X)
+    if group == "orthogonal":
+        assert algebra_residual(group, X) > SKEW_RTOL * np.linalg.norm(X)
+        with pytest.raises(ValueError, match="not skew-symmetric"):
+            skew_canonical(X)
 
 
 def test_momentum_rejects_bad_side():

@@ -143,24 +143,6 @@ def test_restrict_gl_takes_skew_part():
                                [[0.0, 0.5], [-0.5, 0.0]])
 
 
-def test_adjoint_relation_rejects_a_wrong_restriction():
-    rng = stream_rng(171, 0)
-    xi = rng.standard_normal((4, 4))
-    A = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    mu = A - A.conj().T
-    for out, orig in ((seesaw.restrict_gl_to_o(xi), xi), (seesaw.restrict_u_to_o(mu), mu)):
-        seesaw._check_adjoint_relation(out, orig)
-        bad = out.copy()
-        bad[2, 1] += 1e-6
-        with pytest.raises(ValueError, match="pairing contract"):
-            seesaw._check_adjoint_relation(bad, orig)
-
-
-def test_adjoint_relation_is_empty_at_m_1():
-    # o(1) is zero-dimensional, so there is nothing to pair against
-    seesaw._check_adjoint_relation(np.array([[5.0]]), np.array([[0.0]]))
-
-
 def test_diagram_u_zero_point():
     out = seesaw.check_diagram_sp_u(np.zeros((2, 1), dtype=complex))
     assert out["left"] <= 1e-15 and out["right"] <= 1e-15
