@@ -14,8 +14,11 @@ with nilpotent sizes d >= 2, subject to sum c + sum (d - 1) = m and at
 most n - m nilpotent blocks.  ``build_qp_from_jordan`` realizes a label
 as a sparse (Q, P), ``jordan_structure`` recovers the label from either
 momentum value, and ``jordan_correspond`` emits the matched pair of
-canonical values.  The module is the general linear record of
-``pairs.PAIRS``.
+canonical values.  Labels come from one pass: exact integer ranks,
+sympy's exact eigenvalues or clustered float eigenvalues give a nullity
+chain per eigenvalue, and ``_label`` turns the chains into
+``JordanData``, whose checks are the only ones a label passes.  The
+module is the general linear record of ``pairs.PAIRS``.
 """
 
 from __future__ import annotations
@@ -277,7 +280,8 @@ class JordanData:
         if budget != self.m:
             raise ValueError(f"block sizes fill {budget} columns, expected {self.m}")
         if len(nil) > self.n - self.m:
-            raise ValueError("too many nilpotent blocks for the ambient size")
+            raise ValueError(f"{len(nil)} nilpotent blocks exceed the limit "
+                             f"n - m = {self.n - self.m}")
 
     def to_obj(self) -> dict:
         return {
@@ -294,21 +298,13 @@ def _real_jordan_block(lam: complex, c: int) -> np.ndarray:
     diagonal with identity cells above."""
     a, b = lam.real, lam.imag
     B = np.zeros((c, c))
-    if b == 0:
-        for t in range(c):
-            B[t, t] = a
-            if t + 1 < c:
-                B[t, t + 1] = 1.0
-    else:
-        s = c // 2
-        for t in range(s):
-            B[2 * t, 2 * t] = a
-            B[2 * t, 2 * t + 1] = b
-            B[2 * t + 1, 2 * t] = -b
-            B[2 * t + 1, 2 * t + 1] = a
-            if t + 1 < s:
-                B[2 * t, 2 * t + 2] = 1.0
-                B[2 * t + 1, 2 * t + 3] = 1.0
+    np.fill_diagonal(B, a)
+    i = np.arange(c)
+    step = 2 if b else 1  # the superdiagonal of ones, or of identity cells
+    B[i[:-step], i[step:]] = 1.0
+    if b:
+        B[i[::2], i[1::2]] = b
+        B[i[1::2], i[::2]] = -b
     return B
 
 
@@ -408,39 +404,36 @@ def _chain_to_counts(nullities):
     """Jordan block counts from a nullity chain nu_1 <= nu_2 <= ...
 
     The count of size-s blocks is 2 nu_s - nu_(s-1) - nu_(s+1), with
-    nu_0 = 0 and the chain continued as constant past its end.
+    nu_0 = 0 and the chain continued as constant past its end.  A chain
+    that is not concave gives a negative count.
     """
-    nu = [0] + list(nullities)
-    nu.append(nu[-1])
-    counts = {}
-    for s in range(1, len(nu) - 1):
-        c = 2 * nu[s] - nu[s - 1] - nu[s + 1]
-        if c < 0:
-            raise ValueError("inconsistent nullity chain")
-        if c > 0:
-            counts[s] = c
-    return counts
+    nu = [0, *nullities, *nullities[-1:]]
+    return {s: c for s in range(1, len(nu) - 1)
+            if (c := 2 * nu[s] - nu[s - 1] - nu[s + 1])}
 
 
-def _add_blocks(counts, lam: complex, side: str, blocks, nilpotent):
-    """Append the label entries of one eigenvalue's block counts.
+def _label(chains, side: str, n: int, m: int) -> JordanData:
+    """The label of (lambda, nullity chain) pairs, one per eigenvalue
+    with Im lambda >= 0.
 
     A zero eigenvalue gives nilpotent sizes: size-s blocks of the left
     value are sizes s >= 2 (size-1 blocks are the kernel), those of the
     right value are sizes s + 1.  A real eigenvalue gives (lambda, s)
-    and a strictly complex one (lambda, 2 s).
+    and a strictly complex one (lambda, 2 s).  A chain that is not
+    concave, and blocks that break ``JordanData``'s column budget or
+    nilpotent limit, raise ValueError.
     """
-    for s, cnt in counts.items():
-        if lam == 0:
-            if side == "left":
-                if s >= 2:
-                    nilpotent.extend([s] * cnt)
-            else:
-                nilpotent.extend([s + 1] * cnt)
-        elif lam.imag == 0:
-            blocks.extend([(lam, s)] * cnt)
-        else:
-            blocks.extend([(lam, 2 * s)] * cnt)
+    blocks, nilpotent = [], []
+    for lam, nullities in chains:
+        counts = _chain_to_counts(nullities)
+        if min(counts.values(), default=0) < 0:
+            raise ValueError(f"the nullity chain at {lam} is not concave")
+        for s, cnt in counts.items():
+            if lam != 0:
+                blocks += [(lam, s if lam.imag == 0 else 2 * s)] * cnt
+            elif side == "right" or s >= 2:
+                nilpotent += [s + (side == "right")] * cnt
+    return JordanData(tuple(blocks), tuple(nilpotent), n, m)
 
 
 def _int_matmul(A, B):
@@ -510,8 +503,7 @@ def _structure_exact(M_int, side: str, n: int, m: int) -> JordanData:
     size = len(M_int)
     eigs = np.linalg.eigvals(np.array(M_int, dtype=float).reshape(size, size))
     candidates = sorted({(int(round(z.real)), abs(int(round(z.imag)))) for z in eigs})
-    blocks = []
-    nilpotent = []
+    chains = []
     filled = 0
     for a, b in candidates:
         A = [[x - a if i == j else x for j, x in enumerate(row)]
@@ -524,12 +516,11 @@ def _structure_exact(M_int, side: str, n: int, m: int) -> JordanData:
             step = 2
         nullities = _nullity_chain(A, lambda P: (size - _bareiss_rank(P)) // step,
                                    _int_matmul, size // step)
-        filled += step * max(nullities, default=0)
-        _add_blocks(_chain_to_counts(nullities), complex(a, b), side,
-                    blocks, nilpotent)
+        filled += step * nullities[-1]
+        chains.append((complex(a, b), nullities))
     if filled != size:
         return _structure_sympy(M_int, side, n, m)
-    return JordanData(tuple(blocks), tuple(nilpotent), n, m)
+    return _label(chains, side, n, m)
 
 
 def _structure_sympy(M_int, side: str, n: int, m: int) -> JordanData:
@@ -539,52 +530,32 @@ def _structure_sympy(M_int, side: str, n: int, m: int) -> JordanData:
 
     sm = sympy.Matrix(M_int)
     size = sm.shape[0]
-    blocks = []
-    nilpotent = []
+    chains = []
     for lam, alg_mult in sm.eigenvals().items():
         lam_c = complex(sympy.N(lam, 30))
         if lam_c.imag < -1e-25:
             continue  # handled through the conjugate eigenvalue
-        nullities = _nullity_chain(sm - lam * sympy.eye(size),
-                                   lambda P: size - P.rank(), operator.mul, alg_mult)
         if lam.is_zero:
             lam_c = 0j
         elif abs(lam_c.imag) <= 1e-25:
             lam_c = complex(lam_c.real, 0.0)
-        _add_blocks(_chain_to_counts(nullities), lam_c, side, blocks, nilpotent)
-    return JordanData(tuple(blocks), tuple(nilpotent), n, m)
+        nullities = _nullity_chain(sm - lam * sympy.eye(size),
+                                   lambda P: size - P.rank(), operator.mul, alg_mult)
+        chains.append((lam_c, nullities))
+    return _label(chains, side, n, m)
 
 
 def _cluster_eigenvalues(eigs, delta):
-    """Single-linkage clusters of points in the complex plane."""
-    order = sorted(range(len(eigs)), key=lambda i: (eigs[i].real, eigs[i].imag))
-    clusters = []
-    for i in order:
-        z = eigs[i]
-        hit = None
-        for cl in clusters:
-            if any(abs(z - w) <= delta for w in cl):
-                hit = cl
-                break
-        if hit is None:
-            clusters.append([z])
-        else:
-            hit.append(z)
-    # merge transitively linked clusters
-    merged = True
-    while merged:
-        merged = False
-        for a in range(len(clusters)):
-            for b in range(a + 1, len(clusters)):
-                if any(abs(z - w) <= delta
-                       for z in clusters[a] for w in clusters[b]):
-                    clusters[a].extend(clusters[b])
-                    del clusters[b]
-                    merged = True
-                    break
-            if merged:
-                break
-    return clusters
+    """Single-linkage clusters of points in the complex plane: the
+    connected components of the graph joining points at most delta
+    apart, each in (real, imag) order and listed by its first point."""
+    z = np.asarray(eigs)  # no complex cast: numpy sums complex means in another order
+    z = z[np.lexsort((z.imag, z.real))]
+    reach = np.abs(z[:, None] - z[None, :]) <= delta
+    for _ in range(len(z).bit_length()):  # k squarings span paths of 2^k edges
+        reach = reach @ reach
+    first = reach.argmax(axis=1)
+    return [list(z[first == i]) for i in np.unique(first)]
 
 
 class AmbiguousStructureError(ValueError):
@@ -607,21 +578,22 @@ class AmbiguousStructureError(ValueError):
 def _structure_float(M, side: str, n: int, m: int) -> JordanData:
     """Best-effort structure from floating-point data.
 
-    Eigenvalues within 1e-6 of each other (relative to the spectral
-    radius) are treated as one, clusters closer than 1e-3 raise, and
-    anything wider counts as distinct.  This resolves spectra separated
-    beyond the eigensolver's backward error; defective blocks deeper
-    than size 4 carried by noisy data can scatter past the guard band
-    and should be supplied as exact integral matrices instead.  Nullity
-    chains that are not concave, or whose blocks overfill the m columns
-    or give more than n - m nilpotent blocks, are refused with
+    Eigenvalues joined by a path of steps at most 1e-6 long (relative to
+    the spectral radius) are treated as one, clusters closer than 1e-3
+    raise, and anything wider counts as distinct.  This resolves spectra
+    separated beyond the eigensolver's backward error; defective blocks
+    deeper than size 4 carried by noisy data can scatter past the guard
+    band and should be supplied as exact integral matrices instead.  The
+    chains go to the same ``_label`` as exact input, and whatever it
+    refuses (a chain that is not concave, blocks that do not fill the m
+    columns, more than n - m nilpotent blocks) is raised as
     AmbiguousStructureError instead of being turned into a label.
     """
     size = M.shape[0]
     eigs = np.linalg.eigvals(M)
     scale = max(1.0, float(np.abs(eigs).max()) if size else 1.0)
     delta = 1e-6 * scale
-    clusters = _cluster_eigenvalues(list(eigs), delta)
+    clusters = _cluster_eigenvalues(eigs, delta)
     centers = [complex(np.mean(cl)) for cl in clusters]
     gaps = [min((abs(c - d) for d in centers if d is not c), default=np.inf)
             for c in centers]
@@ -637,29 +609,19 @@ def _structure_float(M, side: str, n: int, m: int) -> JordanData:
     if min(gaps, default=np.inf) < 1e-3 * scale:
         refuse(f"eigenvalue clusters {min(gaps):.2e} apart cannot be "
                "separated reliably")
-    blocks = []
-    nilpotent = []
+    snapped = []
     for cl, raw in zip(clusters, centers):
-        center = raw
-        if abs(center) <= delta:
-            center = 0.0 + 0.0j
-        elif abs(center.imag) <= delta:
-            center = complex(center.real, 0.0)
+        center = (0j if abs(raw) <= delta
+                  else complex(raw.real, 0.0) if abs(raw.imag) <= delta else raw)
         if center.imag < 0:
             continue  # handled through the conjugate cluster
-        nullities = chains[raw] = _nullity_chain(
+        chains[raw] = _nullity_chain(
             M - center * np.eye(size), lambda P: size - rank_tol(P), np.matmul, len(cl))
-        try:
-            counts = _chain_to_counts(nullities)
-        except ValueError:
-            refuse(f"the nullity chain at {center} is not concave")
-        _add_blocks(counts, center, side, blocks, nilpotent)
-    budget = sum(c for _, c in blocks) + sum(d - 1 for d in nilpotent)
-    if budget != m:
-        refuse(f"block sizes fill {budget} columns, expected {m}")
-    if len(nilpotent) > n - m:
-        refuse(f"{len(nilpotent)} nilpotent blocks exceed the limit n - m = {n - m}")
-    return JordanData(tuple(blocks), tuple(nilpotent), n, m)
+        snapped.append((center, chains[raw]))
+    try:
+        return _label(snapped, side, n, m)
+    except ValueError as err:
+        refuse(str(err))
 
 
 def jordan_structure(value: np.ndarray, side: str, n: int = None) -> JordanData:
@@ -673,9 +635,10 @@ def jordan_structure(value: np.ndarray, side: str, n: int = None) -> JordanData:
     it, and a spectrum outside Z[i] falls back to sympy (imported only
     then).  Otherwise eigenvalues are clustered, and the call raises
     AmbiguousStructureError when clusters are too close to tell apart
-    or the nullity chains do not fit the column budget.  Raises
-    ValueError when the value is not a momentum of a full-rank pair
-    (wrong rank profile).
+    or the nullity chains give no label (a chain that is not concave,
+    the column budget or the nilpotent limit).  Raises ValueError when
+    the value is not a momentum of a full-rank pair (wrong rank
+    profile).
     """
     value = np.asarray(value, dtype=float)
     if value.ndim != 2 or value.shape[0] != value.shape[1]:

@@ -206,15 +206,6 @@ def skew_canonical(xi: np.ndarray, scale: float | None = None):
     return Q.T, a[order].tolist()
 
 
-def block_diag_skew(pairs, m: int) -> np.ndarray:
-    """Assemble blockdiag([[0,a],[-a,0]], ..., 0) of size m from pair values."""
-    B = np.zeros((m, m))
-    for i, a in enumerate(pairs):
-        B[2 * i, 2 * i + 1] = a
-        B[2 * i + 1, 2 * i] = -a
-    return B
-
-
 def stream_rng(seed: int, stream: int = 0) -> np.random.Generator:
     """Counter-based RNG stream keyed by (seed, stream).
 

@@ -148,14 +148,13 @@ def jacobian_rank_right(E: np.ndarray) -> int:
     """
     E = np.asarray(E, dtype=complex)
     n, m = E.shape
-    # the real basis E_ij, i E_ij of the domain, (i, j) row-major, as one stack
-    a = np.arange(n * m)
-    i, j = np.divmod(a, m)
-    X = np.zeros((n * m, 2, n, m), dtype=complex)
-    X[a, 0, i, j] = 1.0
-    X[a, 1, i, j] = 1.0j
-    X = X.reshape(2 * n * m, n, m)
-    T = 0.5j * (np.swapaxes(np.conj(X), -1, -2) @ E + np.conj(E).T @ X)
+    # the images of the real basis E_aj, i E_aj of the domain, (a, j)
+    # row-major, by placement: C = E^dagger E_aj is conj(E[a]) in column
+    # j and E_aj^dagger E = C^dagger, so T is (i/2)(C^dagger + C), then
+    # (1/2)(C^dagger - C)
+    C = np.einsum("ak,jl->ajkl", np.conj(E), np.eye(m)).reshape(n * m, m, m)
+    Ch = np.conj(np.swapaxes(C, -1, -2))
+    T = np.stack([0.5j * (Ch + C), 0.5 * (Ch - C)], axis=1).reshape(2 * n * m, m, m)
     d = np.arange(m)
     i, j = np.triu_indices(m, 1)
     upper = np.sqrt(2.0) * T[:, i, j]

@@ -482,6 +482,22 @@ def test_structure_float_overfilled_budget_is_refused():
     assert all(chain == sorted(chain) for chain in err.value.chains.values())
 
 
+def test_structure_float_nilpotent_limit_is_refused():
+    # the right value diag(0.5, 0) of a 2 x 2 pair needs one nilpotent
+    # block, but n - m = 0 allows none
+    with pytest.raises(gl.AmbiguousStructureError,
+                       match=r"1 nilpotent blocks exceed the limit n - m = 0") as err:
+        gl.jordan_structure(np.diag([0.5, 0.0]), side="right", n=2)
+    assert set(err.value.chains) == set(err.value.centers) == {0j, 0.5 + 0j}
+
+
+def test_cluster_eigenvalues_merges_transitively():
+    # the ends are 1.03e-6 apart and linked only through 0.6e-6
+    z = [0j, 0.5e-6 + 0.9e-6j, 0.6e-6 + 0j, 5 + 0j]
+    clusters = gl._cluster_eigenvalues(z, 1e-6)
+    assert {frozenset(cl) for cl in clusters} == {frozenset(z[:3]), frozenset(z[3:])}
+
+
 def test_structure_right_requires_n():
     with pytest.raises(ValueError):
         gl.jordan_structure(np.zeros((1, 1)), side="right")

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from dualpairs.linalg import (
     MATCH_RTOL,
-    block_diag_skew,
     isometry_between,
     omega_complex,
     omega_real,
@@ -19,6 +18,15 @@ from dualpairs.linalg import (
     stream_rng,
     trace_pairing,
 )
+
+
+def block_diag_skew(pairs, m: int) -> np.ndarray:
+    """blockdiag([[0, a], [-a, 0]], ..., 0) of size m from pair values."""
+    B = np.zeros((m, m))
+    for i, a in enumerate(pairs):
+        B[2 * i, 2 * i + 1] = a
+        B[2 * i + 1, 2 * i] = -a
+    return B
 
 
 def test_standard_J_smallest():
