@@ -286,25 +286,15 @@ def _run_seesaw(check, inst, seed, base):
 
 def _run_omega_real(inst, seed, base):
     rng = stream_rng(seed, base * 8)
-    shape = (inst.n, inst.m)
-    E = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    F = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    E, F = (unitary.random_point(inst.n, inst.m, rng) for _ in range(2))
     return abs(omega_complex(E, F) - omega_real(unitary.to_real(E), unitary.to_real(F)))
 
 
-def _draw_u(rng, n):
-    X = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return 0.5 * (X - np.conj(X).T)
-
-
-def _draw_gl(rng, n):
-    return rng.standard_normal((n, n))
-
-
-def _run_morphism(draw, embed, inst, seed, base):
-    """embed([a, b]) against [embed(a), embed(b)] for two drawn elements."""
+def _run_morphism(embed, inst, seed, base):
+    """embed([a, b]) against [embed(a), embed(b)] for two elements of the
+    left algebra."""
     rng = stream_rng(seed, base * 8)
-    a, b = draw(rng, inst.n), draw(rng, inst.n)
+    a, b = (_random_algebra_element(inst, "left", rng) for _ in range(2))
     lhs = embed(bracket(a, b))
     rhs = bracket(embed(a), embed(b))
     return float(np.linalg.norm(lhs - rhs))
@@ -339,9 +329,9 @@ def _build_registry():
                 partial(_run_seesaw, seesaw.check_diagram_sp_gl)))
     reg.append(("omega_realification", "unitary", 1e-12, _run_omega_real))
     reg.append(("embedding_morphism_u", "unitary", 1e-12,
-                partial(_run_morphism, _draw_u, seesaw.embed_u_to_sp)))
+                partial(_run_morphism, seesaw.embed_u_to_sp)))
     reg.append(("embedding_morphism_gl", "general_linear", 1e-12,
-                partial(_run_morphism, _draw_gl, seesaw.embed_gl_to_sp)))
+                partial(_run_morphism, seesaw.embed_gl_to_sp)))
     return reg
 
 

@@ -368,36 +368,32 @@ def _random_jordan(n: int, m: int, rng) -> JordanData:
     return JordanData(tuple(blocks), (2,) * t, n, m)
 
 
-def _random_unimodular(n: int, rng) -> np.ndarray:
+def _random_unimodular(n: int, rng) -> tuple:
+    """An integer A with det 1 and its exact inverse: each row step
+    A <- (I + c e_i e_j^T) A is undone by the column step
+    A_inv <- A_inv (I - c e_i e_j^T)."""
     A = np.eye(n)
+    A_inv = np.eye(n)
     if n >= 2:
         for _ in range(3):
             i = int(rng.integers(0, n))
             j = int(rng.integers(0, n - 1))
             if j >= i:
                 j += 1
-            A[i, :] += int(rng.integers(-2, 3)) * A[j, :]
-    return A
-
-
-def _exact_integer_left_act(A: np.ndarray, pt: CotangentPoint) -> CotangentPoint:
-    """Left action by an integer unimodular matrix with the inverse
-    transpose snapped back to exact integers, so P^T Q is preserved
-    bit for bit."""
-    invAT = np.round(np.linalg.inv(A.T))
-    if not np.array_equal(A.T @ invAT, np.eye(A.shape[0])):
-        raise ValueError("matrix is not integrally invertible")
-    return CotangentPoint(A @ pt.Q, invAT @ pt.P)
+            c = int(rng.integers(-2, 3))
+            A[i, :] += c * A[j, :]
+            A_inv[:, j] -= c * A_inv[:, i]
+    return A, A_inv
 
 
 def normal_form_partners(n: int, m: int, seed: int) -> tuple:
     """Two points on one orbit: the realization of a seeded Jordan label
-    moved by two seeded integer unimodular matrices, so both stay
-    integral and share P^T Q exactly."""
+    moved by two seeded integer unimodular matrices A, each with its
+    exact inverse, so both stay integral and share P^T Q exactly."""
     rng = stream_rng(seed, 2)
     pt = build_qp_from_jordan(_random_jordan(n, m, rng))
-    return (_exact_integer_left_act(_random_unimodular(n, rng), pt),
-            _exact_integer_left_act(_random_unimodular(n, rng), pt))
+    moves = [_random_unimodular(n, rng) for _ in range(2)]
+    return tuple(CotangentPoint(A @ pt.Q, A_inv.T @ pt.P) for A, A_inv in moves)
 
 
 def _chain_to_counts(nullities):

@@ -227,15 +227,13 @@ def random_group_element(group: str, dim: int, seed: int, stream: int = 0) -> np
     |g| and |g^-1| by 3, so cond <= 9.  Deterministic in (seed, stream).
     """
     rng = stream_rng(seed, stream)
-    if group == "unitary":
-        Z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        Q, R = np.linalg.qr(Z)
-        d = np.diagonal(R)
-        return Q * (d / np.abs(d))
-    if group == "orthogonal":
+    if group in ("unitary", "orthogonal"):
         Z = rng.standard_normal((dim, dim))
+        if group == "unitary":
+            Z = Z + 1j * rng.standard_normal((dim, dim))
         Q, R = np.linalg.qr(Z)
-        return Q * np.sign(np.diagonal(R))
+        d = np.diagonal(R)  # d / |d| is exactly +-1.0 for real d
+        return Q * (d / np.abs(d))
     if group == "symplectic":
         if dim % 2 != 0:
             raise ValueError("symplectic dimension must be even")

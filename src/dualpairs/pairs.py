@@ -129,65 +129,50 @@ class DualPairInstance:
 @shared_array
 def basis_stack(algebra: str, size: int) -> np.ndarray:
     """Fixed enumerated basis of u(n), o(m), sp(2n,R) or gl(n,R), as one
-    (dim, size, size) array.
+    (dim, size, size) array, built once per key and shared read-only
+    (see ``linalg.shared_array``).
 
-    The stack is built once per (algebra, size) and shared, so it is
-    read-only (see ``linalg.shared_array``).
+    Each basis follows from the defining identity X^H F + F X = 0
+    (``linalg.algebra_residual``): FX is skew-Hermitian for F = I and
+    symmetric for F = J.  With A_kl = E_kl - E_lk (k < l) and
+    S_kl = E_kl + E_lk (k <= l, so S_kk = E_kk), both row-major in
+    (k, l), the orderings are part of the contract (orbit-dimension
+    computations and oracle solves must be reproducible):
 
-    Orderings are part of the contract (orbit-dimension computations and
-    oracle solves must be reproducible):
-
-    * u(n): i E_kk for k ascending, then for each k < l the pair
-      E_kl - E_lk, i(E_kl + E_lk)
-    * o(m): E_kl - E_lk for k < l, row-major
-    * sp(2n): [[A,0],[0,-A^T]] over all unit A, then [[0,B],[0,0]] over
-      the symmetric basis, then [[0,0],[C,0]] likewise
-    * gl(n): unit matrices E_ij row-major
+    * o(m): the A_kl
+    * u(n): the A_kl, then the i S_kl
+    * sp(2n): the J^T S_kl = [-S_kl bottom rows; S_kl top rows]
+    * gl(n): the units E_ij, row-major
     """
-    # upper-triangle index pairs come out row-major, as the orderings need
-    if algebra == "u":
-        n = size
-        k, l = np.triu_indices(n, 1)
-        p = n + 2 * np.arange(len(k))
-        out = np.zeros((n * n, n, n), dtype=complex)
-        d = np.arange(n)
-        out[d, d, d] = 1j
-        out[p, k, l] = 1
-        out[p, l, k] = -1
-        out[p + 1, k, l] = 1j
-        out[p + 1, l, k] = 1j
-        return out
+    if algebra == "gl":
+        return np.eye(size * size).reshape(size * size, size, size)
+    d = size * (size - 1) // 2  # the count of A_kl
     if algebra == "o":
-        k, l = np.triu_indices(size, 1)
-        p = np.arange(len(k))
-        out = np.zeros((len(k), size, size))
-        out[p, k, l] = 1
-        out[p, l, k] = -1
+        return _place_pairs(np.zeros((d, size, size)), -1.0)
+    if algebra == "u":
+        out = np.zeros((size * size, size, size), dtype=complex)
+        _place_pairs(out.real[:d], -1.0)
+        _place_pairs(out.imag[d:], 1.0)
         return out
     if algebra == "sp":
         if size % 2 != 0:
             raise ValueError("sp size must be even")
-        n = size // 2
-        a = np.arange(n * n)
-        i, j = np.divmod(a, n)
-        k, l = np.triu_indices(n)
-        p = n * n + np.arange(len(k))
-        q = p + len(k)
-        out = np.zeros((n * n + 2 * len(k), size, size))
-        out[a, i, j] = 1
-        out[a, n + j, n + i] = -1
-        out[p, k, n + l] = 1
-        out[p, l, n + k] = 1
-        out[q, n + k, l] = 1
-        out[q, n + l, k] = 1
-        return out
-    if algebra == "gl":
-        a = np.arange(size * size)
-        i, j = np.divmod(a, size)
-        out = np.zeros((size * size, size, size))
-        out[a, i, j] = 1
-        return out
+        return _place_pairs(np.zeros((size * size - d, size, size)), 1.0, size // 2)
     raise ValueError(f"unknown algebra tag {algebra!r}")
+
+
+def _place_pairs(out: np.ndarray, sign: float, half: int = 0) -> np.ndarray:
+    # Writes into the zero stack out, one slice per row-major (k, l), A_kl
+    # (sign -1, k < l) or S_kl (sign +1, k <= l).  half = n moves row r to
+    # row r + n (mod 2n), negated for r >= n: that is J^T times it, with
+    # no product and no signed zeros.
+    size = out.shape[-1]
+    # the row-major upper triangle, as np.triu_indices at a third of its cost
+    k, l = np.nonzero(~np.tri(size, k=-1 if sign > 0 else 0, dtype=bool))
+    p = np.arange(len(k))
+    for r, c, v in ((k, l, 1.0), (l, k, sign)):
+        out[p, (r + half) % size, c] = np.where(r < size - half, v, -v)
+    return out
 
 
 def bracket(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -51,47 +51,38 @@ def _unit(n, i, j, dtype=float):
 
 
 def _ref_algebra_basis(algebra, size):
+    # A_kl = E_kl - E_lk (k < l) and S_kl = E_kl + E_lk (k <= l, so
+    # S_kk = E_kk), each in row-major order of (k, l)
     out = []
+    if algebra in ("o", "u"):
+        dtype = complex if algebra == "u" else float
+        for k in range(size):
+            for l in range(k + 1, size):
+                out.append(_unit(size, k, l, dtype) - _unit(size, l, k, dtype))
     if algebra == "u":
-        n = size
-        for k in range(n):
-            out.append(1j * _unit(n, k, k, complex))
-        for k in range(n):
-            for l in range(k + 1, n):
-                out.append(_unit(n, k, l, complex) - _unit(n, l, k, complex))
-                out.append(1j * (_unit(n, k, l, complex) + _unit(n, l, k, complex)))
-        return out
-    if algebra == "o":
-        m = size
-        for k in range(m):
-            for l in range(k + 1, m):
-                out.append(_unit(m, k, l) - _unit(m, l, k))
-        return out
+        for k in range(size):
+            for l in range(k, size):
+                M = np.zeros((size, size), dtype=complex)
+                M[k, l] = 1j
+                M[l, k] = 1j
+                out.append(M)
     if algebra == "sp":
+        # J^T S_kl: row r of S_kl becomes row r + n, and row n + r
+        # becomes row r with its sign flipped
         n = size // 2
-        for i in range(n):
-            for j in range(n):
+        for k in range(size):
+            for l in range(k, size):
                 M = np.zeros((size, size))
-                M[i, j] = 1
-                M[n + j, n + i] = -1
+                for r, c in ((k, l), (l, k)):
+                    if r < n:
+                        M[r + n, c] = 1
+                    else:
+                        M[r - n, c] = -1
                 out.append(M)
-        for i in range(n):
-            for j in range(i, n):
-                M = np.zeros((size, size))
-                M[i, n + j] = 1
-                M[j, n + i] = 1
-                out.append(M)
-        for i in range(n):
-            for j in range(i, n):
-                M = np.zeros((size, size))
-                M[n + i, j] = 1
-                M[n + j, i] = 1
-                out.append(M)
-        return out
-    n = size
-    for i in range(n):
-        for j in range(n):
-            out.append(_unit(n, i, j))
+    if algebra == "gl":
+        for i in range(size):
+            for j in range(size):
+                out.append(_unit(size, i, j))
     return out
 
 

@@ -167,6 +167,29 @@ def test_witness_missing_file(tmp_path, capsys):
                      "--side", "left"]) == 2
 
 
+@pytest.mark.parametrize("argv,cause", [
+    (["momentum", "{list}", "--side", "left"], "{list}: not an instance file"),
+    (["orbit", "{kind}"], "{kind}: unknown kind 'quaternionic'"),
+    (["witness", "{u32}", "{u22}", "--side", "left"],
+     "the two instances have different dimensions"),
+    (["suite", "--trials", "0", "--out", "{out}"], "trials must be at least 1"),
+    (["suite", "--config", "{one}", "--out", "{out}"],
+     "config file must hold a JSON object"),
+])
+def test_malformed_input_exits_2_naming_the_cause(tmp_path, capsys, argv, cause):
+    paths = {key: str(tmp_path / f"{key}.json") for key in ("list", "kind", "one", "out")}
+    Path(paths["list"]).write_text("[1, 2]")
+    Path(paths["kind"]).write_text(json.dumps({"kind": "quaternionic", "n": 1, "m": 1}))
+    Path(paths["one"]).write_text("[1]")
+    paths["u32"] = _write_instance(tmp_path / "u32.json", "unitary", 3, 2, matrix=np.ones((3, 2)))
+    paths["u22"] = _write_instance(tmp_path / "u22.json", "unitary", 2, 2, matrix=np.eye(2))
+    assert cli.main([a.format(**paths) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {cause.format(**paths)}\n"
+    assert not Path(paths["out"]).exists()
+
+
 def test_junk_arguments_use_argparse_exit():
     with pytest.raises(SystemExit) as exc:
         cli.main(["witness", "--side", "upside-down", "a", "b"])

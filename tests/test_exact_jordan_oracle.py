@@ -69,9 +69,10 @@ def _cases(jd, rng=None):
     zeta, xi = gl.jordan_correspond(jd)
     out = [(zeta, "left", jd.m), (xi, "right", jd.m)]
     if rng is not None:
-        pt = gl._exact_integer_left_act(gl._random_unimodular(jd.n, rng),
-                                        gl.build_qp_from_jordan(jd))
-        out.append((gl.momentum_left(pt), "left", jd.m))
+        A, A_inv = gl._random_unimodular(jd.n, rng)
+        pt = gl.build_qp_from_jordan(jd)
+        out.append((gl.momentum_left(gl.CotangentPoint(A @ pt.Q, A_inv.T @ pt.P)),
+                    "left", jd.m))
     return out
 
 

@@ -501,6 +501,14 @@ def test_cluster_eigenvalues_merges_transitively():
 def test_structure_right_requires_n():
     with pytest.raises(ValueError):
         gl.jordan_structure(np.zeros((1, 1)), side="right")
+    with pytest.raises(ValueError, match="^side='right' needs the ambient row count n$"):
+        gl.jordan_structure(np.eye(3), side="right")
+
+
+def test_structure_right_refuses_n_below_m():
+    # the right value is m x m, and GL(n) x GL(m) needs m <= n
+    with pytest.raises(ValueError, match="^ambient row count must be at least m$"):
+        gl.jordan_structure(np.eye(3), side="right", n=2)
 
 
 def test_structure_rejects_nonsquare():
