@@ -23,6 +23,7 @@ module is the general linear record of ``pairs.PAIRS``.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import operator
 from dataclasses import dataclass
@@ -408,7 +409,7 @@ def _chain_to_counts(nullities):
             if (c := 2 * nu[s] - nu[s - 1] - nu[s + 1])}
 
 
-def _label(chains, side: str, n: int, m: int) -> JordanData:
+def _label(chains, side: str, n: int, m) -> JordanData:
     """The label of (lambda, nullity chain) pairs, one per eigenvalue
     with Im lambda >= 0.
 
@@ -417,8 +418,12 @@ def _label(chains, side: str, n: int, m: int) -> JordanData:
     right value are sizes s + 1.  A real eigenvalue gives (lambda, s)
     and a strictly complex one (lambda, 2 s).  A chain that is not
     concave, and blocks that break ``JordanData``'s column budget or
-    nilpotent limit, raise ValueError.
+    nilpotent limit, raise ValueError.  m = None on the left side
+    stands for the exact rank n - nu_1(0) of the labelled value, read off
+    the chains (n when 0 is not among them).
     """
+    if m is None:
+        m = n - next((nullities[0] for lam, nullities in chains if lam == 0), 0)
     blocks, nilpotent = [], []
     for lam, nullities in chains:
         counts = _chain_to_counts(nullities)
@@ -480,7 +485,7 @@ def _nullity_chain(A, nullity, matmul, cap):
         power = matmul(power, A)
 
 
-def _structure_exact(M_int, side: str, n: int, m: int) -> JordanData:
+def _structure_exact(M_int, side: str, n: int, m) -> JordanData:
     """Exact label of an integral matrix, in integer arithmetic.
 
     The characteristic polynomial of an integral matrix is monic with
@@ -489,37 +494,51 @@ def _structure_exact(M_int, side: str, n: int, m: int) -> JordanData:
     Z[i].  A real candidate a gets the nullity chain of (M - aI)^k; a
     candidate with b > 0 gets half the nullities of
     ((M - aI)^2 + b^2 I)^k, whose kernel is the sum of the generalized
-    eigenspaces of a + bi and a - bi.  Ranks are exact (Bareiss), and
-    each chain ends at its eigenvalue's algebraic multiplicity.  The
-    label is built only when those multiplicities fill the whole size:
-    that sum certifies that no eigenvalue was missed.  Otherwise the
-    spectrum leaves Z[i] (as for [[0, 2], [1, 0]]) and sympy's exact
-    eigenvalues take over.
+    eigenspaces of a + bi and a - bi.  Ranks are exact (Bareiss).
+
+    Each chain stops at the number of float eigenvalues that round to
+    its candidate (halved when b > 0), or earlier when it stops growing.
+    The label is built only when the final nullities, each counted step
+    times, fill the whole size.  No nullity exceeds its algebraic
+    multiplicity, so that sum certifies that every chain reached its
+    multiplicity and that no eigenvalue was missed, and a chain stopped
+    at its count needs no confirming rank.  When the sum falls short,
+    the chains that stopped at their count rerun with the cap
+    size // step, ending one rank past the multiplicity; if the sum
+    still falls short, the spectrum leaves Z[i] (as for
+    [[0, 2], [1, 0]]) and sympy's exact eigenvalues take over.
     """
     size = len(M_int)
     eigs = np.linalg.eigvals(np.array(M_int, dtype=float).reshape(size, size))
-    candidates = sorted({(int(round(z.real)), abs(int(round(z.imag)))) for z in eigs})
-    chains = []
-    filled = 0
-    for a, b in candidates:
+    counts = collections.Counter((int(round(z.real)), abs(int(round(z.imag)))) for z in eigs)
+    step = {key: 2 if key[1] else 1 for key in counts}
+
+    def chain(key, cap):
+        a, b = key
         A = [[x - a if i == j else x for j, x in enumerate(row)]
              for i, row in enumerate(M_int)]
-        step = 1
         if b:
             A = _int_matmul(A, A)
             for i in range(size):
                 A[i][i] += b * b
-            step = 2
-        nullities = _nullity_chain(A, lambda P: (size - _bareiss_rank(P)) // step,
-                                   _int_matmul, size // step)
-        filled += step * nullities[-1]
-        chains.append((complex(a, b), nullities))
-    if filled != size:
-        return _structure_sympy(M_int, side, n, m)
-    return _label(chains, side, n, m)
+        return _nullity_chain(A, lambda P: (size - _bareiss_rank(P)) // step[key],
+                              _int_matmul, cap)
+
+    def filled():
+        return sum(step[key] * nullities[-1] for key, nullities in chains.items())
+
+    chains = {key: chain(key, counts[key] // step[key]) for key in sorted(counts)}
+    if filled() != size:
+        for key, nullities in list(chains.items()):
+            if nullities[-1] >= counts[key] // step[key]:
+                chains[key] = chain(key, size // step[key])
+        if filled() != size:
+            return _structure_sympy(M_int, side, n, m)
+    return _label([(complex(*key), nullities) for key, nullities in chains.items()],
+                  side, n, m)
 
 
-def _structure_sympy(M_int, side: str, n: int, m: int) -> JordanData:
+def _structure_sympy(M_int, side: str, n: int, m) -> JordanData:
     """Exact label from sympy's eigenvalues, for integral matrices whose
     spectrum leaves the Gaussian integers."""
     import sympy
@@ -629,7 +648,9 @@ def jordan_structure(value: np.ndarray, side: str, n: int = None) -> JordanData:
     is built only when the algebraic multiplicities found at the
     Gaussian-integer candidates sum to the matrix size, which certifies
     it, and a spectrum outside Z[i] falls back to sympy (imported only
-    then).  Otherwise eigenvalues are clustered, and the call raises
+    then).  On both exact paths the left rank is exact too, size minus
+    the nullity at 0 of the certified chains.  Otherwise m on the left
+    is ``rank_tol``'s, eigenvalues are clustered, and the call raises
     AmbiguousStructureError when clusters are too close to tell apart
     or the nullity chains give no label (a chain that is not concave,
     the column budget or the nilpotent limit).  Raises ValueError when
@@ -639,9 +660,9 @@ def jordan_structure(value: np.ndarray, side: str, n: int = None) -> JordanData:
     value = np.asarray(value, dtype=float)
     if value.ndim != 2 or value.shape[0] != value.shape[1]:
         raise ValueError("expected a square matrix")
+    m = None  # the left rank, exact for integral input
     if side == "left":
         n = value.shape[0]
-        m = rank_tol(value)
     elif side == "right":
         if n is None:
             raise ValueError("side='right' needs the ambient row count n")
@@ -654,4 +675,4 @@ def jordan_structure(value: np.ndarray, side: str, n: int = None) -> JordanData:
     if np.array_equal(rounded, value):
         M_int = [[int(x) for x in row] for row in rounded]
         return _structure_exact(M_int, side, n, m)
-    return _structure_float(value, side, n, m)
+    return _structure_float(value, side, n, rank_tol(value) if m is None else m)

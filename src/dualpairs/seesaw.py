@@ -7,12 +7,21 @@ u(n) and gl(n,R) sit inside sp(2n,R) through
 
 matching each pair module's real model ``to_real``: a complex n x m
 matrix E1 + i E2 is the real stack [E1; E2] and a pair (Q, P) is
-[Q; P].  Dually, o(m) sits inside u(m) and gl(m,R), and under the
-trace-form identifications the restriction maps are the real part and
-the skew part; both pair with each E_kl - E_lk exactly like their
-input, roundoff included, as fl(a - b) = -fl(b - a) and halving is
-exact.  The two check functions evaluate both legs of the resulting
-momentum-map diagrams and report residuals.
+[Q; P].  Under the trace form Re Tr(a b) the duals of the two
+embeddings are restriction maps of a 2n x 2n block matrix
+j = [[j11, j12], [j21, j22]],
+
+    restrict_sp_to_u(j)  = (j11 + j22) + i (j21 - j12),
+    restrict_sp_to_gl(j) = j11 - j22^T,
+
+so Re Tr(j embed(b)) = Re Tr(restrict(j) b) for every b, and both send
+sp(2n,R) into the smaller algebra.  Dually, o(m) sits inside u(m) and
+gl(m,R), and its restriction maps are the real part and the skew part;
+both pair with each E_kl - E_lk exactly like their input, roundoff
+included, as fl(a - b) = -fl(b - a) and halving is exact.
+Each diagram check restricts the sp momentum of the stacked point and
+reports the Frobenius distance to the pair's own momentum, on both
+sides, with no algebra basis involved.
 """
 
 from __future__ import annotations
@@ -20,7 +29,6 @@ from __future__ import annotations
 import numpy as np
 
 from .linalg import ANTI_HERMITIAN_RTOL, algebra_residual
-from .pairs import basis_stack
 from . import general_linear, symplectic, unitary
 
 
@@ -59,6 +67,26 @@ def embed_gl_to_sp(zeta: np.ndarray) -> np.ndarray:
     return out
 
 
+def _blocks(j: np.ndarray) -> tuple:
+    j = np.asarray(j, dtype=float)
+    if j.ndim != 2 or j.shape[0] != j.shape[1] or j.shape[0] % 2:
+        raise ValueError("expected a real 2n x 2n matrix")
+    n = j.shape[0] // 2
+    return j[:n, :n], j[:n, n:], j[n:, :n], j[n:, n:]
+
+
+def restrict_sp_to_u(j: np.ndarray) -> np.ndarray:
+    """(j11 + j22) + i (j21 - j12), the dual of embed_u_to_sp."""
+    j11, j12, j21, j22 = _blocks(j)
+    return (j11 + j22) + 1j * (j21 - j12)
+
+
+def restrict_sp_to_gl(j: np.ndarray) -> np.ndarray:
+    """j11 - j22^T, the dual of embed_gl_to_sp."""
+    j11, _, _, j22 = _blocks(j)
+    return j11 - j22.T
+
+
 def restrict_u_to_o(mu: np.ndarray) -> np.ndarray:
     """Real part of an anti-Hermitian matrix, the dual of o(m) in u(m)."""
     mu = np.asarray(mu, dtype=complex)
@@ -74,36 +102,27 @@ def restrict_gl_to_o(xi: np.ndarray) -> np.ndarray:
     return 0.5 * (xi - xi.T)
 
 
-def _check_diagram(pt, mod, algebra: str, embed, restrict) -> dict:
-    # pt is a point of the pair module mod; algebra, embed and restrict
-    # name the left algebra, its embedding into sp(2n,R) and the
-    # restriction of right momenta to o(m)
+def _check_diagram(pt, mod, restrict_sp, restrict_o) -> dict:
+    # pt is a point of the pair module mod; restrict_sp maps sp(2n,R) to
+    # its left algebra and restrict_o the right momenta to o(m)
     stacked = mod.to_real(pt)
-    j_sp = symplectic.momentum_left(stacked)
-    basis = basis_stack(algebra, stacked.shape[0] // 2)
-    # the trace pairings Re Tr(j b) = Re sum_ij b_ij j_ji with every basis
-    # element b, one matrix-vector product per leg
-    d = len(basis)
-    left = (np.real(embed(basis).reshape(d, -1) @ j_sp.T.ravel())
-            - np.real(basis.reshape(d, -1) @ mod.momentum_left(pt).T.ravel()))
-    right = float(np.linalg.norm(restrict(mod.momentum_right(pt))
-                                 - symplectic.momentum_right(stacked)))
-    return {"left": float(np.max(np.abs(left))), "right": right}
+    left = restrict_sp(symplectic.momentum_left(stacked)) - mod.momentum_left(pt)
+    right = restrict_o(mod.momentum_right(pt)) - symplectic.momentum_right(stacked)
+    return {"left": float(np.linalg.norm(left)), "right": float(np.linalg.norm(right))}
 
 
 def check_diagram_sp_u(E: np.ndarray) -> dict:
     """Residuals of the two momentum identities tying the complex and
     real models of a point.
 
-    left: the sp momentum of the stacked point pairs with embedded
-    algebra elements exactly like the complex momentum pairs with the
-    originals; right: restricting the complex right momentum gives the
-    real right momentum on the nose.
+    left: restricting the sp momentum of the stacked point to u(n)
+    gives the complex left momentum; right: restricting the complex
+    right momentum to o(m) gives the real right momentum.
     """
     E = np.asarray(E, dtype=complex)
-    return _check_diagram(E, unitary, "u", embed_u_to_sp, restrict_u_to_o)
+    return _check_diagram(E, unitary, restrict_sp_to_u, restrict_u_to_o)
 
 
 def check_diagram_sp_gl(pt) -> dict:
     """Same two residuals for a (Q, P) point stacked into [Q; P]."""
-    return _check_diagram(pt, general_linear, "gl", embed_gl_to_sp, restrict_gl_to_o)
+    return _check_diagram(pt, general_linear, restrict_sp_to_gl, restrict_gl_to_o)

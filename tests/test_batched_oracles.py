@@ -5,12 +5,14 @@ batched code does the same arithmetic in the same order, one basis stack
 at a time, so every result must equal its reference exactly, not merely
 approximately.
 
-Two sums are formed by matrix products instead and are compared within a
+One sum is formed by a matrix product instead and is compared within a
 rounding bound: the cross term of check_lie_weinstein (one product of the
-Darboux coordinates of the two tangent stacks) and the left leg of the
-seesaw diagrams (one matrix-vector product per leg).  Their orbit
-dimensions and right legs are still compared exactly.  So is the GL left
-witness, whose reference finds the same common complements by another
+Darboux coordinates of the two tangent stacks).  Its orbit dimensions are
+still compared exactly.  The left leg of the seesaw diagrams restricts
+the sp momentum instead of pairing it with every embedded basis element;
+that per-basis pairing is now the oracle for the restriction maps, and
+the diagrams are compared exactly with an entrywise restriction.  So is
+the GL left witness, whose reference finds the same common complements by another
 route (QR bases and a null space instead of SVD bases and a complete QR).
 
 The unitary reference form is omega_real of the stacked real and
@@ -161,16 +163,29 @@ def _ref_embed_gl_to_sp(zeta):
     return out
 
 
+def _ref_restrict_sp_to_u(j):
+    n = j.shape[0] // 2
+    out = np.zeros((n, n), dtype=complex)
+    for k in range(n):
+        for l in range(n):
+            out[k, l] = complex(j[k, l] + j[n + k, n + l], j[n + k, l] - j[k, n + l])
+    return out
+
+
+def _ref_restrict_sp_to_gl(j):
+    n = j.shape[0] // 2
+    out = np.zeros((n, n))
+    for k in range(n):
+        for l in range(n):
+            out[k, l] = j[k, l] - j[n + l, n + k]
+    return out
+
+
 def _ref_check_diagram_sp_u(E):
     E = np.asarray(E, dtype=complex)
-    n = E.shape[0]
-    Er = unitary.to_real(E)
-    j_sp = symplectic.momentum_left(Er)
-    j_u = unitary.momentum_left(E)
-    left = 0.0
-    for b in _ref_algebra_basis("u", n):
-        left = max(left, abs(_ref_trace_pairing(j_sp, _ref_embed_u_to_sp(b))
-                             - _ref_trace_pairing(j_u, b)))
+    Er = np.vstack([np.real(E), np.imag(E)])
+    left = float(np.linalg.norm(_ref_restrict_sp_to_u(symplectic.momentum_left(Er))
+                                - unitary.momentum_left(E)))
     right = float(np.linalg.norm(
         seesaw.restrict_u_to_o(unitary.momentum_right(E))
         - symplectic.momentum_right(Er)))
@@ -180,14 +195,9 @@ def _ref_check_diagram_sp_u(E):
 def _ref_check_diagram_sp_gl(pt):
     Q = np.asarray(pt.Q, dtype=float)
     P = np.asarray(pt.P, dtype=float)
-    n = Q.shape[0]
     Er = np.vstack([Q, P])
-    j_sp = symplectic.momentum_left(Er)
-    j_gl = gl.momentum_left(pt)
-    left = 0.0
-    for b in _ref_algebra_basis("gl", n):
-        left = max(left, abs(_ref_trace_pairing(j_sp, _ref_embed_gl_to_sp(b))
-                             - _ref_trace_pairing(j_gl, b)))
+    left = float(np.linalg.norm(_ref_restrict_sp_to_gl(symplectic.momentum_left(Er))
+                                - gl.momentum_left(pt)))
     right = float(np.linalg.norm(
         seesaw.restrict_gl_to_o(gl.momentum_right(pt))
         - symplectic.momentum_right(Er)))
@@ -339,15 +349,35 @@ def test_check_lie_weinstein_equals_the_loop_reference(n, m):
             assert isinstance(cross, float)
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_sp_restrictions_are_the_trace_form_duals_of_the_embeddings(n):
+    # the per-basis pairing the seesaw's left leg once looped over:
+    # <j, embed(b)> = <restrict(j), b> for every basis element b, up to
+    # the order in which the few nonzero products are summed
+    rng = stream_rng(53, n)
+    sp = basis_stack("sp", 2 * n)
+    j = np.tensordot(rng.standard_normal(len(sp)), sp, axes=1)
+    bound = 4 * np.finfo(float).eps * np.max(np.abs(j))
+    for algebra, embed, restrict, ref in (
+            ("u", _ref_embed_u_to_sp, seesaw.restrict_sp_to_u, _ref_restrict_sp_to_u),
+            ("gl", _ref_embed_gl_to_sp, seesaw.restrict_sp_to_gl, _ref_restrict_sp_to_gl)):
+        r = restrict(j)
+        assert np.array_equal(r, ref(j))
+        for b in _ref_algebra_basis(algebra, n):
+            assert abs(_ref_trace_pairing(j, embed(b)) - _ref_trace_pairing(r, b)) <= bound
+    # sp(2n) restricts into u(n) exactly: A - A^T is skew and C - B
+    # symmetric to the last bit
+    r = seesaw.restrict_sp_to_u(j)
+    assert np.array_equal(r, -np.conj(r).T)
+
+
 @pytest.mark.parametrize("n,m", SHAPES)
 def test_seesaw_diagrams_equal_the_loop_reference(n, m):
     rng = stream_rng(31, 100 * n + m)
     E = _complex(rng, n, m)
     pt = gl.CotangentPoint(rng.standard_normal((n, m)), rng.standard_normal((n, m)))
-    for x, got, want in ((E, seesaw.check_diagram_sp_u(E), _ref_check_diagram_sp_u(E)),
-                         (pt, seesaw.check_diagram_sp_gl(pt), _ref_check_diagram_sp_gl(pt))):
-        assert got["right"] == want["right"]
-        assert abs(got["left"] - want["left"]) <= n * n * np.finfo(float).eps * _norm2(x)
+    assert seesaw.check_diagram_sp_u(E) == _ref_check_diagram_sp_u(E)
+    assert seesaw.check_diagram_sp_gl(pt) == _ref_check_diagram_sp_gl(pt)
 
 
 @pytest.mark.parametrize("n,m", SHAPES)

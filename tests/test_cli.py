@@ -469,6 +469,7 @@ def test_package_import_leaves_cli_unloaded():
 
 # Exact Jordan labels of integral data with Gaussian-integer spectra are
 # computed in integer arithmetic, so these callers never import sympy.
+_SCATTERED_BLOCK = Path(__file__).parent / "data" / "scattered_jordan_block.json"
 _SYMPY_FREE = {
     "suite": "assert cli.main(['suite', '--out', os.path.join(tmp, 'r.json')]) == 0",
     "orbit": ("assert cli.main(['gen', 'gl', '6', '4', '--seed', '2',"
@@ -479,6 +480,12 @@ _SYMPY_FREE = {
         " jd = gl.JordanData(((1 + 1j, 4), (-2.0, 2)), (2, 3), 11, 9);"
         " inst = pairs.DualPairInstance('general_linear', 11, 9, gl.build_qp_from_jordan(jd));"
         " assert pairs.orbit_correspondence(inst) == (jd, jd)"),
+    # one 16 x 16 block at -1 whose float eigenvalues scatter, so its chain
+    # reruns; det 1, though the float rank reads less than 16
+    "scattered_jordan_block": (
+        "import json, numpy as np; from dualpairs import general_linear as gl;"
+        f" M = np.array(json.load(open({str(_SCATTERED_BLOCK)!r}))['matrix'], dtype=float);"
+        " assert gl.jordan_structure(M, side='left') == gl.JordanData(((-1.0, 16),), (), 16, 16)"),
 }
 
 

@@ -1,9 +1,17 @@
-"""The integer-arithmetic Jordan labels against the sympy routine they replaced.
+"""The integer-arithmetic Jordan labels against the routines they replaced.
 
-The reference below keeps the sympy version verbatim.  Both are exact,
+The first reference keeps the sympy version verbatim.  Both are exact,
 so every label must equal its reference, and every input whose spectrum
 lies in the Gaussian integers must be certified without the fallback.
+
+The second keeps the integer version whose chains each ran one rank past
+their multiplicity (or to size // step).  The chains now stop at their
+float eigenvalue count and rerun only when the certificate fails, so the
+chains that reach the label, and the labels, must equal it exactly.
 """
+
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -52,6 +60,30 @@ def _ref_structure_exact(M_int, side: str, n: int, m: int) -> JordanData:
             else:
                 blocks.extend([(lam_c, 2 * s)] * cnt)
     return JordanData(tuple(blocks), tuple(nilpotent), n, m)
+
+
+def _ref_chains_uncapped(M_int):
+    """(lambda, chain) per Gaussian-integer candidate, each chain capped
+    only by size // step; None when the final nullities do not fill the
+    size."""
+    size = len(M_int)
+    eigs = np.linalg.eigvals(np.array(M_int, dtype=float).reshape(size, size))
+    chains = []
+    filled = 0
+    for a, b in sorted({(int(round(z.real)), abs(int(round(z.imag)))) for z in eigs}):
+        A = [[x - a if i == j else x for j, x in enumerate(row)]
+             for i, row in enumerate(M_int)]
+        step = 1
+        if b:
+            A = gl._int_matmul(A, A)
+            for i in range(size):
+                A[i][i] += b * b
+            step = 2
+        nullities = gl._nullity_chain(A, lambda P: (size - gl._bareiss_rank(P)) // step,
+                                      gl._int_matmul, size // step)
+        filled += step * nullities[-1]
+        chains.append((complex(a, b), nullities))
+    return chains if filled == size else None
 
 
 # ---------------------------------------------------------------------------
@@ -163,3 +195,109 @@ def test_int_matmul_is_exact_on_both_sides_of_the_int64_bound():
         expect = [[sum(A[i][k] * A[k][j] for k in range(4)) for j in range(4)]
                   for i in range(4)]
         assert gl._int_matmul(A, A) == expect
+
+
+# ---------------------------------------------------------------------------
+# chains stopped at their float eigenvalue count
+
+def _scattering_unimodular(k, rng):
+    """An integer A with det 1 and its exact inverse, from rng.integers(10,
+    60) row steps A[i] += c A[j], c in -4..4, each skipped when an entry
+    would pass 200; large entries scatter a defective spectrum."""
+    A = np.eye(k, dtype=int).astype(object)  # Python ints: A_inv is not bounded
+    A_inv = A.copy()
+    for _ in range(int(rng.integers(10, 60)) if k >= 2 else 0):
+        i, j = rng.choice(k, 2, replace=False)
+        c = int(rng.integers(-4, 5))
+        row = A[i] + c * A[j]
+        if np.abs(row).max() <= 200:
+            A[i] = row
+            A_inv[:, j] -= c * A_inv[:, i]
+    return A, A_inv
+
+
+def _moved(A, A_inv, M):
+    out = A @ np.asarray(M, dtype=int).astype(object) @ A_inv
+    assert max(map(abs, out.ravel()), default=0) < 2 ** 53
+    return out.astype(float)
+
+
+def _orbit_values(n, m, seed):
+    """(value, side, label) triples: both canonical momenta of a seeded
+    label, the same conjugated by scattering unimodular matrices, and both
+    momenta of the two normal_form_partners points with their own label."""
+    jd = gl._random_jordan(n, m, stream_rng(seed, 4))
+    zeta, xi = gl.jordan_correspond(jd)
+    out = [(zeta, "left", jd), (xi, "right", jd)]
+    rng = np.random.default_rng([seed, n, m])
+    out.append((_moved(*_scattering_unimodular(n, rng), zeta), "left", jd))
+    out.append((_moved(*_scattering_unimodular(m, rng), xi), "right", jd))
+    partners = gl._random_jordan(n, m, stream_rng(seed, 2))  # as normal_form_partners draws it
+    for pt in gl.normal_form_partners(n, m, seed):
+        out += [(gl.momentum_left(pt), "left", partners),
+                (gl.momentum_right(pt), "right", partners)]
+    return out
+
+
+@pytest.fixture
+def labelled(monkeypatch):
+    """The chains each call of _label receives."""
+    calls = []
+    inner = gl._label
+
+    def spy(chains, *args):
+        calls.append(sorted(chains, key=lambda c: (c[0].real, c[0].imag)))
+        return inner(chains, *args)
+
+    monkeypatch.setattr(gl, "_label", spy)
+    return calls
+
+
+SHAPES = [(2, 1), (3, 2), (4, 4), (6, 3), (8, 6), (10, 5), (12, 12), (16, 8), (16, 12),
+          (16, 16)]
+
+
+@pytest.mark.parametrize("n,m", SHAPES)
+def test_count_stopped_chains_equal_the_uncapped_reference(n, m, labelled, fallbacks):
+    for seed in range(15):
+        for M, side, jd in _orbit_values(n, m, seed):
+            assert gl.jordan_structure(M, side=side, n=n) == jd
+            want = _ref_chains_uncapped(_ints(M))
+            assert want is not None
+            assert labelled.pop() == want
+    assert fallbacks == []
+
+
+def _scattered_block():
+    path = Path(__file__).parent / "data" / "scattered_jordan_block.json"
+    return np.array(json.loads(path.read_text())["matrix"], dtype=float)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_short_count_reruns_its_chain_instead_of_falling_back(side, monkeypatch, labelled,
+                                                              fallbacks):
+    # fewer than 16 float eigenvalues of this 16 x 16 block at -1 round to
+    # -1, so its first chain stops short and only the rerun certifies it
+    caps = []
+    inner = gl._nullity_chain
+
+    def spy(A, nullity, matmul, cap):
+        caps.append(cap)
+        return inner(A, nullity, matmul, cap)
+
+    monkeypatch.setattr(gl, "_nullity_chain", spy)
+    M = _scattered_block()
+    assert gl.jordan_structure(M, side=side, n=17) == \
+        JordanData(((-1.0, 16),), (), 16 if side == "left" else 17, 16)
+    assert caps.count(16) == 1 and min(caps) < 16
+    assert labelled == [_ref_chains_uncapped(_ints(M))]
+    assert fallbacks == []
+
+
+def test_chain_at_its_count_takes_no_confirming_rank(monkeypatch):
+    ranks = []
+    inner = gl._bareiss_rank
+    monkeypatch.setattr(gl, "_bareiss_rank", lambda rows: ranks.append(1) or inner(rows))
+    assert gl.jordan_structure(np.diag([1.0, 2.0, 3.0]), side="left") == \
+        JordanData(((1.0, 1), (2.0, 1), (3.0, 1)), (), 3, 3)
+    assert len(ranks) == 3

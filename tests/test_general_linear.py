@@ -430,6 +430,18 @@ def test_structure_right_zero_matrix():
     assert jd.nilpotent == (2,)
 
 
+def test_structure_left_rank_is_exact_on_both_exact_paths():
+    # eigenvalues +-sqrt 2 and 0 leave Z[i], so sympy labels the value, and
+    # m = 3 - nu_1(0) = 2 comes from its chains as it does on the integer path
+    M = [[0, 2, 0], [1, 0, 0], [0, 0, 0]]
+    jd = gl._structure_sympy(M, "left", 3, None)
+    assert (jd.n, jd.m, jd.nilpotent) == (3, 2, ())
+    assert sorted(round(lam.real, 12) for lam, _ in jd.blocks) == [-1.414213562373, 1.414213562373]
+    assert gl.jordan_structure(np.array(M, dtype=float), side="left") == jd
+    # no zero eigenvalue: m is the size
+    assert gl._structure_exact([[0, 1], [-1, 0]], "left", 2, None).m == 2
+
+
 @pytest.mark.parametrize("jd", [
     gl.JordanData(blocks=((2.0, 2),), nilpotent=(), n=2, m=2),
     gl.JordanData(blocks=((1j, 2),), nilpotent=(2,), n=4, m=3),

@@ -216,3 +216,31 @@ def test_diagram_u_right_restriction_direct():
     lhs = seesaw.restrict_u_to_o(unitary.momentum_right(E))
     rhs = symplectic.momentum_right(unitary.to_real(E))
     np.testing.assert_allclose(lhs, rhs, atol=1e-12)
+
+
+@pytest.mark.parametrize("restrict,embed,dtype", [
+    (seesaw.restrict_sp_to_u, seesaw.embed_u_to_sp, complex),
+    (seesaw.restrict_sp_to_gl, seesaw.embed_gl_to_sp, float)])
+def test_sp_restriction_undoes_embedding_twice(restrict, embed, dtype):
+    # the trace form of sp(2n) is twice that of u(n) and gl(n) on their
+    # images, so restricting an embedded element doubles it, exactly
+    rng = stream_rng(169, 0)
+    A = rng.standard_normal((3, 3)) + (1j * rng.standard_normal((3, 3)) if dtype is complex else 0)
+    zeta = A - A.conj().T if dtype is complex else A
+    out = restrict(embed(zeta))
+    assert out.dtype == dtype
+    assert np.array_equal(out, 2 * zeta)
+
+
+def test_restrict_sp_hand_values():
+    j = np.arange(16.0).reshape(4, 4)
+    np.testing.assert_array_equal(seesaw.restrict_sp_to_u(j),
+                                  [[10 + 6j, 12 + 6j], [18 + 6j, 20 + 6j]])
+    np.testing.assert_array_equal(seesaw.restrict_sp_to_gl(j), [[-10, -13], [-7, -10]])
+
+
+@pytest.mark.parametrize("restrict", [seesaw.restrict_sp_to_u, seesaw.restrict_sp_to_gl])
+def test_restrict_sp_rejects_odd_or_nonsquare(restrict):
+    for shape in [(3, 3), (2, 4), (4,)]:
+        with pytest.raises(ValueError):
+            restrict(np.zeros(shape))
