@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import general_linear, seesaw, symplectic, unitary
-from .jsonio import is_number, matrix_to_obj, read_int, report_record
+from .jsonio import matrix_to_obj, read_int, report_record
 from .linalg import (
     group_residual,
     omega_complex,
@@ -61,7 +61,6 @@ _PAIR_ALIASES = {
     "sp": "symplectic",
     "gl": "general_linear",
     "general_linear": "general_linear",
-    "general-linear": "general_linear",
 }
 
 _DIM_LIMIT = 16
@@ -89,17 +88,14 @@ def _instance_payload(inst: DualPairInstance) -> dict:
             **inst.module.point_to_obj(inst.point)}
 
 
-def _load_instance(path: str, pair: str = None) -> DualPairInstance:
-    """The instance in a file; pair, under any alias, must be its kind."""
+def _load_instance(path: str) -> DualPairInstance:
+    """The instance in a file, of the pair its kind names."""
     obj = json.loads(Path(path).read_text())
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ValueError(f"{path}: not an instance file")
     kind = obj["kind"]
     if kind not in PAIR_IDS:
         raise ValueError(f"{path}: unknown kind {kind!r}")
-    expected = _normalize_pair(pair) if pair else kind
-    if kind != expected:
-        raise ValueError(f"{path}: holds a {kind} instance, expected {expected}")
     try:
         n, m = read_int(obj, "n", path), read_int(obj, "m", path)
         _validate_dims(kind, n, m)
@@ -158,7 +154,7 @@ def cmd_gen(args) -> int:
 # momentum / witness / orbit
 
 def cmd_momentum(args) -> int:
-    inst = _load_instance(args.file, args.pair)
+    inst = _load_instance(args.file)
     mv = momentum(inst, args.side)
     payload = {
         "pair": inst.pair_id,
@@ -172,8 +168,10 @@ def cmd_momentum(args) -> int:
 
 
 def cmd_witness(args) -> int:
-    inst_a = _load_instance(args.file_a, args.pair)
-    inst_b = _load_instance(args.file_b, inst_a.pair_id)
+    inst_a, inst_b = _load_instance(args.file_a), _load_instance(args.file_b)
+    if inst_b.pair_id != inst_a.pair_id:
+        raise ValueError(f"{args.file_b}: holds a {inst_b.pair_id} instance, "
+                         f"expected {inst_a.pair_id}")
     if (inst_a.n, inst_a.m) != (inst_b.n, inst_b.m):
         raise ValueError("the two instances have different dimensions")
     rep, defining = _witness(inst_a, inst_b, args.side)
@@ -191,7 +189,7 @@ def cmd_witness(args) -> int:
 
 
 def cmd_orbit(args) -> int:
-    inst = _load_instance(args.file, args.pair)
+    inst = _load_instance(args.file)
     rep = inst.module.orbit(inst.point)
     payload = {
         "pair": inst.pair_id,
@@ -336,32 +334,10 @@ def _build_registry():
 
 
 def cmd_suite(args) -> int:
-    config = {"pairs": list(PAIR_IDS), "trials": 3, "seed": 0, "tol": None,
-              "out": "suite_report.json"}
-    if args.config:
-        given = json.loads(Path(args.config).read_text())
-        if not isinstance(given, dict):
-            raise ValueError("config file must hold a JSON object")
-        unknown = sorted(given.keys() - config.keys())
-        if unknown:
-            raise ValueError(f"{args.config}: unknown config key {unknown[0]!r}; "
-                             "use pairs, trials, seed, tol or out")
-        config.update(given)
-    where = args.config
-    pairs = config["pairs"]
-    if not isinstance(pairs, list) or not pairs or not all(isinstance(p, str) for p in pairs):
-        raise ValueError(f"{where}: pairs must be a non-empty list of pair names, "
-                         f"not {pairs!r}")
-    pairs = [_normalize_pair(p) for p in ([args.pair] if args.pair else pairs)]
-    trials = args.trials if args.trials is not None else read_int(config, "trials", where)
-    seed = args.seed if args.seed is not None else read_int(config, "seed", where)
-    tol_override = args.tol if args.tol is not None else config["tol"]
-    out = args.out or config["out"]
-    if not (tol_override is None or is_number(tol_override)):
-        raise ValueError(f"{where}: tol must be a finite number or null, not {tol_override!r}")
-    if not isinstance(out, str):
-        raise ValueError(f"{where}: out must be a file name, not {out!r}")
-    if trials < 1:
+    pairs = {_normalize_pair(p) for p in args.pair} if args.pair else set(PAIR_IDS)
+    if args.tol is not None and not np.isfinite(args.tol):
+        raise ValueError(f"--tol must be a finite number, not {args.tol!r}")
+    if args.trials < 1:
         raise ValueError("trials must be at least 1")
 
     t0 = time.perf_counter()
@@ -369,28 +345,28 @@ def cmd_suite(args) -> int:
     for idx, (check, pair, default_thr, runner) in enumerate(_build_registry()):
         if pair not in pairs:
             continue
-        threshold = default_thr if tol_override is None else float(tol_override)
+        threshold = default_thr if args.tol is None else args.tol
         dims_cycle = _SUITE_DIMS[pair]
-        for t in range(trials):
+        for t in range(args.trials):
             n, m = dims = dims_cycle[t % len(dims_cycle)]
             base = idx * 1000 + t
-            inst = _random_instance(pair, n, m, seed, base * 8)
-            residual = float(runner(inst, seed, base))
+            inst = _random_instance(pair, n, m, args.seed, base * 8)
+            residual = float(runner(inst, args.seed, base))
             records.append(report_record(check, pair, list(dims), base,
                                          residual, residual <= threshold))
     records.sort(key=lambda r: (r["check"], r["pair"], str(r["dims"]), r["seed"]))
     passed = sum(1 for r in records if r["pass"])
     report = {
-        "config": {"pairs": sorted(pairs), "seed": seed, "trials": trials,
-                   "tol": tol_override},
+        "config": {"pairs": sorted(pairs), "seed": args.seed, "trials": args.trials,
+                   "tol": args.tol},
         "records": records,
         "summary": {"total": len(records), "passed": passed,
                     "failed": len(records) - passed},
     }
-    Path(out).write_text(_dump_json(report))
+    Path(args.out).write_text(_dump_json(report))
     wall = time.perf_counter() - t0
     print(f"{passed}/{len(records)} checks passed; wall {wall:.2f}s; "
-          f"report -> {out}")
+          f"report -> {args.out}")
     return 0 if passed == len(records) else 1
 
 
@@ -416,7 +392,6 @@ def _build_parser():
 
     p = sub.add_parser("momentum", help="momentum value of an instance file")
     p.add_argument("file")
-    p.add_argument("--pair")
     p.add_argument("--side", required=True, choices=["left", "right"])
     p.set_defaults(func=cmd_momentum)
 
@@ -424,23 +399,21 @@ def _build_parser():
                        help="group element linking two same-level instances")
     p.add_argument("file_a")
     p.add_argument("file_b")
-    p.add_argument("--pair")
     p.add_argument("--side", required=True, choices=["left", "right"])
     p.set_defaults(func=cmd_witness)
 
     p = sub.add_parser("orbit",
                        help="orbit label and both canonical momentum values")
     p.add_argument("file")
-    p.add_argument("--pair")
     p.set_defaults(func=cmd_orbit)
 
     p = sub.add_parser("suite", help="run the verification battery")
-    p.add_argument("--pair")
-    p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--pair", action="append",
+                   help="a pair to check, repeatable (default: all three)")
+    p.add_argument("--trials", type=int, default=3)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float)
-    p.add_argument("--out")
-    p.add_argument("--config", help="JSON file with pairs/trials/seed/tol/out")
+    p.add_argument("--out", default="suite_report.json")
     p.set_defaults(func=cmd_suite)
     return parser
 

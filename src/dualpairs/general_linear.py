@@ -211,6 +211,21 @@ def witness_left(pt: CotangentPoint, pt_prime: CotangentPoint) -> WitnessReport:
 # ---------------------------------------------------------------------------
 # momentum images
 
+def _integral(value: np.ndarray):
+    """value as integer rows when every entry is a whole number, else
+    None; such input gets exact ranks and labels."""
+    rounded = np.round(value)
+    if not np.array_equal(rounded, value):
+        return None
+    return [[int(x) for x in row] for row in rounded]
+
+
+def _rank(value: np.ndarray) -> int:
+    """Exact rank of integral input (Bareiss), ``rank_tol`` otherwise."""
+    M_int = _integral(value)
+    return rank_tol(value) if M_int is None else _bareiss_rank(M_int)
+
+
 def in_image_left(zeta: np.ndarray, m: int) -> bool:
     """Whether an n x n value is the left momentum of a full-rank pair:
     the rank must be exactly m."""
@@ -219,7 +234,7 @@ def in_image_left(zeta: np.ndarray, m: int) -> bool:
         raise ValueError("expected a square matrix")
     if not 0 <= m <= zeta.shape[0]:
         raise ValueError("m out of range")
-    return rank_tol(zeta) == m
+    return _rank(zeta) == m
 
 
 def in_image_right(xi: np.ndarray, n: int) -> bool:
@@ -231,7 +246,7 @@ def in_image_right(xi: np.ndarray, n: int) -> bool:
     m = xi.shape[0]
     if n < m:
         raise ValueError("ambient row count must be at least m")
-    return rank_tol(xi) >= 2 * m - n
+    return _rank(xi) >= 2 * m - n
 
 
 # ---------------------------------------------------------------------------
@@ -671,8 +686,7 @@ def jordan_structure(value: np.ndarray, side: str, n: int = None) -> JordanData:
             raise ValueError("ambient row count must be at least m")
     else:
         raise ValueError("side must be 'left' or 'right'")
-    rounded = np.round(value)
-    if np.array_equal(rounded, value):
-        M_int = [[int(x) for x in row] for row in rounded]
+    M_int = _integral(value)
+    if M_int is not None:
         return _structure_exact(M_int, side, n, m)
     return _structure_float(value, side, n, rank_tol(value) if m is None else m)

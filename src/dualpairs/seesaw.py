@@ -32,19 +32,16 @@ from .linalg import ANTI_HERMITIAN_RTOL, algebra_residual
 from . import general_linear, symplectic, unitary
 
 
-def _require_anti_hermitian(zeta: np.ndarray, name: str):
-    # each matrix of a stack is checked against its own norm
-    err = algebra_residual("unitary", zeta)
-    if np.any(err > ANTI_HERMITIAN_RTOL * np.maximum(1.0, np.linalg.norm(zeta, axis=(-2, -1)))):
-        raise ValueError(f"{name} must be anti-Hermitian (residual {np.max(err):.3e})")
-
-
 def embed_u_to_sp(zeta: np.ndarray) -> np.ndarray:
     """Real 2n x 2n image of an anti-Hermitian matrix; a Lie-algebra
     morphism into sp(2n,R).  A stack of matrices maps to the stack of
     images, here and in embed_gl_to_sp."""
     zeta = np.asarray(zeta, dtype=complex)
-    _require_anti_hermitian(zeta, "embed_u_to_sp input")
+    # each matrix of a stack is checked against its own norm
+    err = algebra_residual("unitary", zeta)
+    if np.any(err > ANTI_HERMITIAN_RTOL * np.maximum(1.0, np.linalg.norm(zeta, axis=(-2, -1)))):
+        raise ValueError("embed_u_to_sp input must be anti-Hermitian "
+                         f"(residual {np.max(err):.3e})")
     z1, z2 = np.real(zeta), np.imag(zeta)
     n = zeta.shape[-1]
     out = np.empty(zeta.shape[:-2] + (2 * n, 2 * n))
@@ -88,10 +85,11 @@ def restrict_sp_to_gl(j: np.ndarray) -> np.ndarray:
 
 
 def restrict_u_to_o(mu: np.ndarray) -> np.ndarray:
-    """Real part of an anti-Hermitian matrix, the dual of o(m) in u(m)."""
-    mu = np.asarray(mu, dtype=complex)
-    _require_anti_hermitian(mu, "restrict_u_to_o input")
-    return np.real(mu).copy()
+    """Real part of a complex matrix, the dual of o(m) in u(m).  It
+    checks no anti-Hermitian form, like restrict_gl_to_o: for real b,
+    Re Tr(mu b) = Tr(Re(mu) b), so the real part pairs with every b in
+    o(m) exactly as mu does, whatever mu is."""
+    return np.real(np.asarray(mu, dtype=complex)).copy()
 
 
 def restrict_gl_to_o(xi: np.ndarray) -> np.ndarray:

@@ -119,12 +119,6 @@ def test_momentum_gl_identity(tmp_path, capsys):
     np.testing.assert_array_equal(matrix_from_obj(payload["value"]), np.eye(2))
 
 
-def test_momentum_pair_mismatch(tmp_path, capsys):
-    f = _write_instance(tmp_path / "z.json", "unitary", 2, 2,
-                        matrix=np.zeros((2, 2)))
-    assert cli.main(["momentum", f, "--pair", "gl", "--side", "left"]) == 2
-
-
 # ---------------------------------------------------------------------------
 # witness
 
@@ -173,16 +167,21 @@ def test_witness_missing_file(tmp_path, capsys):
     (["witness", "{u32}", "{u22}", "--side", "left"],
      "the two instances have different dimensions"),
     (["suite", "--trials", "0", "--out", "{out}"], "trials must be at least 1"),
-    (["suite", "--config", "{one}", "--out", "{out}"],
-     "config file must hold a JSON object"),
+    (["suite", "--tol", "nan", "--out", "{out}"], "--tol must be a finite number, not nan"),
+    (["suite", "--tol", "inf", "--out", "{out}"], "--tol must be a finite number, not inf"),
+    (["suite", "--pair", "u", "--pair", "quaternionic", "--out", "{out}"],
+     "unknown pair 'quaternionic'; use unitary, symplectic or gl"),
+    (["witness", "{u22}", "{gl22}", "--side", "left"],
+     "{gl22}: holds a general_linear instance, expected unitary"),
 ])
 def test_malformed_input_exits_2_naming_the_cause(tmp_path, capsys, argv, cause):
-    paths = {key: str(tmp_path / f"{key}.json") for key in ("list", "kind", "one", "out")}
+    paths = {key: str(tmp_path / f"{key}.json") for key in ("list", "kind", "out")}
     Path(paths["list"]).write_text("[1, 2]")
     Path(paths["kind"]).write_text(json.dumps({"kind": "quaternionic", "n": 1, "m": 1}))
-    Path(paths["one"]).write_text("[1]")
     paths["u32"] = _write_instance(tmp_path / "u32.json", "unitary", 3, 2, matrix=np.ones((3, 2)))
     paths["u22"] = _write_instance(tmp_path / "u22.json", "unitary", 2, 2, matrix=np.eye(2))
+    paths["gl22"] = _write_instance(tmp_path / "gl22.json", "general_linear", 2, 2,
+                                    Q=np.eye(2), P=np.eye(2))
     assert cli.main([a.format(**paths) for a in argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -194,6 +193,18 @@ def test_junk_arguments_use_argparse_exit():
     with pytest.raises(SystemExit) as exc:
         cli.main(["witness", "--side", "upside-down", "a", "b"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [["suite", "--config", "c.json"],
+                                  ["momentum", "a.json", "--pair", "u", "--side", "left"],
+                                  ["witness", "a.json", "b.json", "--pair", "u", "--side", "left"],
+                                  ["orbit", "a.json", "--pair", "u"]])
+def test_file_commands_and_suite_take_no_second_source(argv, capsys):
+    # suite reads flags only; the file commands take their pair from the file
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "error: unrecognized arguments" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -329,45 +340,22 @@ def test_suite_impossible_tolerance_fails(tmp_path, capsys):
     assert report["summary"]["failed"] > 0
 
 
-def test_suite_config_file(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    out = tmp_path / "rep.json"
-    cfg.write_text(json.dumps({"pairs": ["gl"], "trials": 1, "seed": 12,
-                               "out": str(out)}))
-    code, _ = _run(["suite", "--config", str(cfg)], capsys)
-    assert code == 0
-    report = json.loads(out.read_text())
-    assert report["config"]["pairs"] == ["general_linear"]
+def test_suite_repeated_pairs_run_their_union(tmp_path, capsys):
+    def report(*pairs):
+        out = tmp_path / ("_".join(pairs) + ".json")
+        argv = ["suite", "--trials", "2", "--seed", "12", "--out", str(out)]
+        for pair in pairs:
+            argv += ["--pair", pair]
+        assert _run(argv, capsys)[0] == 0
+        return out
 
-
-@pytest.mark.parametrize("bad", [{"trials": None}, {"trials": 1.7}, {"seed": 1.5},
-                                 {"seed": "3"}, {"pairs": [["u"]]}, {"pairs": "u"},
-                                 {"tol": [1]}, {"tol": True}, {"out": 5},
-                                 {"tol": float("nan")}, {"trails": 7}, {"pairs": []}])
-def test_suite_malformed_config_exits_2(tmp_path, capsys, bad):
-    cfg = tmp_path / "cfg.json"
-    out = tmp_path / "rep.json"
-    cfg.write_text(json.dumps({"pairs": ["u"], "trials": 1, "out": str(out), **bad}))
-    assert cli.main(["suite", "--config", str(cfg)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert not out.exists()
-
-
-def test_suite_unknown_config_key_exits_2_naming_it(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"pairs": ["u"], "trails": 7, "out": str(tmp_path / "r.json")}))
-    assert cli.main(["suite", "--config", str(cfg)]) == 2
-    assert "unknown config key 'trails'" in capsys.readouterr().err
-
-
-def test_suite_config_reads_integral_floats(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    out = tmp_path / "rep.json"
-    cfg.write_text(json.dumps({"pairs": ["u"], "trials": 1.0, "seed": 4.0,
-                               "out": str(out)}))
-    assert cli.main(["suite", "--config", str(cfg)]) == 0
-    assert json.loads(out.read_text())["config"]["seed"] == 4
+    both = json.loads(report("u", "gl").read_text())
+    singles = [json.loads(report(pair).read_text()) for pair in ("u", "gl")]
+    assert both["config"]["pairs"] == ["general_linear", "unitary"]
+    union = sorted(singles[0]["records"] + singles[1]["records"],
+                   key=lambda r: (r["check"], r["pair"], str(r["dims"]), r["seed"]))
+    assert both["records"] == union
+    assert report("u", "u").read_bytes() == report("u").read_bytes()
 
 
 # ---------------------------------------------------------------------------

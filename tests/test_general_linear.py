@@ -1,5 +1,8 @@
 """Cotangent-lift pair on matrix space: momenta, witnesses, Jordan forms."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -330,6 +333,17 @@ def test_in_image_right_full():
 
 def test_in_image_right_rank_violation():
     assert not gl.in_image_right(np.diag([1.0, 0.0]), 2)
+
+
+def test_in_image_takes_exact_rank_of_integral_input():
+    # this det-1 matrix (a 16 x 16 Jordan block at -1, moved by an integer
+    # unimodular matrix) has float rank 14 under rank_tol; it is integral,
+    # so its rank is taken exactly, as jordan_structure takes it
+    path = Path(__file__).parent / "data" / "scattered_jordan_block.json"
+    M = np.array(json.loads(path.read_text())["matrix"], dtype=float)
+    assert gl.in_image_left(M, 16)
+    assert not gl.in_image_left(M, 14)
+    assert gl.in_image_right(M, 16)
 
 
 # ---------------------------------------------------------------------------

@@ -137,6 +137,19 @@ def test_restrict_u_takes_real_part():
                                [[0.0, 1.0], [-1.0, 0.0]])
 
 
+@pytest.mark.parametrize("m", range(2, 7))
+def test_restrict_u_pairs_with_o_like_its_input(m):
+    # restrict_u_to_o takes any complex matrix: for real b in o(m),
+    # Re Tr(X b) = Tr(Re(X) b), and each trace is one difference of two
+    # entries, so the two sides agree bit for bit
+    rng = stream_rng(172, m)
+    X = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+    assert np.linalg.norm(X + X.conj().T) > 1.0
+    R = seesaw.restrict_u_to_o(X)
+    for b in basis_stack("o", m):
+        assert np.real(np.trace(X @ b)) == np.trace(R @ b)
+
+
 def test_restrict_gl_takes_skew_part():
     xi = np.array([[0.0, 1.0], [0.0, 0.0]])
     np.testing.assert_allclose(seesaw.restrict_gl_to_o(xi),
