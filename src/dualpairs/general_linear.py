@@ -212,10 +212,10 @@ def witness_left(pt: CotangentPoint, pt_prime: CotangentPoint) -> WitnessReport:
 # momentum images
 
 def _integral(value: np.ndarray):
-    """value as integer rows when every entry is a whole number, else
-    None; such input gets exact ranks and labels."""
+    """value as integer rows when every entry is a finite whole number,
+    else None; such input gets exact ranks and labels."""
     rounded = np.round(value)
-    if not np.array_equal(rounded, value):
+    if not (np.array_equal(rounded, value) and np.all(np.isfinite(value))):
         return None
     return [[int(x) for x in row] for row in rounded]
 

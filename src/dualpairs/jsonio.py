@@ -13,9 +13,15 @@ _FLOAT_MAX = float(np.finfo(float).max)
 
 
 def matrix_to_obj(M: np.ndarray) -> dict:
+    """The matrix object of M; a non-finite entry, which the reader would
+    refuse, raises ValueError naming it."""
     M = np.asarray(M)
     if M.ndim != 2:
         raise ValueError("expected a 2d array")
+    finite = np.isfinite(M)
+    if not finite.all():
+        i, j = np.argwhere(~finite)[0]
+        raise ValueError(f"cannot write matrix entry [{i}][{j}]: {M[i, j]} is not a finite number")
     cplx = np.iscomplexobj(M)
     if cplx:
         data = [[[float(v.real), float(v.imag)] for v in row] for row in M]

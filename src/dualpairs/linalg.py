@@ -28,6 +28,9 @@ import numpy as np
 # value of an m x m skew matrix counts when it exceeds
 # RANK_TOL_FACTOR * m * eps * scale (``skew_canonical``);
 RANK_TOL_FACTOR = 100.0
+# a Gram certificate factors G - delta I with
+# delta = GRAM_SHIFT * max(shape) * eps * |C|_F^2 (``gram_cholesky``);
+GRAM_SHIFT = 1e3
 # skew_canonical accepts xi when |xi + xi^T|_F <= max(SKEW_RTOL |xi|_F, 1e-13);
 SKEW_RTOL = 1e-9
 # two momentum values match when their difference is at most
@@ -126,6 +129,31 @@ def rank_tol(M: np.ndarray) -> int:
     if M.size == 0:
         return 0
     return svd_rank(np.linalg.svd(M, compute_uv=False), M.shape)
+
+
+def gram_cholesky(C: np.ndarray):
+    """Cholesky factor of G - delta I, or None when that matrix is not
+    positive definite, for the Gram G = C C^H of the rows of C (pass C^T
+    for its columns) and delta = GRAM_SHIFT * max(C.shape) * eps * |C|_F^2.
+
+    A factor certifies that C has full row rank, with every singular
+    value above about sqrt(delta), near 1e-6 |C|_F:
+    forming G and factoring it are backward stable (Higham, Accuracy and
+    Stability of Numerical Algorithms, ch. 10), with errors near
+    max(C.shape) * eps * |C|_F^2, a thousandth of delta.  That lies far
+    above the ``svd_rank`` cut, so ``rank_tol`` counts all of them.  A
+    non-finite |C|_F gives None.
+    """
+    C = np.asarray(C)
+    delta = GRAM_SHIFT * max(C.shape) * _EPS * np.linalg.norm(C) ** 2
+    if not np.isfinite(delta):
+        return None
+    G = C @ C.conj().T
+    G.flat[::len(G) + 1] -= delta  # the diagonal
+    try:
+        return np.linalg.cholesky(G)
+    except np.linalg.LinAlgError:
+        return None
 
 
 def column_frames(who: str, *named, uv: bool = True):

@@ -30,8 +30,9 @@ from typing import Any
 
 import numpy as np
 
-from .linalg import (MATCH_RTOL, algebra_residual, omega_real, rank_tol, relative_diff,
-                     require_member, shared_array, trace_pairing)
+from .linalg import (MATCH_RTOL, RANK_TOL_FACTOR, algebra_residual, gram_cholesky,
+                     omega_real, rank_tol, relative_diff, require_member, shared_array,
+                     trace_pairing)
 
 
 @dataclass(frozen=True)
@@ -302,8 +303,14 @@ def check_lie_weinstein(inst: DualPairInstance) -> dict:
     and the largest symplectic product between tangent directions of
     the two orbits, which must vanish since each momentum map is
     constant along the other group's orbits.  The products come from
-    one matrix product of the Darboux coordinates of the two tangent
+    one matrix product X of the Darboux coordinates of the two tangent
     stacks, omega(t1, t2) = q1 . p2 - p1 . q2.
+
+    Each dimension is the ``rank_tol`` of its side's tangent stack.
+    ``_certified_dims`` proves both from X and Gram Cholesky factors
+    (``linalg.gram_cholesky``) when it can; when it cannot (a point
+    near rank deficiency, or stacks that are not omega-orthogonal), the
+    two stacks take ``rank_tol``'s SVDs.
     """
     if not inst.full_rank():
         raise ValueError("orbit-dimension check requires a full-rank point")
@@ -311,20 +318,70 @@ def check_lie_weinstein(inst: DualPairInstance) -> dict:
     for side in ("left", "right"):
         basis = basis_stack(algebra_tag(inst.pair_id, side), algebra_size(inst, side))
         coords[side] = _vectorize_tangent(inst, infinitesimal_action(inst, side, basis))
-    # one column per basis element; a zero-dimensional algebra (orthogonal
-    # side at m = 1) gives no columns and rank 0
-    dims = {side: rank_tol(c.T) for side, c in coords.items()}
     # |omega| over all left x right pairs: each row is (q, p) with h = n m
-    # entries per half, so the pairs are q_L . p_R - p_L . q_R
+    # entries per half, so the pairs are q_L . p_R - p_L . q_R, the
+    # products of the left rows with the right rows swapped to (p, -q)
     h = inst.n * inst.m
     q, p = coords["right"][:, :h], coords["right"][:, h:]
-    cross = float(np.max(np.abs(coords["left"] @ np.hstack([p, -q]).T), initial=0.0))
+    swapped = np.hstack([p, -q])
+    X = coords["left"] @ swapped.T
+    cross = float(np.max(np.abs(X), initial=0.0))
+    # one row per basis element; a zero-dimensional algebra (orthogonal
+    # side at m = 1) gives no rows and rank 0
+    dims = (_certified_dims(coords["left"], swapped, X, inst.ambient_dim())
+            or {side: rank_tol(c.T) for side, c in coords.items()})
     return {
         "dim_left_orbit": dims["left"],
         "dim_right_orbit": dims["right"],
         "ambient_dim": inst.ambient_dim(),
         "cross_omega_residual": cross,
     }
+
+
+def _certified_dims(left: np.ndarray, swapped: np.ndarray, X: np.ndarray, N: int):
+    """The ``rank_tol`` of both tangent stacks when a Gram certificate
+    proves it, else None.
+
+    The rows of the left stack and of the swapped right stack (an
+    orthogonal map of the right stack's rows, so with its singular
+    values) lie in R^N, and X holds their products, which omega-duality
+    makes vanish.  The side s with fewer rows (the left on a tie) must
+    have full row rank d_s: its rows' Gram takes a ``gram_cholesky``
+    factor L_s.  The other side b must have rank N - d_s, by two bounds.
+    The upper bound: C_b less its projection onto the row space of C_s
+    has rank at most N - d_s, so sigma_{N - d_s + 1}(C_b) is at most the
+    norm of that projection, |L_s^-1 X_s|_F with X_s the rows of X or
+    X^T that belong to s (L_s comes from a shifted Gram, which only
+    raises the bound); it must be at most half the least ``svd_rank``
+    cut that C_b can have, as sigma_max >= |C_b|_F / sqrt(min(d_b, N)):
+    RANK_TOL_FACTOR max(d_b, N) eps |C_b|_F / sqrt(min(d_b, N)).  The
+    lower bound: with mu = |C_b|_F^2 / |C_s|_F^2, the Gram
+    C_b^T C_b + mu C_s^T C_s takes a ``gram_cholesky`` factor; the added
+    term is positive semidefinite of rank d_s, so by Weyl's inequality
+    sigma_{N - d_s}(C_b) lies above the shift.  When d_b = N - d_s the
+    rank cannot exceed d_b, the upper bound is skipped, and the lower
+    bound is C_b's own row Gram.
+    """
+    stacks = {"left": (left, X), "right": (swapped, X.T)}
+    s, b = ("left", "right") if len(left) <= len(swapped) else ("right", "left")
+    (Cs, Xs), (Cb, _) = stacks[s], stacks[b]
+    ds, db = len(Cs), len(Cb)
+    if db < N - ds:
+        return None
+    Ls = gram_cholesky(Cs)
+    if Ls is None:
+        return None
+    if db == N - ds:
+        Lb = gram_cholesky(Cb)
+    else:
+        fb = np.linalg.norm(Cb) ** 2
+        upper = np.linalg.norm(np.linalg.solve(Ls, Xs))
+        cut = RANK_TOL_FACTOR * max(db, N) * np.finfo(float).eps * np.sqrt(fb / min(db, N))
+        if not upper <= 0.5 * cut:
+            return None
+        mu = fb / np.linalg.norm(Cs) ** 2 if ds else 0.0
+        Lb = gram_cholesky(np.vstack([Cb, np.sqrt(mu) * Cs]).T)
+    return None if Lb is None else {s: ds, b: N - ds}
 
 
 def orbit_correspondence(inst: DualPairInstance):

@@ -18,7 +18,8 @@ from __future__ import annotations
 import numpy as np
 
 from .jsonio import matrix_point_from_obj as point_from_obj, matrix_point_to_obj as point_to_obj
-from .linalg import isometry_between, random_group_element, rank_tol, relative_diff, stream_rng
+from .linalg import (gram_cholesky, isometry_between, random_group_element, rank_tol,
+                     relative_diff, stream_rng)
 from .pairs import OrbitReport, WitnessReport, require_level_match as _require_level_match
 
 GROUP = {"left": "unitary", "right": "unitary"}
@@ -145,6 +146,11 @@ def jacobian_rank_right(E: np.ndarray) -> int:
     triangle up to sign (T_ji = -conj T_ij).  With k zero singular
     values the observed rank is m^2 - k^2, so the map has full rank m^2
     exactly when E has full column rank.
+
+    The rank is ``rank_tol``'s.  When n >= m, a ``linalg.gram_cholesky``
+    factor of the m^2 x m^2 Gram of the rows proves it is m^2 without an
+    SVD; a wide E, or one whose Gram has no factor (E short of full
+    column rank, or nearly so), takes ``rank_tol``.
     """
     E = np.asarray(E, dtype=complex)
     n, m = E.shape
@@ -158,5 +164,8 @@ def jacobian_rank_right(E: np.ndarray) -> int:
     d = np.arange(m)
     i, j = np.triu_indices(m, 1)
     upper = np.sqrt(2.0) * T[:, i, j]
-    return rank_tol(np.concatenate([np.imag(T[:, d, d]), np.real(upper), np.imag(upper)],
-                                   axis=1).T)
+    A = np.concatenate([np.imag(T[:, d, d]), np.real(upper), np.imag(upper)], axis=1).T
+    # the m^2 rows of A can be independent only when n >= m
+    if n >= m and gram_cholesky(A) is not None:
+        return m * m
+    return rank_tol(A)

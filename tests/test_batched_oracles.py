@@ -8,8 +8,12 @@ approximately.
 One sum is formed by a matrix product instead and is compared within a
 rounding bound: the cross term of check_lie_weinstein (one product of the
 Darboux coordinates of the two tangent stacks).  Its orbit dimensions are
-still compared exactly.  The left leg of the seesaw diagrams restricts
-the sp momentum instead of pairing it with every embedded basis element;
+still compared exactly.  They come from a Gram certificate, which is also
+checked against rank_tol of the stacks at points of growing condition
+number, on stacks moved off the omega complement, and for the SVDs it
+avoids; so is the certificate of jacobian_rank_right.  The left leg of
+the seesaw diagrams restricts the sp momentum instead of pairing it with
+every embedded basis element;
 that per-basis pairing is now the oracle for the restriction maps, and
 the diagrams are compared exactly with an entrywise restriction.  So is
 the GL left witness, whose reference finds the same common complements by another
@@ -26,13 +30,14 @@ import numpy as np
 import pytest
 
 from dualpairs import general_linear as gl
-from dualpairs import seesaw, symplectic, unitary
+from dualpairs import pairs, seesaw, symplectic, unitary
 from dualpairs.linalg import random_group_element, rank_tol, relative_diff, stream_rng
 from dualpairs.pairs import (
     DualPairInstance,
     algebra_size,
     algebra_tag,
     basis_stack,
+    _vectorize_tangent,
     check_lie_weinstein,
     infinitesimal_action,
     tangent_omega,
@@ -349,6 +354,114 @@ def test_check_lie_weinstein_equals_the_loop_reference(n, m):
             assert isinstance(cross, float)
 
 
+def _conditioned(rng, rows, m, kappa, cplx=False):
+    # U diag(logspace(0, -log10 kappa, k)) V, k = min(rows, m), with U and
+    # V from QRs of Gaussians
+    k = min(rows, m)
+
+    def draw(a, b):
+        return _complex(rng, a, b) if cplx else rng.standard_normal((a, b))
+    U = np.linalg.qr(draw(rows, k))[0]
+    V = np.linalg.qr(draw(m, k))[0]
+    return (U * np.logspace(0, -np.log10(kappa), k)) @ np.conj(V).T
+
+
+def _conditioned_instances(n, m, kappa, seed):
+    rng = stream_rng(seed, 100 * n + m)
+    out = [DualPairInstance("unitary", n, m, _conditioned(rng, n, m, kappa, cplx=True)),
+           DualPairInstance("symplectic", n, m, _conditioned(rng, 2 * n, m, kappa))]
+    if m <= n:
+        pt = gl.CotangentPoint(_conditioned(rng, n, m, kappa), _conditioned(rng, n, m, kappa))
+        out.append(DualPairInstance("general_linear", n, m, pt))
+    return out
+
+
+def _stack_ranks(inst):
+    # the rank_tol of each side's tangent stack, the route the Gram
+    # certificate must agree with
+    out = {}
+    for side in ("left", "right"):
+        basis = basis_stack(algebra_tag(inst.pair_id, side), algebra_size(inst, side))
+        out[side] = rank_tol(_vectorize_tangent(inst, infinitesimal_action(inst, side, basis)).T)
+    return out
+
+
+def _rank_tol_spy(monkeypatch, module):
+    shapes = []
+
+    def spy(M):
+        shapes.append(np.shape(M))
+        return rank_tol(M)
+    monkeypatch.setattr(module, "rank_tol", spy)
+    return shapes
+
+
+@pytest.mark.parametrize("n,m", SHAPES + [(12, 8), (16, 16)])
+@pytest.mark.parametrize("kappa", [None, 1.0, 1e4, 1e6, 1e8])
+def test_certified_orbit_dims_are_rank_tol_dims(n, m, kappa, monkeypatch):
+    # kappa None draws Gaussian points; the others, points of condition
+    # number kappa (1 for a single column).  The certificate settles the
+    # Gaussian points and those of condition 1, and leaves those of
+    # condition 1e6 and more to rank_tol; either way the dimensions are
+    # rank_tol's
+    fallbacks = _rank_tol_spy(monkeypatch, pairs)
+    insts = (_instances(n, m, 61) if kappa is None
+             else _conditioned_instances(n, m, kappa, 61))
+    for inst in insts:
+        assert inst.full_rank()
+        fallbacks.clear()
+        got = check_lie_weinstein(inst)
+        want = _stack_ranks(inst)
+        assert (got["dim_left_orbit"], got["dim_right_orbit"]) == (want["left"], want["right"])
+        if kappa is None or kappa == 1.0 or m == 1:
+            assert fallbacks == []
+        elif kappa >= 1e6:
+            assert len(fallbacks) == 2
+
+
+@pytest.mark.parametrize("eps", [1e-3, 1e-9])
+def test_orbit_dims_certificate_refuses_a_stack_off_the_omega_complement(eps, monkeypatch):
+    # the left tangents of a unitary 3x2 point, moved off the omega
+    # complement of the right orbit by eps times noise: the 9 moved rows
+    # are independent in R^12, so the two dimensions sum to 13, not 12.
+    # The certificate, which would report N - d_right = 8, must refuse,
+    # and rank_tol reports 9
+    rng = stream_rng(59, 0)
+    inst = DualPairInstance("unitary", 3, 2, _complex(rng, 3, 2))
+    noise = rng.standard_normal((9, 3, 2)) + 1j * rng.standard_normal((9, 3, 2))
+    action = pairs.infinitesimal_action
+
+    def moved(at, side, xi):
+        t = action(at, side, xi)
+        return t + eps * noise if side == "left" else t
+    monkeypatch.setattr(pairs, "infinitesimal_action", moved)
+    fallbacks = _rank_tol_spy(monkeypatch, pairs)
+    got = check_lie_weinstein(inst)
+    assert len(fallbacks) == 2
+    assert (got["dim_left_orbit"], got["dim_right_orbit"]) == (9, 4)
+
+
+@pytest.mark.parametrize("n,m", SHAPES + [(12, 8), (16, 16)])
+def test_certified_paths_take_no_svd_of_a_stack(n, m, monkeypatch):
+    # only the points themselves are factored (full_rank, the GL column
+    # frames): no tangent stack and no m^2 x 2nm Jacobian matrix
+    shapes = []
+    svd = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+    for inst in _instances(n, m, 67):
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        check_lie_weinstein(inst)
+        if inst.pair_id == "unitary" and n >= m:
+            unitary.jacobian_rank_right(inst.point)
+        monkeypatch.undo()
+        rows = 2 * n if inst.pair_id == "symplectic" else n
+        assert shapes and all(s[-2:] == (rows, m) for s in shapes), shapes
+        shapes.clear()
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_sp_restrictions_are_the_trace_form_duals_of_the_embeddings(n):
     # the per-basis pairing the seesaw's left leg once looped over:
@@ -394,16 +507,21 @@ def test_jacobian_rank_right_equals_the_loop_reference(n, m):
 
 
 @pytest.mark.parametrize("n,m", [(6, 4), (3, 5), (4, 8)])
-def test_jacobian_rank_right_at_every_defect_level(n, m):
+def test_jacobian_rank_right_at_every_defect_level(n, m, monkeypatch):
     # E = U diag(sig) V^H with r = m - k nonzero singular values; a wide E
-    # has at least m - n zero ones, so k starts there
+    # has at least m - n zero ones, so k starts there.  Only k = 0 has the
+    # full rank m^2 the Gram certificate proves; every k > 0 falls back
+    # to rank_tol
     rng = stream_rng(47, 100 * n + m)
     U = np.linalg.qr(_complex(rng, n, n))[0]
     V = np.linalg.qr(_complex(rng, m, m))[0]
+    fallbacks = _rank_tol_spy(monkeypatch, unitary)
     for k in range(max(0, m - n), m + 1):
         r = m - k
         E = (U[:, :r] * np.linspace(2.0, 1.0, r)) @ np.conj(V[:, :r]).T
+        fallbacks.clear()
         got = unitary.jacobian_rank_right(E)
+        assert fallbacks == ([] if k == 0 else [(m * m, 2 * n * m)])
         assert got == _ref_jacobian_rank_right(E)
         assert got == m * m - k * k
 

@@ -14,10 +14,19 @@ from dualpairs import cli
 from dualpairs.jsonio import matrix_from_obj, matrix_to_obj
 
 
+def _matrix_obj(M):
+    # the matrix format written here, not by matrix_to_obj, which refuses
+    # the non-finite entries some test files must hold
+    M = np.asarray(M)
+    cplx = bool(np.iscomplexobj(M))
+    data = [[[float(v.real), float(v.imag)] if cplx else float(v) for v in row] for row in M]
+    return {"rows": M.shape[0], "cols": M.shape[1], "complex": cplx, "data": data}
+
+
 def _write_instance(path, kind, n, m, **mats):
     obj = {"kind": kind, "n": n, "m": m}
     for key, M in mats.items():
-        obj[key] = matrix_to_obj(np.asarray(M))
+        obj[key] = _matrix_obj(M)
     path.write_text(json.dumps(obj))
     return str(path)
 
@@ -414,6 +423,28 @@ def test_nonfinite_matrix_entry_exits_2_naming_it(tmp_path, capsys, command):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: matrix entry {where} must be a finite number, not {value}\n"
+
+
+@pytest.mark.parametrize("argv", [["orbit"], ["momentum", "--side", "left"]])
+def test_overflowing_gl_momentum_exits_2(tmp_path, capsys, argv):
+    # finite entries whose left momentum Q P^T overflows to inf: orbit
+    # must not read inf as integral, and momentum must not print Infinity
+    big = 1e200 * np.eye(2)
+    f = _write_instance(tmp_path / "g.json", "general_linear", 2, 2, Q=big, P=big)
+    with np.errstate(over="ignore"):
+        assert cli.main([argv[0], f, *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_matrix_to_obj_refuses_a_nonfinite_entry():
+    M = np.eye(2, dtype=complex)
+    M[1, 0] = complex(0.0, np.inf)
+    with pytest.raises(ValueError, match=r"cannot write matrix entry \[1\]\[0\]: .* is not a finite"):
+        matrix_to_obj(M)
+    with pytest.raises(ValueError, match=r"cannot write matrix entry \[0\]\[1\]: nan is not a finite"):
+        matrix_to_obj(np.array([[1.0, np.nan]]))
 
 
 @pytest.mark.parametrize("kind,n,fields", [("symplectic", 1, ["matrix"]),

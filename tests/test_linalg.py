@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualpairs.linalg import (
+    GRAM_SHIFT,
     MATCH_RTOL,
+    gram_cholesky,
     isometry_between,
     omega_complex,
     omega_real,
@@ -142,6 +144,35 @@ def test_rank_tol_identity():
 
 def test_rank_tol_tiny_singular_value():
     assert rank_tol(np.diag([1.0, 1e-18])) == 1
+
+
+def test_gram_cholesky_factors_the_shifted_gram():
+    C = stream_rng(3, 0).standard_normal((3, 5))
+    delta = GRAM_SHIFT * 5 * np.finfo(float).eps * np.linalg.norm(C) ** 2
+    L = gram_cholesky(C)
+    np.testing.assert_allclose(L @ L.T, C @ C.T - delta * np.eye(3), atol=1e-12)
+
+
+def test_gram_cholesky_refuses_below_the_shift():
+    # delta = GRAM_SHIFT * 2 * eps * (1 + t^2) is about 4.4e-13 for
+    # diag(1, t); a factor needs t^2 above it, and then rank_tol counts t
+    assert gram_cholesky(np.diag([1.0, 1e-6])) is not None
+    assert rank_tol(np.diag([1.0, 1e-6])) == 2
+    assert gram_cholesky(np.diag([1.0, 5e-7])) is None
+    assert gram_cholesky(np.array([[1.0, 2.0], [2.0, 4.0]])) is None
+    assert gram_cholesky(np.zeros((2, 3))) is None
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_gram_cholesky_refuses_nonfinite_entries(bad):
+    C = np.eye(3)
+    C[1, 2] = bad
+    assert gram_cholesky(C) is None
+    assert gram_cholesky(C.T) is None
+
+
+def test_gram_cholesky_of_no_rows_is_empty():
+    assert gram_cholesky(np.zeros((0, 4))).shape == (0, 0)
 
 
 def test_skew_canonical_zero():
