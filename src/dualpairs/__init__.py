@@ -23,7 +23,6 @@ from .pairs import (
     check_lie_weinstein,
     check_pairing_identity,
     momentum,
-    orbit_correspondence,
 )
 
 __version__ = "0.1.0"
@@ -43,7 +42,6 @@ __all__ = [
     "jsonio",
     "linalg",
     "momentum",
-    "orbit_correspondence",
     "pairs",
     "seesaw",
     "symplectic",

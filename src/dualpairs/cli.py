@@ -153,9 +153,19 @@ def cmd_gen(args) -> int:
 # ---------------------------------------------------------------------------
 # momentum / witness / orbit
 
+def _finite_momentum(inst: DualPairInstance, side: str, path: str):
+    """The momentum on one side of the instance in path, refused when
+    finite entries overflow it (the reader admits only finite ones)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mv = momentum(inst, side)
+    if not np.isfinite(mv.value).all():
+        raise ValueError(f"{path}: the {side} momentum overflows float64")
+    return mv
+
+
 def cmd_momentum(args) -> int:
     inst = _load_instance(args.file)
-    mv = momentum(inst, args.side)
+    mv = _finite_momentum(inst, args.side, args.file)
     payload = {
         "pair": inst.pair_id,
         "side": args.side,
@@ -190,6 +200,8 @@ def cmd_witness(args) -> int:
 
 def cmd_orbit(args) -> int:
     inst = _load_instance(args.file)
+    for side in ("left", "right"):
+        _finite_momentum(inst, side, args.file)
     rep = inst.module.orbit(inst.point)
     payload = {
         "pair": inst.pair_id,

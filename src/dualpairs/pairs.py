@@ -384,22 +384,6 @@ def _certified_dims(left: np.ndarray, swapped: np.ndarray, X: np.ndarray, N: int
     return None if Lb is None else {s: ds, b: N - ds}
 
 
-def orbit_correspondence(inst: DualPairInstance):
-    """Matched canonical orbit labels for both momenta.
-
-    unitary          both labels are the singular-value multiset, padded
-                     with zeros to the side's matrix size
-    symplectic       both labels carry (p, sigma_1..sigma_p); the shared
-                     invariants object is returned for each side
-    general_linear   both labels carry the Jordan data of the left
-                     momentum (the right canonical form is determined by
-                     dropping one from each nilpotent block size); a
-                     point without full-rank Q and P raises ValueError
-    """
-    rep = inst.module.orbit(inst.point)
-    return rep.left, rep.right
-
-
 # The pair modules import the reports and require_level_match from here,
 # so the table is built last, once those names exist.
 from . import general_linear, symplectic, unitary  # noqa: E402

@@ -18,8 +18,8 @@ from __future__ import annotations
 import numpy as np
 
 from .jsonio import matrix_point_from_obj as point_from_obj, matrix_point_to_obj as point_to_obj
-from .linalg import (gram_cholesky, isometry_between, random_group_element, rank_tol,
-                     relative_diff, stream_rng)
+from .linalg import (RANK_TOL_FACTOR, gram_cholesky, isometry_between, random_group_element,
+                     rank_tol, relative_diff, shared_array, stream_rng, svd_rank)
 from .pairs import OrbitReport, WitnessReport, require_level_match as _require_level_match
 
 GROUP = {"left": "unitary", "right": "unitary"}
@@ -134,38 +134,88 @@ def normal_form_partners(n: int, m: int, seed: int) -> tuple:
             random_group_element("unitary", n, seed, 4) @ T)
 
 
+@shared_array
+def _jacobian_pattern(m: int) -> np.ndarray:
+    """Where the entries of one row f of a point land in the m^2 x 2m
+    block of the Jacobian matrix that the row fills (see
+    ``_jacobian_matrix``): one record (row, col, src, coef) per nonzero,
+    src indexing [Re f, Im f].  Built once per m and shared read-only (see
+    ``linalg.shared_array``).
+
+    The coordinates of row p of u(m) start at row p(2m - p): Im T_pp,
+    then sqrt 2 Re T_pr and sqrt 2 Im T_pr for r = p + 1, ..., m - 1.
+    Column 2j + t is the direction E_aj (t = 0) or i E_aj (t = 1); call
+    Re part 0 and Im part 1.  Its image T vanishes off row and column j.
+    Im T_jj is part t of f_j.  For q != j and (p, r) the pair j, q in
+    order, sqrt 2 Im T_pr is part t of f_q over sqrt 2, and sqrt 2 Re T_pr
+    is its other part over sqrt 2, negated when t = 0 and j < q or t = 1
+    and j > q.
+    """
+    entries = []
+    for j in range(m):
+        for t in (0, 1):
+            col = 2 * j + t
+            entries.append((j * (2 * m - j), col, t * m + j, 1.0))
+            for q in range(m):
+                if q == j:
+                    continue
+                p, r = min(j, q), max(j, q)
+                row = p * (2 * m - p) + 2 * (r - p) - 1
+                sign = -1.0 if (t == 0) == (j < q) else 1.0
+                entries.append((row, col, (1 - t) * m + q, sign * np.sqrt(0.5)))
+                entries.append((row + 1, col, t * m + q, np.sqrt(0.5)))
+    return np.array(entries, dtype=[("row", np.intp), ("col", np.intp),
+                                    ("src", np.intp), ("coef", float)])
+
+
+def _jacobian_matrix(E: np.ndarray) -> np.ndarray:
+    """The m^2 x 2nm matrix of the right momentum's differential at E
+    (see ``jacobian_rank_right``), placed entry by entry from
+    ``_jacobian_pattern``: row a of E fills columns 2am..2am + 2m - 1."""
+    n, m = E.shape
+    P = _jacobian_pattern(m)
+    A = np.zeros((m * m, n, 2 * m))
+    src = np.concatenate([E.real, E.imag], axis=1).T
+    A[P["row"], :, P["col"]] = P["coef"][:, None] * src[P["src"]]
+    return A.reshape(m * m, 2 * n * m)
+
+
 def jacobian_rank_right(E: np.ndarray) -> int:
     """Rank of the differential of the right momentum map at E.
 
     The differential sends X to (i/2)(X^dagger E + E^dagger X); the rank
-    is computed over a real basis of the domain, with each image T in
-    orthonormal coordinates of u(m): Im T_ii, then sqrt 2 Re T_ij and
-    sqrt 2 Im T_ij for i < j, m^2 rows in all.  They have the singular
-    values of the 2m^2 rows of real and imaginary parts of every entry,
-    since the rows left out are zero (Re T_ii) or repeat the upper
-    triangle up to sign (T_ji = -conj T_ij).  With k zero singular
-    values the observed rank is m^2 - k^2, so the map has full rank m^2
-    exactly when E has full column rank.
+    is that of its matrix A over the real basis E_aj, i E_aj of the
+    domain, (a, j) row-major, with each image T in orthonormal
+    coordinates of u(m), by rows of its upper triangle: Im T_pp, then
+    sqrt 2 Re T_pq and sqrt 2 Im T_pq for each q > p, m^2 rows in all.  With
+    k zero singular values the observed rank is m^2 - k^2, so the map has
+    full rank m^2 exactly when E has full column rank.
 
-    The rank is ``rank_tol``'s.  When n >= m, a ``linalg.gram_cholesky``
-    factor of the m^2 x m^2 Gram of the rows proves it is m^2 without an
-    SVD; a wide E, or one whose Gram has no factor (E short of full
-    column rank, or nearly so), takes ``rank_tol``.
+    The rank is ``rank_tol``'s, certified at every point from one SVD
+    E = U S V^dagger and the matrix A' of E V.  X -> X V and T -> V^dagger
+    T V are orthogonal, so A' has A's singular values.  The largest is
+    s_1, that of E (the image of X has norm at most s_1 |X|_F, reached at
+    X = u_1 v_1^dagger), which fixes ``svd_rank``'s cut c on A.  With
+    k = m - ``svd_rank`` of E, the image at E V misses the trailing k x k
+    block of u(m), whose k^2 coordinates are the last rows K of A':
+
+    * |K|_F <= c/2 bounds sigma_{m^2-k^2+1}(A) below c, by Weyl;
+    * a ``linalg.gram_cholesky`` factor of the other m^2 - k^2 rows puts
+      their least singular value, and so sigma_{m^2-k^2}(A) by
+      interlacing, above about 1e-6 |A|_F, far above c.
+
+    Then the rank is m^2 - k^2.  Forming E V moves A' by a few m^2 eps s_1
+    in Frobenius norm (|A'|_F = sqrt m |E V|_F, and the computed V is
+    orthonormal to a few m eps), which lies inside the other half of
+    c = 100 max(m^2, 2nm) eps s_1.  When either bound fails, ``rank_tol``
+    of A itself gives the rank.
     """
     E = np.asarray(E, dtype=complex)
     n, m = E.shape
-    # the images of the real basis E_aj, i E_aj of the domain, (a, j)
-    # row-major, by placement: C = E^dagger E_aj is conj(E[a]) in column
-    # j and E_aj^dagger E = C^dagger, so T is (i/2)(C^dagger + C), then
-    # (1/2)(C^dagger - C)
-    C = np.einsum("ak,jl->ajkl", np.conj(E), np.eye(m)).reshape(n * m, m, m)
-    Ch = np.conj(np.swapaxes(C, -1, -2))
-    T = np.stack([0.5j * (Ch + C), 0.5 * (Ch - C)], axis=1).reshape(2 * n * m, m, m)
-    d = np.arange(m)
-    i, j = np.triu_indices(m, 1)
-    upper = np.sqrt(2.0) * T[:, i, j]
-    A = np.concatenate([np.imag(T[:, d, d]), np.real(upper), np.imag(upper)], axis=1).T
-    # the m^2 rows of A can be independent only when n >= m
-    if n >= m and gram_cholesky(A) is not None:
-        return m * m
-    return rank_tol(A)
+    _, s, Vh = np.linalg.svd(E, full_matrices=n < m)
+    b = m * m - (m - svd_rank(s, E.shape)) ** 2
+    A = _jacobian_matrix(E @ np.conj(Vh).T)
+    cut = RANK_TOL_FACTOR * max(m * m, 2 * n * m) * np.finfo(float).eps * s[0]
+    if np.linalg.norm(A[b:]) <= cut / 2 and gram_cholesky(A[:b]) is not None:
+        return b
+    return rank_tol(_jacobian_matrix(E))

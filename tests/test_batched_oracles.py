@@ -11,12 +11,14 @@ Darboux coordinates of the two tangent stacks).  Its orbit dimensions are
 still compared exactly.  They come from a Gram certificate, which is also
 checked against rank_tol of the stacks at points of growing condition
 number, on stacks moved off the omega complement, and for the SVDs it
-avoids; so is the certificate of jacobian_rank_right.  The left leg of
-the seesaw diagrams restricts the sp momentum instead of pairing it with
-every embedded basis element;
-that per-basis pairing is now the oracle for the restriction maps, and
-the diagrams are compared exactly with an entrywise restriction.  So is
-the GL left witness, whose reference finds the same common complements by another
+avoids.  So is the certificate of jacobian_rank_right: at every defect
+level, wide points included, its rank is the loop reference's rank_tol,
+and a build perturbed to break either of its bounds falls back to
+rank_tol.  The left leg of the seesaw diagrams restricts the sp momentum
+instead of pairing it with every embedded basis element; that per-basis
+pairing is now the oracle for the restriction maps, and the diagrams are
+compared exactly with an entrywise restriction.  So is the GL left
+witness, whose reference finds the same common complements by another
 route (QR bases and a null space instead of SVD bases and a complete QR).
 
 The unitary reference form is omega_real of the stacked real and
@@ -354,10 +356,10 @@ def test_check_lie_weinstein_equals_the_loop_reference(n, m):
             assert isinstance(cross, float)
 
 
-def _conditioned(rng, rows, m, kappa, cplx=False):
-    # U diag(logspace(0, -log10 kappa, k)) V, k = min(rows, m), with U and
-    # V from QRs of Gaussians
-    k = min(rows, m)
+def _conditioned(rng, rows, m, kappa, cplx=False, k=None):
+    # U diag(logspace(0, -log10 kappa, k)) V, k = min(rows, m) unless
+    # given, with U and V from QRs of Gaussians
+    k = min(rows, m) if k is None else k
 
     def draw(a, b):
         return _complex(rng, a, b) if cplx else rng.standard_normal((a, b))
@@ -444,7 +446,8 @@ def test_orbit_dims_certificate_refuses_a_stack_off_the_omega_complement(eps, mo
 @pytest.mark.parametrize("n,m", SHAPES + [(12, 8), (16, 16)])
 def test_certified_paths_take_no_svd_of_a_stack(n, m, monkeypatch):
     # only the points themselves are factored (full_rank, the GL column
-    # frames): no tangent stack and no m^2 x 2nm Jacobian matrix
+    # frames, the unitary point's SVD in jacobian_rank_right): no tangent
+    # stack and no m^2 x 2nm Jacobian matrix, for n < m too
     shapes = []
     svd = np.linalg.svd
 
@@ -454,7 +457,7 @@ def test_certified_paths_take_no_svd_of_a_stack(n, m, monkeypatch):
     for inst in _instances(n, m, 67):
         monkeypatch.setattr(np.linalg, "svd", spy)
         check_lie_weinstein(inst)
-        if inst.pair_id == "unitary" and n >= m:
+        if inst.pair_id == "unitary":
             unitary.jacobian_rank_right(inst.point)
         monkeypatch.undo()
         rows = 2 * n if inst.pair_id == "symplectic" else n
@@ -509,9 +512,8 @@ def test_jacobian_rank_right_equals_the_loop_reference(n, m):
 @pytest.mark.parametrize("n,m", [(6, 4), (3, 5), (4, 8)])
 def test_jacobian_rank_right_at_every_defect_level(n, m, monkeypatch):
     # E = U diag(sig) V^H with r = m - k nonzero singular values; a wide E
-    # has at least m - n zero ones, so k starts there.  Only k = 0 has the
-    # full rank m^2 the Gram certificate proves; every k > 0 falls back
-    # to rank_tol
+    # has at least m - n zero ones, so k starts there.  The certificate
+    # proves m^2 - k^2 at every level, so no k falls back to rank_tol
     rng = stream_rng(47, 100 * n + m)
     U = np.linalg.qr(_complex(rng, n, n))[0]
     V = np.linalg.qr(_complex(rng, m, m))[0]
@@ -521,9 +523,51 @@ def test_jacobian_rank_right_at_every_defect_level(n, m, monkeypatch):
         E = (U[:, :r] * np.linspace(2.0, 1.0, r)) @ np.conj(V[:, :r]).T
         fallbacks.clear()
         got = unitary.jacobian_rank_right(E)
-        assert fallbacks == ([] if k == 0 else [(m * m, 2 * n * m)])
+        assert fallbacks == []
         assert got == _ref_jacobian_rank_right(E)
         assert got == m * m - k * k
+
+
+@pytest.mark.parametrize("n,m", [(n, m) for n in range(1, 9) for m in range(1, 9)]
+                         + [(12, 8), (6, 12), (4, 16), (16, 16)])
+def test_jacobian_rank_right_is_rank_tol_at_conditioned_defective_points(n, m):
+    # at every defect level and at condition numbers where the Gram
+    # factor may or may not exist: the certificate and the fallback must
+    # both give the reference's rank_tol
+    rng = stream_rng(71, 100 * n + m)
+    for kappa in (1e4, 1e8):
+        for r in range(min(n, m) + 1):
+            E = _conditioned(rng, n, m, kappa, cplx=True, k=r)
+            assert unitary.jacobian_rank_right(E) == _ref_jacobian_rank_right(E), (kappa, r)
+
+
+def _lift_kernel_row(A):
+    # the last row is Im T_{m-1,m-1}, in the trailing block for every k >= 1
+    A = A.copy()
+    A[-1] += 1e-6 * np.linalg.norm(A)
+    return A
+
+
+def _drop_leading_row(A):
+    # row 0, Im T_00, lies outside the trailing block for every k < m
+    A = A.copy()
+    A[0] = 0.0
+    return A
+
+
+@pytest.mark.parametrize("perturb", [_lift_kernel_row, _drop_leading_row])
+@pytest.mark.parametrize("n,m", [(6, 4), (3, 5), (4, 8)])
+def test_jacobian_certificate_refuses_a_perturbed_build(n, m, perturb, monkeypatch):
+    # a kernel row far above the cut breaks the upper bound, a zero row
+    # the Gram factor: either way the rank must come from rank_tol
+    rng = stream_rng(73, 100 * n + m)
+    build = unitary._jacobian_matrix
+    monkeypatch.setattr(unitary, "_jacobian_matrix", lambda F: perturb(build(F)))
+    fallbacks = _rank_tol_spy(monkeypatch, unitary)
+    for r in range(1, min(n, m)):
+        fallbacks.clear()
+        unitary.jacobian_rank_right(_conditioned(rng, n, m, 1.0, cplx=True, k=r))
+        assert fallbacks == [(m * m, 2 * n * m)]
 
 
 @pytest.mark.parametrize("n,m", [(2, 1), (3, 2), (4, 4), (6, 3), (8, 6), (12, 8),

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -263,7 +264,7 @@ def test_orbit_gl_rank_deficient_rejected(tmp_path, capsys):
     assert cli.main(["orbit", f]) == 2
 
 
-def test_orbit_gl_refuses_like_orbit_correspondence(tmp_path, capsys):
+def test_orbit_gl_refuses_like_the_module_orbit(tmp_path, capsys):
     from dualpairs import general_linear as gl, pairs
     Q = [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]
     P = [[2.0, 0.0], [0.0, 1.0], [0.0, 0.0]]
@@ -272,7 +273,7 @@ def test_orbit_gl_refuses_like_orbit_correspondence(tmp_path, capsys):
     inst = pairs.DualPairInstance("general_linear", 3, 2,
                                   gl.CotangentPoint(np.array(Q), np.array(P)))
     with pytest.raises(ValueError) as exc:
-        pairs.orbit_correspondence(inst)
+        inst.module.orbit(inst.point)
     assert capsys.readouterr().err == f"error: {exc.value}\n"
 
 
@@ -425,17 +426,21 @@ def test_nonfinite_matrix_entry_exits_2_naming_it(tmp_path, capsys, command):
     assert captured.err == f"error: matrix entry {where} must be a finite number, not {value}\n"
 
 
-@pytest.mark.parametrize("argv", [["orbit"], ["momentum", "--side", "left"]])
+@pytest.mark.parametrize("argv", [["orbit"], ["momentum", "--side", "left"],
+                                  ["momentum", "--side", "right"]])
 def test_overflowing_gl_momentum_exits_2(tmp_path, capsys, argv):
-    # finite entries whose left momentum Q P^T overflows to inf: orbit
-    # must not read inf as integral, and momentum must not print Infinity
+    # finite entries whose momenta Q P^T and P^T Q overflow to inf: orbit
+    # and momentum refuse in one line naming the momentum (orbit the left
+    # one, which it checks first), and numpy warns of no overflow
     big = 1e200 * np.eye(2)
     f = _write_instance(tmp_path / "g.json", "general_linear", 2, 2, Q=big, P=big)
-    with np.errstate(over="ignore"):
+    side = argv[2] if len(argv) > 1 else "left"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         assert cli.main([argv[0], f, *argv[1:]]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.err == f"error: {f}: the {side} momentum overflows float64\n"
 
 
 def test_matrix_to_obj_refuses_a_nonfinite_entry():
@@ -494,11 +499,11 @@ _SYMPY_FREE = {
     "orbit": ("assert cli.main(['gen', 'gl', '6', '4', '--seed', '2',"
               " '--partner', 'normal-form', '--out', os.path.join(tmp, 'g')]) == 0;"
               " assert cli.main(['orbit', os.path.join(tmp, 'g.json')]) == 0"),
-    "orbit_correspondence": (
-        "from dualpairs import general_linear as gl, pairs;"
+    "gl_orbit": (
+        "from dualpairs import general_linear as gl;"
         " jd = gl.JordanData(((1 + 1j, 4), (-2.0, 2)), (2, 3), 11, 9);"
-        " inst = pairs.DualPairInstance('general_linear', 11, 9, gl.build_qp_from_jordan(jd));"
-        " assert pairs.orbit_correspondence(inst) == (jd, jd)"),
+        " rep = gl.orbit(gl.build_qp_from_jordan(jd));"
+        " assert (rep.left, rep.right) == (jd, jd)"),
     # one 16 x 16 block at -1 whose float eigenvalues scatter, so its chain
     # reruns; det 1, though the float rank reads less than 16
     "scattered_jordan_block": (

@@ -27,7 +27,6 @@ from dualpairs.pairs import (
     check_pairing_identity,
     infinitesimal_action,
     momentum,
-    orbit_correspondence,
     require_level_match,
     tangent_omega,
 )
@@ -358,7 +357,8 @@ def test_tangent_parts_are_darboux_halves(make):
 
 def test_orbit_correspondence_unitary_padding():
     inst = _unitary_inst(3, 2, 52)
-    left, right = orbit_correspondence(inst)
+    rep = inst.module.orbit(inst.point)
+    left, right = rep.left, rep.right
     s = np.linalg.svd(inst.point, compute_uv=False)
     assert left.shape == (3,)
     assert right.shape == (2,)
@@ -368,7 +368,8 @@ def test_orbit_correspondence_unitary_padding():
 
 def test_orbit_correspondence_symplectic_shared_label():
     inst = _symplectic_inst(2, 2, 53)
-    left, right = orbit_correspondence(inst)
+    rep = inst.module.orbit(inst.point)
+    left, right = rep.left, rep.right
     assert left is right
     assert left.m == 2
 
@@ -377,7 +378,8 @@ def test_orbit_correspondence_gl_nilpotent_case():
     pt = general_linear.CotangentPoint(np.array([[1.0], [0.0]]),
                                        np.array([[0.0], [1.0]]))
     inst = DualPairInstance("general_linear", 2, 1, pt)
-    left, right = orbit_correspondence(inst)
+    rep = inst.module.orbit(inst.point)
+    left, right = rep.left, rep.right
     assert left is right
     assert left.blocks == ()
     assert left.nilpotent == (2,)
@@ -393,7 +395,7 @@ def test_orbit_correspondence_gl_refuses_rank_deficient_point():
     inst = DualPairInstance("general_linear", 3, 2, pt)
     assert not inst.full_rank()
     with pytest.raises(ValueError, match="full column rank"):
-        orbit_correspondence(inst)
+        inst.module.orbit(inst.point)
 
 
 def test_require_level_match_raises():
