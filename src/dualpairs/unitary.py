@@ -18,8 +18,8 @@ from __future__ import annotations
 import numpy as np
 
 from .jsonio import matrix_point_from_obj as point_from_obj, matrix_point_to_obj as point_to_obj
-from .linalg import (RANK_TOL_FACTOR, gram_cholesky, isometry_between, random_group_element,
-                     rank_tol, relative_diff, shared_array, stream_rng, svd_rank)
+from .linalg import (isometry_between, random_group_element, rank_tol, relative_diff, stream_rng,
+                     svd_rank)
 from .pairs import OrbitReport, WitnessReport, require_level_match as _require_level_match
 
 GROUP = {"left": "unitary", "right": "unitary"}
@@ -134,50 +134,14 @@ def normal_form_partners(n: int, m: int, seed: int) -> tuple:
             random_group_element("unitary", n, seed, 4) @ T)
 
 
-@shared_array
-def _jacobian_pattern(m: int) -> np.ndarray:
-    """Where the entries of one row f of a point land in the m^2 x 2m
-    block of the Jacobian matrix that the row fills (see
-    ``_jacobian_matrix``): one record (row, col, src, coef) per nonzero,
-    src indexing [Re f, Im f].  Built once per m and shared read-only (see
-    ``linalg.shared_array``).
-
-    The coordinates of row p of u(m) start at row p(2m - p): Im T_pp,
-    then sqrt 2 Re T_pr and sqrt 2 Im T_pr for r = p + 1, ..., m - 1.
-    Column 2j + t is the direction E_aj (t = 0) or i E_aj (t = 1); call
-    Re part 0 and Im part 1.  Its image T vanishes off row and column j.
-    Im T_jj is part t of f_j.  For q != j and (p, r) the pair j, q in
-    order, sqrt 2 Im T_pr is part t of f_q over sqrt 2, and sqrt 2 Re T_pr
-    is its other part over sqrt 2, negated when t = 0 and j < q or t = 1
-    and j > q.
-    """
-    entries = []
-    for j in range(m):
-        for t in (0, 1):
-            col = 2 * j + t
-            entries.append((j * (2 * m - j), col, t * m + j, 1.0))
-            for q in range(m):
-                if q == j:
-                    continue
-                p, r = min(j, q), max(j, q)
-                row = p * (2 * m - p) + 2 * (r - p) - 1
-                sign = -1.0 if (t == 0) == (j < q) else 1.0
-                entries.append((row, col, (1 - t) * m + q, sign * np.sqrt(0.5)))
-                entries.append((row + 1, col, t * m + q, np.sqrt(0.5)))
-    return np.array(entries, dtype=[("row", np.intp), ("col", np.intp),
-                                    ("src", np.intp), ("coef", float)])
-
-
-def _jacobian_matrix(E: np.ndarray) -> np.ndarray:
-    """The m^2 x 2nm matrix of the right momentum's differential at E
-    (see ``jacobian_rank_right``), placed entry by entry from
-    ``_jacobian_pattern``: row a of E fills columns 2am..2am + 2m - 1."""
-    n, m = E.shape
-    P = _jacobian_pattern(m)
-    A = np.zeros((m * m, n, 2 * m))
-    src = np.concatenate([E.real, E.imag], axis=1).T
-    A[P["row"], :, P["col"]] = P["coef"][:, None] * src[P["src"]]
-    return A.reshape(m * m, 2 * n * m)
+def _jacobian_singular_values(E: np.ndarray) -> np.ndarray:
+    """The m^2 singular values of ``jacobian_rank_right``'s matrix A at
+    E, descending, read off those of E padded with zeros to m."""
+    s = np.linalg.svd(E, compute_uv=False)
+    s = np.concatenate([s, np.zeros(E.shape[1] - len(s))])
+    p, q = np.triu_indices(len(s), 1)
+    pair = np.hypot(s[p], s[q]) / np.sqrt(2.0)
+    return np.sort(np.concatenate([s, pair, pair]))[::-1]
 
 
 def jacobian_rank_right(E: np.ndarray) -> int:
@@ -191,31 +155,21 @@ def jacobian_rank_right(E: np.ndarray) -> int:
     k zero singular values the observed rank is m^2 - k^2, so the map has
     full rank m^2 exactly when E has full column rank.
 
-    The rank is ``rank_tol``'s, certified at every point from one SVD
-    E = U S V^dagger and the matrix A' of E V.  X -> X V and T -> V^dagger
-    T V are orthogonal, so A' has A's singular values.  The largest is
-    s_1, that of E (the image of X has norm at most s_1 |X|_F, reached at
-    X = u_1 v_1^dagger), which fixes ``svd_rank``'s cut c on A.  With
-    k = m - ``svd_rank`` of E, the image at E V misses the trailing k x k
-    block of u(m), whose k^2 coordinates are the last rows K of A':
+    With E = U S V^dagger, X -> U^dagger X V and T -> V^dagger T V are
+    orthogonal, so A has the singular values of its matrix at S, with
+    sigma_p = S_pp (zero past n).  There T_pq = (i/2)(sigma_p X_pq +
+    sigma_q conj X_qp): Im T_pp reads sigma_p Re X_pp, and for p < q
+    sqrt 2 Re T_pq and sqrt 2 Im T_pq read Im and Re of (X_pq, X_qp) with
+    weights (-sigma_p, sigma_q) and (sigma_p, sigma_q) over sqrt 2.
+    Distinct coordinates read disjoint entries, so A A^T is diagonal and
+    A's singular values are sigma_p and, twice for each p < q,
+    sqrt((sigma_p^2 + sigma_q^2)/2), formed by hypot.
 
-    * |K|_F <= c/2 bounds sigma_{m^2-k^2+1}(A) below c, by Weyl;
-    * a ``linalg.gram_cholesky`` factor of the other m^2 - k^2 rows puts
-      their least singular value, and so sigma_{m^2-k^2}(A) by
-      interlacing, above about 1e-6 |A|_F, far above c.
-
-    Then the rank is m^2 - k^2.  Forming E V moves A' by a few m^2 eps s_1
-    in Frobenius norm (|A'|_F = sqrt m |E V|_F, and the computed V is
-    orthonormal to a few m eps), which lies inside the other half of
-    c = 100 max(m^2, 2nm) eps s_1.  When either bound fails, ``rank_tol``
-    of A itself gives the rank.
+    The rank is ``rank_tol``'s rule on A's shape and values.  Each value
+    lies within a few max(n, m) eps sigma_1 of the true one (the SVD of E
+    is backward stable, the pair values 1-Lipschitz in the sigmas), far
+    inside the cut c = 100 max(m^2, 2nm) eps sigma_1.
     """
     E = np.asarray(E, dtype=complex)
     n, m = E.shape
-    _, s, Vh = np.linalg.svd(E, full_matrices=n < m)
-    b = m * m - (m - svd_rank(s, E.shape)) ** 2
-    A = _jacobian_matrix(E @ np.conj(Vh).T)
-    cut = RANK_TOL_FACTOR * max(m * m, 2 * n * m) * np.finfo(float).eps * s[0]
-    if np.linalg.norm(A[b:]) <= cut / 2 and gram_cholesky(A[:b]) is not None:
-        return b
-    return rank_tol(_jacobian_matrix(E))
+    return svd_rank(_jacobian_singular_values(E), (m * m, 2 * n * m))

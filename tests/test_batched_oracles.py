@@ -11,14 +11,16 @@ Darboux coordinates of the two tangent stacks).  Its orbit dimensions are
 still compared exactly.  They come from a Gram certificate, which is also
 checked against rank_tol of the stacks at points of growing condition
 number, on stacks moved off the omega complement, and for the SVDs it
-avoids.  So is the certificate of jacobian_rank_right: at every defect
-level, wide points included, its rank is the loop reference's rank_tol,
-and a build perturbed to break either of its bounds falls back to
-rank_tol.  The left leg of the seesaw diagrams restricts the sp momentum
-instead of pairing it with every embedded basis element; that per-basis
-pairing is now the oracle for the restriction maps, and the diagrams are
-compared exactly with an entrywise restriction.  So is the GL left
-witness, whose reference finds the same common complements by another
+avoids.  jacobian_rank_right reads the Jacobian's singular values off
+the point's own: they are compared within a rounding bound with the SVD
+of the loop-assembled Jacobian, its rank is the loop reference's
+rank_tol at every defect level, wide points included, and it does not
+change when the point is scaled to the ends of the float64 range.  The
+left leg of the seesaw diagrams restricts the sp momentum instead of
+pairing it with every embedded basis element; that per-basis pairing is
+now the oracle for the restriction maps, and the diagrams are compared
+exactly with an entrywise restriction.  So is the GL left witness, whose
+reference finds the same common complements by another
 route (QR bases and a null space instead of SVD bases and a complete QR).
 
 The unitary reference form is omega_real of the stacked real and
@@ -211,7 +213,7 @@ def _ref_check_diagram_sp_gl(pt):
     return {"left": left, "right": right}
 
 
-def _ref_jacobian_rank_right(E):
+def _ref_jacobian_matrix(E):
     E = np.asarray(E, dtype=complex)
     n, m = E.shape
     cols = []
@@ -223,7 +225,11 @@ def _ref_jacobian_rank_right(E):
                 X[i, j] = val
                 T = 0.5j * (np.conj(X).T @ E + Ed @ X)
                 cols.append(np.concatenate([np.real(T).ravel(), np.imag(T).ravel()]))
-    return rank_tol(np.column_stack(cols))
+    return np.column_stack(cols)
+
+
+def _ref_jacobian_rank_right(E):
+    return rank_tol(_ref_jacobian_matrix(E))
 
 
 def _ref_complement(M1, M2):
@@ -510,20 +516,16 @@ def test_jacobian_rank_right_equals_the_loop_reference(n, m):
 
 
 @pytest.mark.parametrize("n,m", [(6, 4), (3, 5), (4, 8)])
-def test_jacobian_rank_right_at_every_defect_level(n, m, monkeypatch):
+def test_jacobian_rank_right_at_every_defect_level(n, m):
     # E = U diag(sig) V^H with r = m - k nonzero singular values; a wide E
-    # has at least m - n zero ones, so k starts there.  The certificate
-    # proves m^2 - k^2 at every level, so no k falls back to rank_tol
+    # has at least m - n zero ones, so k starts there
     rng = stream_rng(47, 100 * n + m)
     U = np.linalg.qr(_complex(rng, n, n))[0]
     V = np.linalg.qr(_complex(rng, m, m))[0]
-    fallbacks = _rank_tol_spy(monkeypatch, unitary)
     for k in range(max(0, m - n), m + 1):
         r = m - k
         E = (U[:, :r] * np.linspace(2.0, 1.0, r)) @ np.conj(V[:, :r]).T
-        fallbacks.clear()
         got = unitary.jacobian_rank_right(E)
-        assert fallbacks == []
         assert got == _ref_jacobian_rank_right(E)
         assert got == m * m - k * k
 
@@ -531,9 +533,8 @@ def test_jacobian_rank_right_at_every_defect_level(n, m, monkeypatch):
 @pytest.mark.parametrize("n,m", [(n, m) for n in range(1, 9) for m in range(1, 9)]
                          + [(12, 8), (6, 12), (4, 16), (16, 16)])
 def test_jacobian_rank_right_is_rank_tol_at_conditioned_defective_points(n, m):
-    # at every defect level and at condition numbers where the Gram
-    # factor may or may not exist: the certificate and the fallback must
-    # both give the reference's rank_tol
+    # at every defect level and at condition numbers up to 1e8 the rank
+    # is the reference's rank_tol
     rng = stream_rng(71, 100 * n + m)
     for kappa in (1e4, 1e8):
         for r in range(min(n, m) + 1):
@@ -541,33 +542,38 @@ def test_jacobian_rank_right_is_rank_tol_at_conditioned_defective_points(n, m):
             assert unitary.jacobian_rank_right(E) == _ref_jacobian_rank_right(E), (kappa, r)
 
 
-def _lift_kernel_row(A):
-    # the last row is Im T_{m-1,m-1}, in the trailing block for every k >= 1
-    A = A.copy()
-    A[-1] += 1e-6 * np.linalg.norm(A)
-    return A
+@pytest.mark.parametrize("n,m", [(1, 1), (2, 1), (3, 2), (4, 4), (3, 5), (6, 4), (5, 8),
+                                 (12, 8), (6, 12), (4, 16), (16, 16)])
+def test_jacobian_singular_values_are_those_of_the_loop_matrix(n, m):
+    # the values read off E's against the SVD of the assembled matrix, at
+    # every defect level.  Its 2m^2 rows are Re T and Im T entrywise, an
+    # isometric image of the m^2 orthonormal coordinates of u(m), so both
+    # have the same values, padded with zeros to the longer list
+    rng = stream_rng(79, 100 * n + m)
+    for kappa in (1.0, 1e4, 1e8):
+        for r in range(min(n, m) + 1):
+            E = _conditioned(rng, n, m, kappa, cplx=True, k=r)
+            want = np.linalg.svd(_ref_jacobian_matrix(E), compute_uv=False)
+            got = unitary._jacobian_singular_values(E)
+            assert got.shape == (m * m,)
+            size = max(m * m, len(want))
+            got = np.concatenate([got, np.zeros(size - m * m)])
+            want = np.concatenate([want, np.zeros(size - len(want))])
+            assert np.max(np.abs(got - want)) <= 1e-13 * want[0], (kappa, r)
 
 
-def _drop_leading_row(A):
-    # row 0, Im T_00, lies outside the trailing block for every k < m
-    A = A.copy()
-    A[0] = 0.0
-    return A
-
-
-@pytest.mark.parametrize("perturb", [_lift_kernel_row, _drop_leading_row])
-@pytest.mark.parametrize("n,m", [(6, 4), (3, 5), (4, 8)])
-def test_jacobian_certificate_refuses_a_perturbed_build(n, m, perturb, monkeypatch):
-    # a kernel row far above the cut breaks the upper bound, a zero row
-    # the Gram factor: either way the rank must come from rank_tol
-    rng = stream_rng(73, 100 * n + m)
-    build = unitary._jacobian_matrix
-    monkeypatch.setattr(unitary, "_jacobian_matrix", lambda F: perturb(build(F)))
-    fallbacks = _rank_tol_spy(monkeypatch, unitary)
-    for r in range(1, min(n, m)):
-        fallbacks.clear()
-        unitary.jacobian_rank_right(_conditioned(rng, n, m, 1.0, cplx=True, k=r))
-        assert fallbacks == [(m * m, 2 * n * m)]
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n,m", [(3, 2), (6, 4), (3, 5), (12, 8)])
+def test_jacobian_rank_right_is_scale_invariant(n, m):
+    # the pair values sqrt((a^2 + b^2)/2) neither overflow nor underflow
+    # at the ends of the float64 range, and no numpy warning is raised
+    rng = stream_rng(83, 100 * n + m)
+    for r in range(min(n, m) + 1):
+        E = _conditioned(rng, n, m, 1e3, cplx=True, k=r)
+        want = unitary.jacobian_rank_right(E)
+        assert want == m * m - (m - r) ** 2
+        for scale in (1e-300, 1e-170, 1e170, 1e300):
+            assert unitary.jacobian_rank_right(scale * E) == want, (r, scale)
 
 
 @pytest.mark.parametrize("n,m", [(2, 1), (3, 2), (4, 4), (6, 3), (8, 6), (12, 8),
