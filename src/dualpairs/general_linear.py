@@ -108,6 +108,22 @@ def to_real(x) -> np.ndarray:
     return np.concatenate([q, p], axis=-2)
 
 
+def tangent_scales(pt: CotangentPoint) -> dict:
+    """The scales of ``pairs.tangent_singular_values`` by side, from one
+    stacked SVD of Q and P: (sigma(P), sigma(Q)) on the left and
+    (sigma(Q), sigma(P)) on the right.
+
+    With Q = U_Q S_Q V_Q^T and P = U_P S_P V_P^T, the left tangent
+    (xi Q, -xi^T P) becomes (xi' S_Q, -xi'^T S_P) for
+    xi' = U_P^T xi U_Q, so the unit xi'_pq moves one entry of each half,
+    with weights sigma_p(P) and sigma_q(Q).  On the right,
+    xi' = V_Q^T xi V_P gives (S_Q xi', -S_P xi'^T), with weights
+    sigma_p(Q) and sigma_q(P).
+    """
+    s_q, s_p = np.linalg.svd(np.stack([pt.Q, pt.P]), compute_uv=False)
+    return {"left": (s_p, s_q), "right": (s_q, s_p)}
+
+
 def act_left(A: np.ndarray, pt: CotangentPoint) -> CotangentPoint:
     A = np.asarray(A, dtype=float)
     return CotangentPoint(A @ pt.Q, np.linalg.solve(A.T, pt.P))

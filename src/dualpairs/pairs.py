@@ -10,7 +10,8 @@ geometries with a concrete manifold point:
 
 Each pair module is the record of its pair: it names its side groups
 and supplies the point checks, random points, instance-file fields,
-actions, momenta, witnesses and orbit labels under the same names, and
+actions, momenta, witnesses, orbit labels and the scales of its tangent
+maps (``tangent_scales``) under the same names, and
 ``to_real``, which writes a point or tangent as a real 2n x m matrix
 carrying the form ``omega_real``.  A side's algebra follows from its
 group, and its size from the point's shape (the left group acts on the
@@ -30,9 +31,8 @@ from typing import Any
 
 import numpy as np
 
-from .linalg import (MATCH_RTOL, RANK_TOL_FACTOR, algebra_residual, gram_cholesky,
-                     omega_real, rank_tol, relative_diff, require_member, shared_array,
-                     trace_pairing)
+from .linalg import (MATCH_RTOL, algebra_residual, omega_real, relative_diff, require_member,
+                     shared_array, svd_rank, trace_pairing)
 
 
 @dataclass(frozen=True)
@@ -298,19 +298,14 @@ def check_pairing_identity(inst: DualPairInstance, xi: np.ndarray, zeta: np.ndar
 def check_lie_weinstein(inst: DualPairInstance) -> dict:
     """Orbit-dimension bookkeeping at a full-rank point.
 
-    Returns dim of both group orbits through the point, the ambient
-    dimension (the three must satisfy dim_left + dim_right = ambient),
-    and the largest symplectic product between tangent directions of
-    the two orbits, which must vanish since each momentum map is
-    constant along the other group's orbits.  The products come from
-    one matrix product X of the Darboux coordinates of the two tangent
-    stacks, omega(t1, t2) = q1 . p2 - p1 . q2.
-
-    Each dimension is the ``rank_tol`` of its side's tangent stack.
-    ``_certified_dims`` proves both from X and Gram Cholesky factors
-    (``linalg.gram_cholesky``) when it can; when it cannot (a point
-    near rank deficiency, or stacks that are not omega-orthogonal), the
-    two stacks take ``rank_tol``'s SVDs.
+    Returns dim of both group orbits through the point (``orbit_dims``),
+    the ambient dimension (the three must satisfy dim_left + dim_right =
+    ambient), and the largest symplectic product between tangent
+    directions of the two orbits, which must vanish since each momentum
+    map is constant along the other group's orbits.  The products come
+    from one matrix product X of the Darboux coordinates of the two
+    tangent stacks, omega(t1, t2) = q1 . p2 - p1 . q2; a point so large
+    that X overflows is refused.
     """
     if not inst.full_rank():
         raise ValueError("orbit-dimension check requires a full-rank point")
@@ -323,65 +318,80 @@ def check_lie_weinstein(inst: DualPairInstance) -> dict:
     # products of the left rows with the right rows swapped to (p, -q)
     h = inst.n * inst.m
     q, p = coords["right"][:, :h], coords["right"][:, h:]
-    swapped = np.hstack([p, -q])
-    X = coords["left"] @ swapped.T
-    cross = float(np.max(np.abs(X), initial=0.0))
-    # one row per basis element; a zero-dimensional algebra (orthogonal
-    # side at m = 1) gives no rows and rank 0
-    dims = (_certified_dims(coords["left"], swapped, X, inst.ambient_dim())
-            or {side: rank_tol(c.T) for side, c in coords.items()})
+    with np.errstate(over="ignore", invalid="ignore"):
+        X = coords["left"] @ np.hstack([p, -q]).T
+    if not np.all(np.isfinite(X)):
+        raise ValueError("the cross omega products of the two orbits' tangents "
+                         "overflow at this point")
+    dims = orbit_dims(inst)
     return {
         "dim_left_orbit": dims["left"],
         "dim_right_orbit": dims["right"],
         "ambient_dim": inst.ambient_dim(),
-        "cross_omega_residual": cross,
+        "cross_omega_residual": float(np.max(np.abs(X), initial=0.0)),
     }
 
 
-def _certified_dims(left: np.ndarray, swapped: np.ndarray, X: np.ndarray, N: int):
-    """The ``rank_tol`` of both tangent stacks when a Gram certificate
-    proves it, else None.
+# ---------------------------------------------------------------------------
+# orbit dimensions
 
-    The rows of the left stack and of the swapped right stack (an
-    orthogonal map of the right stack's rows, so with its singular
-    values) lie in R^N, and X holds their products, which omega-duality
-    makes vanish.  The side s with fewer rows (the left on a tie) must
-    have full row rank d_s: its rows' Gram takes a ``gram_cholesky``
-    factor L_s.  The other side b must have rank N - d_s, by two bounds.
-    The upper bound: C_b less its projection onto the row space of C_s
-    has rank at most N - d_s, so sigma_{N - d_s + 1}(C_b) is at most the
-    norm of that projection, |L_s^-1 X_s|_F with X_s the rows of X or
-    X^T that belong to s (L_s comes from a shifted Gram, which only
-    raises the bound); it must be at most half the least ``svd_rank``
-    cut that C_b can have, as sigma_max >= |C_b|_F / sqrt(min(d_b, N)):
-    RANK_TOL_FACTOR max(d_b, N) eps |C_b|_F / sqrt(min(d_b, N)).  The
-    lower bound: with mu = |C_b|_F^2 / |C_s|_F^2, the Gram
-    C_b^T C_b + mu C_s^T C_s takes a ``gram_cholesky`` factor; the added
-    term is positive semidefinite of rank d_s, so by Weyl's inequality
-    sigma_{N - d_s}(C_b) lies above the shift.  When d_b = N - d_s the
-    rank cannot exceed d_b, the upper bound is skipped, and the lower
-    bound is C_b's own row Gram.
+def tangent_singular_values(algebra: str, size: int, a, b) -> np.ndarray:
+    """Singular values of a side's tangent map xi -> to_real(xi . x),
+    descending, from the side's scales (a, b) in the pair module's
+    ``tangent_scales``, each zero-padded to the algebra's size.
+
+    The map is taken on the orthonormal coordinates of the algebra that
+    ``basis_stack`` gives once each element is divided by its Frobenius
+    norm.  Rotating by the point's singular frames is orthogonal on the
+    algebra and on R^{2nm}, and after it each coordinate, on the entry
+    (p, q) of the rotated algebra element, moves entries of the image
+    that no other coordinate moves, with weights a_p and b_q.  So the
+    map's Gram is diagonal and its singular values are hypot(a_p, b_q),
+    over the entries basis_stack's families select: all of them for gl
+    and u (the A_kl and i S_kl of u hold p != q twice and p = q once),
+    p <= q for sp (the S_kl) and p < q for o (the A_kl).  hypot neither
+    overflows nor underflows at any scale of the point.
     """
-    stacks = {"left": (left, X), "right": (swapped, X.T)}
-    s, b = ("left", "right") if len(left) <= len(swapped) else ("right", "left")
-    (Cs, Xs), (Cb, _) = stacks[s], stacks[b]
-    ds, db = len(Cs), len(Cb)
-    if db < N - ds:
-        return None
-    Ls = gram_cholesky(Cs)
-    if Ls is None:
-        return None
-    if db == N - ds:
-        Lb = gram_cholesky(Cb)
-    else:
-        fb = np.linalg.norm(Cb) ** 2
-        upper = np.linalg.norm(np.linalg.solve(Ls, Xs))
-        cut = RANK_TOL_FACTOR * max(db, N) * np.finfo(float).eps * np.sqrt(fb / min(db, N))
-        if not upper <= 0.5 * cut:
-            return None
-        mu = fb / np.linalg.norm(Cs) ** 2 if ds else 0.0
-        Lb = gram_cholesky(np.vstack([Cb, np.sqrt(mu) * Cs]).T)
-    return None if Lb is None else {s: ds, b: N - ds}
+    pad = np.zeros((2, size))
+    pad[0, :len(a)], pad[1, :len(b)] = a, b
+    values = np.hypot.outer(*pad)
+    if algebra in ("sp", "o"):
+        # the row-major upper triangle, diagonal included for sp
+        values = values[~np.tri(size, k=-1 if algebra == "sp" else 0, dtype=bool)]
+    return np.sort(values, axis=None)[::-1]
+
+
+def orbit_dims(inst: DualPairInstance) -> dict:
+    """Dimension of each side's group orbit through the point, by side:
+    the ``svd_rank`` of its ``tangent_singular_values`` on the shape of
+    its tangent stack, (dim of the algebra, 2nm).  Each value lies
+    within a few max(n, m) eps sigma_1 of the true one (the SVD of the
+    point is backward stable and hypot is 1-Lipschitz in the scales),
+    far inside the cut 100 max(shape) eps sigma_1.  No stack is built or
+    factored.
+    """
+    dims = {}
+    for side, (a, b) in inst.module.tangent_scales(inst.point).items():
+        algebra = algebra_tag(inst.pair_id, side)
+        s = tangent_singular_values(algebra, algebra_size(inst, side), a, b)
+        dims[side] = svd_rank(s, (len(s), inst.ambient_dim()))
+    return dims
+
+
+def matrix_tangent_scales(E: np.ndarray) -> dict:
+    """``tangent_scales`` of the unitary and symplectic pairs, the same on
+    both sides: (sigma(E) / sqrt 2, sigma(E) / sqrt 2).
+
+    With E = U S V^H, the left map xi -> xi E becomes xi' -> xi' S for
+    xi' = U^H xi U; on u(n) its coordinate on the pair (p, q) of xi' moves
+    the entries (p, q) and (q, p) with weights sigma_q and sigma_p, and
+    its algebra norm is sqrt 2 times theirs off the diagonal.  So is the
+    right map on u(m).  sp(2n) = J^T Sym is the same with symmetric
+    in place of skew-Hermitian xi' (J is orthogonal), and o(m) with
+    real skew xi'.
+    """
+    s = np.linalg.svd(E, compute_uv=False) / np.sqrt(2.0)
+    return {"left": (s, s), "right": (s, s)}
 
 
 # The pair modules import the reports and require_level_match from here,

@@ -30,7 +30,8 @@ from .linalg import (
     standard_J,
     stream_rng,
 )
-from .pairs import OrbitReport, WitnessReport, require_level_match as _require_level_match
+from .pairs import (OrbitReport, WitnessReport, matrix_tangent_scales as tangent_scales,
+                    require_level_match as _require_level_match)
 
 GROUP = {"left": "symplectic", "right": "orthogonal"}
 # both actions and their derivatives are matrix products

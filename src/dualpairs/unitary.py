@@ -20,7 +20,8 @@ import numpy as np
 from .jsonio import matrix_point_from_obj as point_from_obj, matrix_point_to_obj as point_to_obj
 from .linalg import (isometry_between, random_group_element, rank_tol, relative_diff, stream_rng,
                      svd_rank)
-from .pairs import OrbitReport, WitnessReport, require_level_match as _require_level_match
+from .pairs import (OrbitReport, WitnessReport, matrix_tangent_scales as tangent_scales,
+                    require_level_match as _require_level_match, tangent_singular_values)
 
 GROUP = {"left": "unitary", "right": "unitary"}
 # both actions and their derivatives are matrix products
@@ -134,16 +135,6 @@ def normal_form_partners(n: int, m: int, seed: int) -> tuple:
             random_group_element("unitary", n, seed, 4) @ T)
 
 
-def _jacobian_singular_values(E: np.ndarray) -> np.ndarray:
-    """The m^2 singular values of ``jacobian_rank_right``'s matrix A at
-    E, descending, read off those of E padded with zeros to m."""
-    s = np.linalg.svd(E, compute_uv=False)
-    s = np.concatenate([s, np.zeros(E.shape[1] - len(s))])
-    p, q = np.triu_indices(len(s), 1)
-    pair = np.hypot(s[p], s[q]) / np.sqrt(2.0)
-    return np.sort(np.concatenate([s, pair, pair]))[::-1]
-
-
 def jacobian_rank_right(E: np.ndarray) -> int:
     """Rank of the differential of the right momentum map at E.
 
@@ -155,21 +146,15 @@ def jacobian_rank_right(E: np.ndarray) -> int:
     k zero singular values the observed rank is m^2 - k^2, so the map has
     full rank m^2 exactly when E has full column rank.
 
-    With E = U S V^dagger, X -> U^dagger X V and T -> V^dagger T V are
-    orthogonal, so A has the singular values of its matrix at S, with
-    sigma_p = S_pp (zero past n).  There T_pq = (i/2)(sigma_p X_pq +
-    sigma_q conj X_qp): Im T_pp reads sigma_p Re X_pp, and for p < q
-    sqrt 2 Re T_pq and sqrt 2 Im T_pq read Im and Re of (X_pq, X_qp) with
-    weights (-sigma_p, sigma_q) and (sigma_p, sigma_q) over sqrt 2.
-    Distinct coordinates read disjoint entries, so A A^T is diagonal and
-    A's singular values are sigma_p and, twice for each p < q,
-    sqrt((sigma_p^2 + sigma_q^2)/2), formed by hypot.
-
-    The rank is ``rank_tol``'s rule on A's shape and values.  Each value
-    lies within a few max(n, m) eps sigma_1 of the true one (the SVD of E
-    is backward stable, the pair values 1-Lipschitz in the sigmas), far
-    inside the cut c = 100 max(m^2, 2nm) eps sigma_1.
+    The momentum-map identity <dJ(X), xi> = omega(E xi, X) makes A, up
+    to orthogonal maps, the transpose of the right tangent map
+    xi -> E xi in orthonormal coordinates of u(m), so A has that map's
+    singular values: E's own sigma_p (zero past n) and, twice for each
+    p < q, sqrt((sigma_p^2 + sigma_q^2)/2).  The rank is ``svd_rank`` of
+    them on A's shape (m^2, 2nm), the shape of the right tangent stack,
+    so it is the right orbit's dimension in ``pairs.orbit_dims``.
     """
     E = np.asarray(E, dtype=complex)
     n, m = E.shape
-    return svd_rank(_jacobian_singular_values(E), (m * m, 2 * n * m))
+    s = tangent_singular_values("u", m, *tangent_scales(E)["right"])
+    return svd_rank(s, (m * m, 2 * n * m))

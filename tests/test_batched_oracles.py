@@ -8,14 +8,19 @@ approximately.
 One sum is formed by a matrix product instead and is compared within a
 rounding bound: the cross term of check_lie_weinstein (one product of the
 Darboux coordinates of the two tangent stacks).  Its orbit dimensions are
-still compared exactly.  They come from a Gram certificate, which is also
+still compared exactly.  They are read off the point's own singular
+values: those closed-form values are compared within a rounding bound
+with the SVD of each loop-assembled stack in orthonormal algebra
+coordinates, on all three pairs and both sides.  The dimensions are
 checked against rank_tol of the stacks at points of growing condition
-number, on stacks moved off the omega complement, and for the SVDs it
-avoids.  jacobian_rank_right reads the Jacobian's singular values off
-the point's own: they are compared within a rounding bound with the SVD
-of the loop-assembled Jacobian, its rank is the loop reference's
-rank_tol at every defect level, wide points included, and it does not
-change when the point is scaled to the ends of the float64 range.  The
+number, for the SVDs and Cholesky factors they avoid, and at points
+scaled to the ends of the float64 range; a stack moved off the omega
+complement shows in the cross residual, and overflowing cross products
+are refused.  jacobian_rank_right is the same rule on the unitary right
+side: its values are compared within a rounding bound with the SVD of
+the loop-assembled Jacobian, its rank is the loop reference's rank_tol
+at every defect level, wide points included, and it does not change
+when the point is scaled to the ends of the float64 range.  The
 left leg of the seesaw diagrams restricts the sp momentum instead of
 pairing it with every embedded basis element; that per-basis pairing is
 now the oracle for the restriction maps, and the diagrams are compared
@@ -385,8 +390,8 @@ def _conditioned_instances(n, m, kappa, seed):
 
 
 def _stack_ranks(inst):
-    # the rank_tol of each side's tangent stack, the route the Gram
-    # certificate must agree with
+    # the rank_tol of each side's tangent stack, the route the orbit
+    # dimensions read off the point's singular values must agree with
     out = {}
     for side in ("left", "right"):
         basis = basis_stack(algebra_tag(inst.pair_id, side), algebra_size(inst, side))
@@ -394,46 +399,29 @@ def _stack_ranks(inst):
     return out
 
 
-def _rank_tol_spy(monkeypatch, module):
-    shapes = []
-
-    def spy(M):
-        shapes.append(np.shape(M))
-        return rank_tol(M)
-    monkeypatch.setattr(module, "rank_tol", spy)
-    return shapes
-
-
 @pytest.mark.parametrize("n,m", SHAPES + [(12, 8), (16, 16)])
 @pytest.mark.parametrize("kappa", [None, 1.0, 1e4, 1e6, 1e8])
-def test_certified_orbit_dims_are_rank_tol_dims(n, m, kappa, monkeypatch):
+def test_certified_orbit_dims_are_rank_tol_dims(n, m, kappa):
     # kappa None draws Gaussian points; the others, points of condition
-    # number kappa (1 for a single column).  The certificate settles the
-    # Gaussian points and those of condition 1, and leaves those of
-    # condition 1e6 and more to rank_tol; either way the dimensions are
-    # rank_tol's
-    fallbacks = _rank_tol_spy(monkeypatch, pairs)
+    # number kappa (1 for a single column).  At every one the dimensions
+    # are rank_tol's
     insts = (_instances(n, m, 61) if kappa is None
              else _conditioned_instances(n, m, kappa, 61))
     for inst in insts:
         assert inst.full_rank()
-        fallbacks.clear()
         got = check_lie_weinstein(inst)
         want = _stack_ranks(inst)
         assert (got["dim_left_orbit"], got["dim_right_orbit"]) == (want["left"], want["right"])
-        if kappa is None or kappa == 1.0 or m == 1:
-            assert fallbacks == []
-        elif kappa >= 1e6:
-            assert len(fallbacks) == 2
 
 
 @pytest.mark.parametrize("eps", [1e-3, 1e-9])
 def test_orbit_dims_certificate_refuses_a_stack_off_the_omega_complement(eps, monkeypatch):
     # the left tangents of a unitary 3x2 point, moved off the omega
     # complement of the right orbit by eps times noise: the 9 moved rows
-    # are independent in R^12, so the two dimensions sum to 13, not 12.
-    # The certificate, which would report N - d_right = 8, must refuse,
-    # and rank_tol reports 9
+    # are independent in R^12, so the two stacks no longer split R^12.
+    # The dimensions are read off the point, not the moved stack, and
+    # stay (8, 4); the move shows in the cross residual, which the suite
+    # refuses above 1e-10 (measured: 7.7e-3 and 7.7e-9)
     rng = stream_rng(59, 0)
     inst = DualPairInstance("unitary", 3, 2, _complex(rng, 3, 2))
     noise = rng.standard_normal((9, 3, 2)) + 1j * rng.standard_normal((9, 3, 2))
@@ -442,26 +430,31 @@ def test_orbit_dims_certificate_refuses_a_stack_off_the_omega_complement(eps, mo
     def moved(at, side, xi):
         t = action(at, side, xi)
         return t + eps * noise if side == "left" else t
+    assert check_lie_weinstein(inst)["cross_omega_residual"] <= 1e-14
     monkeypatch.setattr(pairs, "infinitesimal_action", moved)
-    fallbacks = _rank_tol_spy(monkeypatch, pairs)
     got = check_lie_weinstein(inst)
-    assert len(fallbacks) == 2
-    assert (got["dim_left_orbit"], got["dim_right_orbit"]) == (9, 4)
+    assert (got["dim_left_orbit"], got["dim_right_orbit"]) == (8, 4)
+    assert got["cross_omega_residual"] > 1e-10
 
 
 @pytest.mark.parametrize("n,m", SHAPES + [(12, 8), (16, 16)])
 def test_certified_paths_take_no_svd_of_a_stack(n, m, monkeypatch):
-    # only the points themselves are factored (full_rank, the GL column
-    # frames, the unitary point's SVD in jacobian_rank_right): no tangent
-    # stack and no m^2 x 2nm Jacobian matrix, for n < m too
+    # only the points themselves are factored (full_rank, the stacked SVD
+    # of Q and P, the unitary point's SVD in jacobian_rank_right): no
+    # tangent stack, no m^2 x 2nm Jacobian matrix and no Gram is
+    # factored, for n < m too
     shapes = []
     svd = np.linalg.svd
 
     def spy(a, *args, **kwargs):
         shapes.append(np.shape(a))
         return svd(a, *args, **kwargs)
+
+    def no_cholesky(a, *args, **kwargs):
+        raise AssertionError(f"cholesky of a {np.shape(a)} matrix")
     for inst in _instances(n, m, 67):
         monkeypatch.setattr(np.linalg, "svd", spy)
+        monkeypatch.setattr(np.linalg, "cholesky", no_cholesky)
         check_lie_weinstein(inst)
         if inst.pair_id == "unitary":
             unitary.jacobian_rank_right(inst.point)
@@ -469,6 +462,66 @@ def test_certified_paths_take_no_svd_of_a_stack(n, m, monkeypatch):
         rows = 2 * n if inst.pair_id == "symplectic" else n
         assert shapes and all(s[-2:] == (rows, m) for s in shapes), shapes
         shapes.clear()
+
+
+def _scaled(inst, scale):
+    pt = inst.point
+    if inst.pair_id == "general_linear":
+        pt = gl.CotangentPoint(scale * pt.Q, scale * pt.P)
+    else:
+        pt = scale * pt
+    return DualPairInstance(inst.pair_id, inst.n, inst.m, pt)
+
+
+def _ref_stack_values(inst, side):
+    # singular values of the loop-assembled tangent stack, each row
+    # divided by the norm of its basis element
+    basis = _ref_algebra_basis(algebra_tag(inst.pair_id, side), algebra_size(inst, side))
+    if not basis:
+        return np.zeros(0)
+    rows = [_ref_vectorize_tangent(inst, _ref_infinitesimal_action(inst, side, b))
+            / np.linalg.norm(b) for b in basis]
+    return np.linalg.svd(np.array(rows), compute_uv=False)
+
+
+@pytest.mark.parametrize("n,m", [(2, 1), (3, 2), (4, 4), (6, 3), (3, 5), (4, 8), (12, 8),
+                                 (16, 16), (5, 1), (3, 6), (3, 3)])
+def test_tangent_singular_values_are_those_of_the_loop_stack(n, m):
+    # the closed form against the SVD of the stack in orthonormal algebra
+    # coordinates, on every pair that takes the shape ((5, 1) and (3, 6)
+    # give the symplectic pair m = 1 and m = 2n, (3, 3) the general
+    # linear pair m = n), at Gaussian points (kappa None) and at points
+    # of condition number kappa.  A conditioned GL point gives Q and P
+    # the same singular values, so the Gaussian ones tell sigma(Q) from
+    # sigma(P).  The closed form has one value per basis element, the
+    # SVD min(dim, 2nm), so both are padded with zeros to the longer list
+    for kappa in (None, 1.0, 1e4, 1e8):
+        insts = (_instances(n, m, 89) if kappa is None
+                 else _conditioned_instances(n, m, kappa, 89))
+        for inst in insts:
+            for side in ("left", "right"):
+                algebra, size = algebra_tag(inst.pair_id, side), algebra_size(inst, side)
+                a, b = inst.module.tangent_scales(inst.point)[side]
+                got = pairs.tangent_singular_values(algebra, size, a, b)
+                want = _ref_stack_values(inst, side)
+                assert len(got) == len(basis_stack(algebra, size))
+                longer = max(len(got), len(want))
+                got = np.concatenate([got, np.zeros(longer - len(got))])
+                want = np.concatenate([want, np.zeros(longer - len(want))])
+                bound = 1e-13 * (want[0] if longer else 0.0)
+                assert np.max(np.abs(got - want), initial=0.0) <= bound, (
+                    inst.pair_id, side, kappa)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("pair", ["unitary", "symplectic", "general_linear"])
+def test_lie_weinstein_refuses_overflowing_cross_products(pair):
+    # a 4x2 Gaussian point scaled by 1e170: its tangents are finite, but
+    # their omega products are not; the check names them, with no numpy
+    # warning
+    inst = next(i for i in _instances(4, 2, 101) if i.pair_id == pair)
+    with pytest.raises(ValueError, match="cross omega products"):
+        check_lie_weinstein(_scaled(inst, 1e170))
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -554,7 +607,7 @@ def test_jacobian_singular_values_are_those_of_the_loop_matrix(n, m):
         for r in range(min(n, m) + 1):
             E = _conditioned(rng, n, m, kappa, cplx=True, k=r)
             want = np.linalg.svd(_ref_jacobian_matrix(E), compute_uv=False)
-            got = unitary._jacobian_singular_values(E)
+            got = pairs.tangent_singular_values("u", m, *unitary.tangent_scales(E)["right"])
             assert got.shape == (m * m,)
             size = max(m * m, len(want))
             got = np.concatenate([got, np.zeros(size - m * m)])
@@ -566,14 +619,24 @@ def test_jacobian_singular_values_are_those_of_the_loop_matrix(n, m):
 @pytest.mark.parametrize("n,m", [(3, 2), (6, 4), (3, 5), (12, 8)])
 def test_jacobian_rank_right_is_scale_invariant(n, m):
     # the pair values sqrt((a^2 + b^2)/2) neither overflow nor underflow
-    # at the ends of the float64 range, and no numpy warning is raised
+    # at the ends of the float64 range, and no numpy warning is raised:
+    # for the Jacobian at every rank, and for each side's orbit rank on
+    # all three pairs, from orbit_dims since the cross term of
+    # check_lie_weinstein overflows at 1e170
+    scales = (1e-300, 1e-170, 1e170, 1e300)
     rng = stream_rng(83, 100 * n + m)
     for r in range(min(n, m) + 1):
         E = _conditioned(rng, n, m, 1e3, cplx=True, k=r)
         want = unitary.jacobian_rank_right(E)
         assert want == m * m - (m - r) ** 2
-        for scale in (1e-300, 1e-170, 1e170, 1e300):
+        for scale in scales:
             assert unitary.jacobian_rank_right(scale * E) == want, (r, scale)
+    for inst in _conditioned_instances(n, m, 1e3, 97):
+        dims = check_lie_weinstein(inst)
+        assert dims["dim_left_orbit"] + dims["dim_right_orbit"] == inst.ambient_dim()
+        want = {side: dims[f"dim_{side}_orbit"] for side in ("left", "right")}
+        for scale in scales:
+            assert pairs.orbit_dims(_scaled(inst, scale)) == want, (inst.pair_id, scale)
 
 
 @pytest.mark.parametrize("n,m", [(2, 1), (3, 2), (4, 4), (6, 3), (8, 6), (12, 8),
