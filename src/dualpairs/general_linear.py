@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .jsonio import matrix_from_obj, matrix_to_obj
-from .linalg import column_frames, rank_tol, relative_diff, stream_rng
+from .linalg import column_frames, rank_tol, relative_diff, stream_rng, svd_rank
 from .pairs import OrbitReport, WitnessReport, require_level_match as _require_level_match
 
 GROUP = {"left": "general_linear", "right": "general_linear"}
@@ -74,11 +74,6 @@ def check_point(pt, n: int, m: int) -> CotangentPoint:
     return pt
 
 
-def full_rank(pt: CotangentPoint) -> bool:
-    m = pt.Q.shape[1]
-    return rank_tol(pt.Q) == m and rank_tol(pt.P) == m
-
-
 def random_point(n: int, m: int, rng) -> CotangentPoint:
     return CotangentPoint(rng.standard_normal((n, m)), rng.standard_normal((n, m)))
 
@@ -106,6 +101,11 @@ def to_real(x) -> np.ndarray:
     (dQ, dP) or a stack of tangents."""
     q, p = (x.Q, x.P) if isinstance(x, CotangentPoint) else x
     return np.concatenate([q, p], axis=-2)
+
+
+def from_real(r: np.ndarray) -> CotangentPoint:
+    """The point of real model r = [Q; P]."""
+    return CotangentPoint(*np.split(r, 2))
 
 
 def tangent_scales(pt: CotangentPoint) -> dict:
@@ -604,6 +604,24 @@ def _cluster_eigenvalues(eigs, delta):
     return [list(z[first == i]) for i in np.unique(first)]
 
 
+def _power_nullity():
+    """The nullity of each of the successive powers A, A^2, ... of one
+    float matrix A, passed in that order, by the ``svd_rank`` rule
+    against ||A||_2^k instead of the power's own largest singular value.
+    Past a nilpotent block's index the power is roundoff of about
+    eps ||A||_2^k, which its own scale would read as full rank and so
+    stop the chain short.  ||A||_2 is the first power's largest singular
+    value, so no factorization is added."""
+    scales = []
+
+    def nullity(power):
+        s = np.linalg.svd(power, compute_uv=False)
+        # Python floats: a scale past the float range is inf, not a warning
+        scales.append(scales[-1] * scales[0] if scales else float(s[0]))
+        return len(power) - svd_rank(s, power.shape, scales[-1])
+    return nullity
+
+
 class AmbiguousStructureError(ValueError):
     """Float data whose Jordan structure cannot be read off reliably.
 
@@ -629,11 +647,13 @@ def _structure_float(M, side: str, n: int, m: int) -> JordanData:
     raise, and anything wider counts as distinct.  This resolves spectra
     separated beyond the eigensolver's backward error; defective blocks
     deeper than size 4 carried by noisy data can scatter past the guard
-    band and should be supplied as exact integral matrices instead.  The
-    chains go to the same ``_label`` as exact input, and whatever it
-    refuses (a chain that is not concave, blocks that do not fill the m
-    columns, more than n - m nilpotent blocks) is raised as
-    AmbiguousStructureError instead of being turned into a label.
+    band and should be supplied as exact integral matrices instead.  Each
+    power of M - lambda I is ranked against the base's norm
+    (``_power_nullity``), and the chains go to the same ``_label`` as
+    exact input; whatever it refuses (a chain that is not concave, blocks
+    that do not fill the m columns, more than n - m nilpotent blocks) is
+    raised as AmbiguousStructureError instead of being turned into a
+    label.
     """
     size = M.shape[0]
     eigs = np.linalg.eigvals(M)
@@ -661,8 +681,8 @@ def _structure_float(M, side: str, n: int, m: int) -> JordanData:
                   else complex(raw.real, 0.0) if abs(raw.imag) <= delta else raw)
         if center.imag < 0:
             continue  # handled through the conjugate cluster
-        chains[raw] = _nullity_chain(
-            M - center * np.eye(size), lambda P: size - rank_tol(P), np.matmul, len(cl))
+        chains[raw] = _nullity_chain(M - center * np.eye(size), _power_nullity(),
+                                     np.matmul, len(cl))
         snapped.append((center, chains[raw]))
     try:
         return _label(snapped, side, n, m)

@@ -111,13 +111,15 @@ def _scalar(values):
     return float(values) if np.ndim(values) == 0 else values
 
 
-def svd_rank(s: np.ndarray, shape) -> int:
+def svd_rank(s: np.ndarray, shape, scale: float | None = None) -> int:
     """Numerical rank of a matrix of the given shape from its singular
     values s, in descending order: the count of those above
-    RANK_TOL_FACTOR * max(shape) * eps * s[0]."""
+    RANK_TOL_FACTOR * max(shape) * eps * scale, where scale is s[0]
+    unless given."""
     if s.size == 0:
         return 0
-    return int(np.count_nonzero(s > RANK_TOL_FACTOR * max(shape) * _EPS * s[0]))
+    scale = s[0] if scale is None else scale
+    return int(np.count_nonzero(s > RANK_TOL_FACTOR * max(shape) * _EPS * scale))
 
 
 def rank_tol(M: np.ndarray) -> int:

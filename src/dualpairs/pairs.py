@@ -13,10 +13,11 @@ and supplies the point checks, random points, instance-file fields,
 actions, momenta, witnesses, orbit labels and the scales of its tangent
 maps (``tangent_scales``) under the same names, and
 ``to_real``, which writes a point or tangent as a real 2n x m matrix
-carrying the form ``omega_real``.  A side's algebra follows from its
-group, and its size from the point's shape (the left group acts on the
-rows, the right group on the columns).  ``PAIRS`` maps each pair id to
-its module and is the only place that dispatches on the id.
+carrying the form ``omega_real`` (``from_real`` reads a point back).
+A side's algebra follows from its group, and its size from the point's
+shape (the left group acts on the rows, the right group on the
+columns).  ``PAIRS`` maps each pair id to its module and is the only
+place that dispatches on the id.
 
 The checks in this module exercise the general theory: equivariance of
 the momentum maps, invariance of each level set under the opposite
@@ -27,6 +28,7 @@ algebra bracket, and the orbit-dimension bookkeeping behind the duality.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Any
 
 import numpy as np
@@ -121,7 +123,7 @@ class DualPairInstance:
         return 2 * self.n * self.m
 
     def full_rank(self) -> bool:
-        return self.module.full_rank(self.point)
+        return full_rank(self, self.module.tangent_scales(self.point))
 
 
 # ---------------------------------------------------------------------------
@@ -144,6 +146,11 @@ def basis_stack(algebra: str, size: int) -> np.ndarray:
     * u(n): the A_kl, then the i S_kl
     * sp(2n): the J^T S_kl = [-S_kl bottom rows; S_kl top rows]
     * gl(n): the units E_ij, row-major
+
+    The structure checks multiply no stack by the point:
+    ``check_lie_weinstein`` gathers its tangent stacks through maps read
+    once off a probe of this basis (``_tangent_map``), built outside the
+    cache.
     """
     if algebra == "gl":
         return np.eye(size * size).reshape(size * size, size, size)
@@ -241,15 +248,6 @@ def tangent_omega(inst: DualPairInstance, t1, t2):
     return omega_real(to_real(t1), to_real(t2))
 
 
-def _vectorize_tangent(inst: DualPairInstance, t) -> np.ndarray:
-    """Real coordinates of a tangent, along the last axis for a stack:
-    its real model read row-major, so the n m entries of the Darboux
-    half q (the top n rows) come before those of p."""
-    x = inst.module.to_real(t)
-    # the explicit product, as -1 cannot be inferred for an empty stack
-    return x.reshape(*x.shape[:-2], x.shape[-2] * x.shape[-1])
-
-
 # ---------------------------------------------------------------------------
 # structural checks
 
@@ -304,32 +302,97 @@ def check_lie_weinstein(inst: DualPairInstance) -> dict:
     directions of the two orbits, which must vanish since each momentum
     map is constant along the other group's orbits.  The products come
     from one matrix product X of the Darboux coordinates of the two
-    tangent stacks, omega(t1, t2) = q1 . p2 - p1 . q2; a point so large
-    that X overflows is refused.
+    tangent stacks, omega(t1, t2) = q1 . p2 - p1 . q2, each stack
+    gathered from the point's own coordinates (``_tangent_stacks``); a
+    point so large that X overflows is refused.  The point is factored
+    once: its ``tangent_scales`` give both the full-rank test
+    (``full_rank``) and the dimensions.
     """
-    if not inst.full_rank():
+    scales = inst.module.tangent_scales(inst.point)
+    if not full_rank(inst, scales):
         raise ValueError("orbit-dimension check requires a full-rank point")
-    coords = {}
-    for side in ("left", "right"):
-        basis = basis_stack(algebra_tag(inst.pair_id, side), algebra_size(inst, side))
-        coords[side] = _vectorize_tangent(inst, infinitesimal_action(inst, side, basis))
-    # |omega| over all left x right pairs: each row is (q, p) with h = n m
-    # entries per half, so the pairs are q_L . p_R - p_L . q_R, the
-    # products of the left rows with the right rows swapped to (p, -q)
-    h = inst.n * inst.m
-    q, p = coords["right"][:, :h], coords["right"][:, h:]
+    left, right = _tangent_stacks(inst)
     with np.errstate(over="ignore", invalid="ignore"):
-        X = coords["left"] @ np.hstack([p, -q]).T
+        X = left @ right.T
     if not np.all(np.isfinite(X)):
         raise ValueError("the cross omega products of the two orbits' tangents "
                          "overflow at this point")
-    dims = orbit_dims(inst)
+    dims = orbit_dims(inst, scales)
     return {
         "dim_left_orbit": dims["left"],
         "dim_right_orbit": dims["right"],
         "ambient_dim": inst.ambient_dim(),
         "cross_omega_residual": float(np.max(np.abs(X), initial=0.0)),
     }
+
+
+def _tangent_stacks(inst: DualPairInstance) -> list:
+    """Real coordinates of both sides' orbit tangents at the point, one
+    row per ``basis_stack`` element: the left rows as (q, p), with the n m
+    entries of the Darboux half q (the top n rows of the real model) read
+    row-major before those of p, and the right rows swapped to (p, -q),
+    so that the product of the two stacks is omega over all left x right
+    pairs.  Each row is gathered from the signed coordinates of the point
+    through ``_tangent_map``; no basis element is multiplied."""
+    x = inst.module.to_real(inst.point).ravel()
+    return [_gather(x, *_tangent_map(inst.pair_id, side, inst.n, inst.m))
+            for side in ("left", "right")]
+
+
+def _gather(x: np.ndarray, dim: int, pos: np.ndarray, src: np.ndarray) -> np.ndarray:
+    """The (dim, x.size) stack whose flat entries pos hold the entries src
+    of the signed coordinates [-x reversed, 0, x], and zeros elsewhere."""
+    signed = np.concatenate([-x[::-1], [0.0], x])
+    out = np.zeros((dim, x.size))
+    out.reshape(-1)[pos] = signed.take(src)
+    return out
+
+
+@cache
+def _tangent_map(pair_id: str, side: str, n: int, m: int) -> tuple:
+    """(dim, positions, sources) of one side's gathered tangent stack.
+
+    Every entry of to_real(xi . x) or to_real(x . xi), for every element
+    xi of the side's ``basis_stack``, is 0 or +- one coordinate of
+    to_real(x).  So one probe point whose real model holds 1 .. 2nm,
+    pushed through the pair module's own infinitesimal action, reads
+    off the map: an entry +-k sits at index 2nm +- k of the signed
+    coordinates [-x reversed, 0, x], and the flat position of each
+    nonzero entry in the (dim, 2nm) stack is kept with that index, both
+    as read-only int32 arrays.  The right side's swap (q, p) -> (p, -q)
+    is folded in.  A sum of coordinates can also land on a probe value,
+    so the map is refused unless it reproduces the action exactly at a
+    second, Gaussian point too.  The probe's basis is built outside
+    ``basis_stack``'s cache, so no dense basis stays alive.
+    """
+    mod = PAIRS[pair_id]
+    width = 2 * n * m
+    probe = np.arange(1.0, width + 1)
+    size = mod.from_real(probe.reshape(2 * n, m)).shape[0 if side == "left" else 1]
+    basis = basis_stack.__wrapped__(algebra_tag(pair_id, side), size)
+
+    def stack(r):
+        # the side's rows, as _tangent_stacks orders them, at the point
+        # of real model r
+        x = mod.from_real(r.reshape(2 * n, m))
+        t = (mod.infinitesimal_left(basis, x) if side == "left"
+             else mod.infinitesimal_right(x, basis))
+        v = mod.to_real(t).reshape(-1, width)
+        return v if side == "left" else np.hstack([v[:, width // 2:], -v[:, :width // 2]])
+
+    v = stack(probe)
+    exact = np.array_equal(v, np.round(v)) and np.all(np.abs(v) <= width)
+    if exact:
+        pos = np.flatnonzero(v).astype(np.int32)
+        src = (v.reshape(-1)[pos] + width).astype(np.int32)
+        g = np.random.default_rng(0).standard_normal(width)
+        exact = np.array_equal(_gather(g, len(v), pos, src), stack(g))
+    if not exact:
+        raise ValueError(f"the {side} tangents of the {pair_id} pair are not "
+                         "signed coordinates of the point")
+    for a in (pos, src):
+        a.setflags(write=False)
+    return len(v), pos, src
 
 
 # ---------------------------------------------------------------------------
@@ -361,17 +424,27 @@ def tangent_singular_values(algebra: str, size: int, a, b) -> np.ndarray:
     return np.sort(values, axis=None)[::-1]
 
 
-def orbit_dims(inst: DualPairInstance) -> dict:
+def full_rank(inst: DualPairInstance, scales: dict) -> bool:
+    """Whether every factor of the point (E, or Q and P) has full rank by
+    the ``svd_rank`` rule on the point's shape, read off the pair
+    module's ``tangent_scales`` of the point: its left scales are the
+    singular values of those factors, up to one common factor."""
+    shape = (algebra_size(inst, "left"), algebra_size(inst, "right"))
+    return all(svd_rank(s, shape) == len(s) for s in scales["left"])
+
+
+def orbit_dims(inst: DualPairInstance, scales: dict) -> dict:
     """Dimension of each side's group orbit through the point, by side:
     the ``svd_rank`` of its ``tangent_singular_values`` on the shape of
     its tangent stack, (dim of the algebra, 2nm).  Each value lies
     within a few max(n, m) eps sigma_1 of the true one (the SVD of the
     point is backward stable and hypot is 1-Lipschitz in the scales),
     far inside the cut 100 max(shape) eps sigma_1.  No stack is built or
-    factored.
+    factored.  scales are the pair module's ``tangent_scales`` of the
+    point.
     """
     dims = {}
-    for side, (a, b) in inst.module.tangent_scales(inst.point).items():
+    for side, (a, b) in scales.items():
         algebra = algebra_tag(inst.pair_id, side)
         s = tangent_singular_values(algebra, algebra_size(inst, side), a, b)
         dims[side] = svd_rank(s, (len(s), inst.ambient_dim()))

@@ -37,7 +37,7 @@ GROUP = {"left": "symplectic", "right": "orthogonal"}
 # both actions and their derivatives are matrix products
 act_left = act_right = infinitesimal_left = infinitesimal_right = np.matmul
 # a point, a tangent or a stack of tangents is its own real model
-to_real = np.asarray
+to_real = from_real = np.asarray
 
 
 def check_dims(n: int, m: int):
@@ -52,13 +52,9 @@ def check_point(E, n: int, m: int) -> np.ndarray:
     if E.shape != (2 * n, m):
         raise ValueError(f"point shape {E.shape} does not match ({2 * n},{m})")
     check_dims(n, m)
-    if not full_rank(E):
+    if rank_tol(E) < m:
         raise ValueError("symplectic pair points must have rank m")
     return E
-
-
-def full_rank(E: np.ndarray) -> bool:
-    return rank_tol(E) == E.shape[1]
 
 
 def random_point(n: int, m: int, rng) -> np.ndarray:

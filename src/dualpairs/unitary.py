@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .jsonio import matrix_point_from_obj as point_from_obj, matrix_point_to_obj as point_to_obj
-from .linalg import (isometry_between, random_group_element, rank_tol, relative_diff, stream_rng,
+from .linalg import (isometry_between, random_group_element, relative_diff, stream_rng,
                      svd_rank)
 from .pairs import (OrbitReport, WitnessReport, matrix_tangent_scales as tangent_scales,
                     require_level_match as _require_level_match, tangent_singular_values)
@@ -39,10 +39,6 @@ def check_point(E, n: int, m: int) -> np.ndarray:
     return E.astype(complex)
 
 
-def full_rank(E: np.ndarray) -> bool:
-    return rank_tol(E) == min(E.shape)
-
-
 def random_point(n: int, m: int, rng) -> np.ndarray:
     return rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
 
@@ -51,6 +47,12 @@ def to_real(x) -> np.ndarray:
     """The real model [Re x; Im x] of a point, a tangent or a stack of
     tangents; it carries Im Tr(E^dagger F) to omega_real."""
     return np.concatenate([np.real(x), np.imag(x)], axis=-2)
+
+
+def from_real(r: np.ndarray) -> np.ndarray:
+    """The point of real model r, the inverse of ``to_real``."""
+    re, im = np.split(r, 2)
+    return re + 1j * im
 
 
 def momentum_left(E: np.ndarray) -> np.ndarray:

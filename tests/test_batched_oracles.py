@@ -7,7 +7,11 @@ approximately.
 
 One sum is formed by a matrix product instead and is compared within a
 rounding bound: the cross term of check_lie_weinstein (one product of the
-Darboux coordinates of the two tangent stacks).  Its orbit dimensions are
+Darboux coordinates of the two tangent stacks).  Those stacks are
+gathered from the point through cached index maps: they equal the
+products of basis_stack with the point entry for entry, the cross term
+equals that of the products bit for bit, and the maps are read-only,
+small, and leave no basis in basis_stack's cache.  Its orbit dimensions are
 still compared exactly.  They are read off the point's own singular
 values: those closed-form values are compared within a rounding bound
 with the SVD of each loop-assembled stack in orthonormal algebra
@@ -46,7 +50,6 @@ from dualpairs.pairs import (
     algebra_size,
     algebra_tag,
     basis_stack,
-    _vectorize_tangent,
     check_lie_weinstein,
     infinitesimal_action,
     tangent_omega,
@@ -137,6 +140,25 @@ def _ref_vectorize_tangent(inst, t):
     if inst.pair_id == "symplectic":
         return np.asarray(t, dtype=float).ravel()
     return np.concatenate([t[0].ravel(), t[1].ravel()])
+
+
+def _vectorize_tangent(inst, t):
+    # the batched route check_lie_weinstein took before it gathered its
+    # stacks: the real models of a stack of tangents, read row-major
+    x = inst.module.to_real(t)
+    return x.reshape(x.shape[0], x.shape[-2] * x.shape[-1])
+
+
+def _product_stacks(inst):
+    # each side's stack as the product of its basis_stack with the point,
+    # the right one swapped to (p, -q) as the gathered one is
+    out = []
+    for side in ("left", "right"):
+        basis = basis_stack(algebra_tag(inst.pair_id, side), algebra_size(inst, side))
+        out.append(_vectorize_tangent(inst, infinitesimal_action(inst, side, basis)))
+    h = inst.n * inst.m
+    out[1] = np.hstack([out[1][:, h:], -out[1][:, :h]])
+    return out
 
 
 def _ref_check_lie_weinstein(inst):
@@ -268,8 +290,8 @@ def _ref_witness_left(pt, pt_prime):
 # ---------------------------------------------------------------------------
 # instances
 
-def _complex(rng, n, m):
-    return rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
+def _complex(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
 def _instances(n, m, seed):
@@ -367,6 +389,76 @@ def test_check_lie_weinstein_equals_the_loop_reference(n, m):
             assert isinstance(cross, float)
 
 
+# the gathered stacks, at every shape of the batched tests, the two
+# largest the structure checks reach, and a wide unitary point
+GATHER_SHAPES = SHAPES + [(12, 8), (16, 16), (6, 12)]
+
+
+@pytest.mark.parametrize("n,m", GATHER_SHAPES)
+def test_gathered_stacks_equal_the_basis_products(n, m):
+    for inst in _instances(n, m, 71):
+        for got, want in zip(pairs._tangent_stacks(inst), _product_stacks(inst)):
+            # == holds for zeros of either sign, the one freedom of a gather
+            assert got.shape == want.shape and np.array_equal(got, want), inst.pair_id
+
+
+@pytest.mark.parametrize("n,m", GATHER_SHAPES)
+def test_cross_omega_residual_is_the_basis_product_value(n, m):
+    for inst in _instances(n, m, 73):
+        left, right = _product_stacks(inst)
+        want = float(np.max(np.abs(left @ right.T), initial=0.0))
+        got = check_lie_weinstein(inst)["cross_omega_residual"]
+        assert _same_bits(np.float64(got), np.float64(want)), inst.pair_id
+
+
+def test_tangent_maps_are_read_only():
+    for inst in _instances(4, 3, 79):
+        for side in ("left", "right"):
+            _, pos, src = pairs._tangent_map(inst.pair_id, side, inst.n, inst.m)
+            for a in (pos, src):
+                assert a.dtype == np.int32 and not a.flags.writeable
+                with pytest.raises(ValueError):
+                    a[0] = 0
+
+
+def test_check_lie_weinstein_caches_no_basis():
+    # with the maps rebuilt from scratch, the probe's bases stay out of
+    # basis_stack's cache, so no dense basis outlives the call
+    pairs._tangent_map.cache_clear()
+    size = basis_stack.cache_info().currsize
+    for n, m in [(3, 2), (16, 16)]:
+        for inst in _instances(n, m, 83):
+            check_lie_weinstein(inst)
+    assert pairs._tangent_map.cache_info().currsize > 0
+    assert basis_stack.cache_info().currsize == size
+
+
+@pytest.mark.parametrize("moved", [
+    # differences of two coordinates: on the left, whole numbers within
+    # the probe's range, so only the Gaussian point tells them from one
+    # coordinate
+    lambda t: t - np.roll(t, 1, axis=-1),
+    # twice a coordinate: out of the probe's range
+    lambda t: 2.0 * t,
+], ids=["difference", "double"])
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_tangent_map_refuses_an_action_that_is_not_a_gather(moved, side, monkeypatch):
+    for name in ("infinitesimal_left", "infinitesimal_right"):
+        monkeypatch.setattr(symplectic, name, lambda a, b: moved(np.matmul(a, b)))
+    with pytest.raises(ValueError, match=f"^the {side} tangents of the symplectic pair "
+                                         "are not signed coordinates of the point$"):
+        pairs._tangent_map.__wrapped__("symplectic", side, 3, 2)
+
+
+@pytest.mark.parametrize("pair", ["unitary", "symplectic", "general_linear"])
+def test_tangent_maps_hold_a_quarter_of_the_dense_basis_at_the_cap(pair):
+    for side in ("left", "right"):
+        _, pos, src = pairs._tangent_map(pair, side, 16, 16)
+        size = 16 if side == "right" or pair != "symplectic" else 32
+        dense = basis_stack.__wrapped__(algebra_tag(pair, side), size)
+        assert pos.nbytes + src.nbytes <= dense.nbytes / 4, side
+
+
 def _conditioned(rng, rows, m, kappa, cplx=False, k=None):
     # U diag(logspace(0, -log10 kappa, k)) V, k = min(rows, m) unless
     # given, with U and V from QRs of Gaussians
@@ -416,22 +508,22 @@ def test_certified_orbit_dims_are_rank_tol_dims(n, m, kappa):
 
 @pytest.mark.parametrize("eps", [1e-3, 1e-9])
 def test_orbit_dims_certificate_refuses_a_stack_off_the_omega_complement(eps, monkeypatch):
-    # the left tangents of a unitary 3x2 point, moved off the omega
-    # complement of the right orbit by eps times noise: the 9 moved rows
-    # are independent in R^12, so the two stacks no longer split R^12.
-    # The dimensions are read off the point, not the moved stack, and
-    # stay (8, 4); the move shows in the cross residual, which the suite
-    # refuses above 1e-10 (measured: 7.7e-3 and 7.7e-9)
+    # the gathered left tangents of a unitary 3x2 point, moved off the
+    # omega complement of the right orbit by eps times noise: the 9 moved
+    # rows are independent in R^12, so the two stacks no longer split
+    # R^12.  The dimensions are read off the point, not the moved stack,
+    # and stay (8, 4); the move shows in the cross residual, which the
+    # suite refuses above 1e-10 (measured: 7.7e-3 and 7.7e-9)
     rng = stream_rng(59, 0)
     inst = DualPairInstance("unitary", 3, 2, _complex(rng, 3, 2))
-    noise = rng.standard_normal((9, 3, 2)) + 1j * rng.standard_normal((9, 3, 2))
-    action = pairs.infinitesimal_action
+    noise = unitary.to_real(_complex(rng, 9, 3, 2)).reshape(9, 12)
+    stacks = pairs._tangent_stacks
 
-    def moved(at, side, xi):
-        t = action(at, side, xi)
-        return t + eps * noise if side == "left" else t
+    def moved(at):
+        left, right = stacks(at)
+        return left + eps * noise, right
     assert check_lie_weinstein(inst)["cross_omega_residual"] <= 1e-14
-    monkeypatch.setattr(pairs, "infinitesimal_action", moved)
+    monkeypatch.setattr(pairs, "_tangent_stacks", moved)
     got = check_lie_weinstein(inst)
     assert (got["dim_left_orbit"], got["dim_right_orbit"]) == (8, 4)
     assert got["cross_omega_residual"] > 1e-10
@@ -636,7 +728,9 @@ def test_jacobian_rank_right_is_scale_invariant(n, m):
         assert dims["dim_left_orbit"] + dims["dim_right_orbit"] == inst.ambient_dim()
         want = {side: dims[f"dim_{side}_orbit"] for side in ("left", "right")}
         for scale in scales:
-            assert pairs.orbit_dims(_scaled(inst, scale)) == want, (inst.pair_id, scale)
+            at = _scaled(inst, scale)
+            assert pairs.orbit_dims(at, at.module.tangent_scales(at.point)) == want, \
+                (inst.pair_id, scale)
 
 
 @pytest.mark.parametrize("n,m", [(2, 1), (3, 2), (4, 4), (6, 3), (8, 6), (12, 8),

@@ -346,6 +346,18 @@ def test_in_image_takes_exact_rank_of_integral_input():
     assert gl.in_image_right(M, 16)
 
 
+def test_integral_rows_are_exact_python_ints():
+    # whole-number entries of any magnitude, 2^62 and beyond included,
+    # become exact Python ints
+    for value in (np.array([[3.0, -0.0], [-7.0, 2.0 ** 62 - 1024]]),
+                  np.array([[2.0 ** 62, 1.0], [-(2.0 ** 70), 0.0]])):
+        got = gl._integral(value)
+        assert got == [[int(x) for x in row] for row in value]
+        assert all(type(x) is int for row in got for x in row)
+    assert gl._integral(np.array([[0.5]])) is None
+    assert gl._integral(np.array([[np.inf]])) is None
+
+
 # ---------------------------------------------------------------------------
 # Jordan bookkeeping
 
@@ -481,6 +493,21 @@ def test_structure_float_path_after_conjugation():
     got = sorted((lam for lam, _ in out.blocks), key=key)
     ref = sorted((complex(lam) for lam, _ in jd.blocks), key=key)
     np.testing.assert_allclose(got, ref, atol=1e-8)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_structure_float_nilpotent_pair_under_noise(seed):
+    # the 4x2 label (2, 2), as its normal form and conjugated, under 1e-14
+    # noise: each power of the value is ranked against ||A||_2^k, so A^2,
+    # pure roundoff, reads as rank 0 and the chain reaches [2, 4].  Ranked
+    # against its own largest singular value, A^2 reads as full rank and
+    # the chain [2] is refused ("block sizes fill 0 columns")
+    jd = gl.JordanData(blocks=(), nilpotent=(2, 2), n=4, m=2)
+    zeta, _ = gl.jordan_correspond(jd)
+    A = _invertible(4, 160 + seed)
+    noise = 1e-14 * np.random.default_rng(seed).standard_normal(zeta.shape)
+    for value in (zeta, A @ zeta @ np.linalg.inv(A)):
+        assert gl.jordan_structure(value + noise, side="left") == jd
 
 
 def test_structure_float_ambiguity_raises():

@@ -323,6 +323,25 @@ def test_lie_weinstein_needs_full_rank():
         check_lie_weinstein(DualPairInstance("unitary", 2, 2, np.zeros((2, 2))))
 
 
+@pytest.mark.parametrize("which", ["E", "Q", "P"])
+def test_lie_weinstein_refuses_each_deficient_factor(which):
+    # the full-rank test reads the singular values of every factor of the
+    # point: E on the unitary pair, each of Q and P on the general linear
+    # pair
+    rng = stream_rng(57, 0)
+    a = rng.standard_normal((4, 2))
+    a[:, 1] = 2.0 * a[:, 0]
+    if which == "E":
+        inst = DualPairInstance("unitary", 4, 2, a + 0j)
+    else:
+        b = rng.standard_normal((4, 2))
+        Q, P = (a, b) if which == "Q" else (b, a)
+        inst = DualPairInstance("general_linear", 4, 2, general_linear.CotangentPoint(Q, P))
+    assert not inst.full_rank()
+    with pytest.raises(ValueError, match="^orbit-dimension check requires a full-rank point$"):
+        check_lie_weinstein(inst)
+
+
 def test_lie_weinstein_cross_residual_random():
     for inst in (_unitary_inst(3, 2, 51), _symplectic_inst(2, 3, 51),
                  _gl_inst(3, 2, 51)):
