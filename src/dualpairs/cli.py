@@ -43,9 +43,10 @@ from .pairs import (
     DualPairInstance,
     LevelMismatchError,
     act,
+    algebra_dim,
+    algebra_element,
     algebra_size,
     algebra_tag,
-    basis_stack,
     bracket,
     check_equivariance,
     check_level_invariance,
@@ -242,8 +243,10 @@ def _witness_residual(inst, side, g):
 
 
 def _random_algebra_element(inst, side, rng):
-    basis = basis_stack(algebra_tag(inst.pair_id, side), algebra_size(inst, side))
-    return sum(c * b for c, b in zip(rng.standard_normal(len(basis)), basis))
+    """Standard-normal coordinates in ``basis_stack``'s basis, drawn in
+    its order and written straight into the element."""
+    algebra, size = algebra_tag(inst.pair_id, side), algebra_size(inst, side)
+    return algebra_element(algebra, size, rng.standard_normal(algebra_dim(algebra, size)))
 
 
 def _run_pairing(side, inst, seed, base):

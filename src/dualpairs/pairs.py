@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from itertools import accumulate
 from typing import Any
 
 import numpy as np
@@ -147,39 +148,94 @@ def basis_stack(algebra: str, size: int) -> np.ndarray:
     * sp(2n): the J^T S_kl = [-S_kl bottom rows; S_kl top rows]
     * gl(n): the units E_ij, row-major
 
-    The structure checks multiply no stack by the point:
-    ``check_lie_weinstein`` gathers its tangent stacks through maps read
-    once off a probe of this basis (``_tangent_map``), built outside the
-    cache.
+    Each family is a run of rows, the elements that share their first
+    index k (``_family_rows``), and any window of consecutive elements
+    can be written alone (``_write_basis``).  No library code builds a
+    whole stack: ``check_lie_weinstein`` gathers its tangent stacks
+    through maps read once off a probe of one family row at a time
+    (``_tangent_map``), and ``algebra_element`` writes a combination's
+    coefficients straight into its entries.
     """
+    if algebra not in ("gl", "o", "u", "sp"):
+        raise ValueError(f"unknown algebra tag {algebra!r}")
+    if algebra == "sp" and size % 2 != 0:
+        raise ValueError("sp size must be even")
+    shape = (algebra_dim(algebra, size), size, size)
+    return _write_basis(np.zeros(shape, _dtype(algebra)), algebra)
+
+
+def algebra_dim(algebra: str, size: int) -> int:
+    """The count of ``basis_stack(algebra, size)``'s elements."""
+    return sum(count for _, count in _family_rows(algebra, size))
+
+
+def algebra_element(algebra: str, size: int, coef: np.ndarray) -> np.ndarray:
+    """sum_i coef[i] basis_stack(algebra, size)[i], bit for bit, with each
+    coefficient written into its entries and no basis built."""
+    coef = np.asarray(coef, dtype=float)
+    return _write_basis(np.zeros((size, size), _dtype(algebra)), algebra, coef=coef)
+
+
+def _dtype(algebra: str):
+    return complex if algebra == "u" else float
+
+
+def _family_rows(algebra: str, size: int) -> list:
+    """(first, count) of each nonempty row of ``basis_stack``'s families,
+    in order: the run of elements of one family that share their first
+    index k (k < l for the A_kl, k <= l for the S_kl, the E_kj of gl)."""
+    skew, sym = range(size - 1, 0, -1), range(size, 0, -1)
+    counts = {"gl": [size] * size, "o": skew, "u": [*skew, *sym], "sp": sym}[algebra]
+    return list(zip(accumulate(counts, initial=0), counts))
+
+
+def _write_basis(out: np.ndarray, algebra: str, first: int = 0, coef=None) -> np.ndarray:
+    # Writes the elements first, first + 1, ... of basis_stack(algebra,
+    # size) into the zero array out: one per slice of the stack out, or,
+    # given their coefficients coef, their combination into the one
+    # matrix out.  No two elements of a family share an entry, and u's
+    # two families fill different parts, so each entry is written once
+    # with its coefficient, exactly as the sum.
+    size = out.shape[-1]
+    count = len(out) if coef is None else len(coef)
     if algebra == "gl":
-        return np.eye(size * size).reshape(size * size, size, size)
-    d = size * (size - 1) // 2  # the count of A_kl
-    if algebra == "o":
-        return _place_pairs(np.zeros((d, size, size)), -1.0)
-    if algebra == "u":
-        out = np.zeros((size * size, size, size), dtype=complex)
-        _place_pairs(out.real[:d], -1.0)
-        _place_pairs(out.imag[d:], 1.0)
-        return out
-    if algebra == "sp":
-        if size % 2 != 0:
-            raise ValueError("sp size must be even")
-        return _place_pairs(np.zeros((size * size - d, size, size)), 1.0, size // 2)
-    raise ValueError(f"unknown algebra tag {algebra!r}")
+        p = np.arange(first, first + count)
+        at = () if coef is not None else (p - first,)
+        out[(*at, p // size, p % size)] = 1.0 if coef is None else coef
+    elif algebra == "o":
+        _place_pairs(out, -1.0, first=first, coef=coef)
+    elif algebra == "sp":
+        _place_pairs(out, 1.0, size // 2, first, coef)
+    else:
+        # u: the A_kl in the real part, then the S_kl in the imaginary part
+        d = size * (size - 1) // 2
+        a = min(max(d - first, 0), count)
+        if coef is None:
+            _place_pairs(out.real[:a], -1.0, first=first)
+            _place_pairs(out.imag[a:], 1.0, first=max(first - d, 0))
+        else:
+            _place_pairs(out.real, -1.0, first=first, coef=coef[:a])
+            _place_pairs(out.imag, 1.0, first=max(first - d, 0), coef=coef[a:])
+    return out
 
 
-def _place_pairs(out: np.ndarray, sign: float, half: int = 0) -> np.ndarray:
-    # Writes into the zero stack out, one slice per row-major (k, l), A_kl
-    # (sign -1, k < l) or S_kl (sign +1, k <= l).  half = n moves row r to
-    # row r + n (mod 2n), negated for r >= n: that is J^T times it, with
-    # no product and no signed zeros.
+def _place_pairs(out: np.ndarray, sign: float, half: int = 0, first: int = 0,
+                 coef=None) -> np.ndarray:
+    # Writes into the zero array out the A_kl (sign -1, k < l) or S_kl
+    # (sign +1, k <= l) from number first on, row-major in (k, l): one
+    # per slice of the stack out, or, given coef, each times its
+    # coefficient into the one matrix out.  half = n moves row r to row
+    # r + n (mod 2n), negated for r >= n: that is J^T times it, with no
+    # product and no signed zeros.
     size = out.shape[-1]
     # the row-major upper triangle, as np.triu_indices at a third of its cost
     k, l = np.nonzero(~np.tri(size, k=-1 if sign > 0 else 0, dtype=bool))
-    p = np.arange(len(k))
-    for r, c, v in ((k, l, 1.0), (l, k, sign)):
-        out[p, (r + half) % size, c] = np.where(r < size - half, v, -v)
+    count = len(out) if coef is None else len(coef)
+    k, l = k[first:first + count], l[first:first + count]
+    at = () if coef is not None else (np.arange(count),)
+    v = 1.0 if coef is None else coef
+    for r, c, s in ((k, l, 1.0), (l, k, sign)):
+        out[(*at, (r + half) % size, c)] = np.where(r < size - half, s * v, -s * v)
     return out
 
 
@@ -362,37 +418,44 @@ def _tangent_map(pair_id: str, side: str, n: int, m: int) -> tuple:
     as read-only int32 arrays.  The right side's swap (q, p) -> (p, -q)
     is folded in.  A sum of coordinates can also land on a probe value,
     so the map is refused unless it reproduces the action exactly at a
-    second, Gaussian point too.  The probe's basis is built outside
-    ``basis_stack``'s cache, so no dense basis stays alive.
+    second, Gaussian point too.  The basis goes through the action one
+    family row at a time (``_family_rows``), each row with its own probe
+    and Gaussian check and its positions offset to its first element,
+    so no (dim, size, size) basis or (dim, 2nm) stack is ever built.
     """
     mod = PAIRS[pair_id]
     width = 2 * n * m
     probe = np.arange(1.0, width + 1)
-    size = mod.from_real(probe.reshape(2 * n, m)).shape[0 if side == "left" else 1]
-    basis = basis_stack.__wrapped__(algebra_tag(pair_id, side), size)
+    g = np.random.default_rng(0).standard_normal(width)
+    x, y = (mod.from_real(r.reshape(2 * n, m)) for r in (probe, g))
+    size = x.shape[0 if side == "left" else 1]
+    algebra = algebra_tag(pair_id, side)
 
-    def stack(r):
-        # the side's rows, as _tangent_stacks orders them, at the point
-        # of real model r
-        x = mod.from_real(r.reshape(2 * n, m))
-        t = (mod.infinitesimal_left(basis, x) if side == "left"
-             else mod.infinitesimal_right(x, basis))
+    def stack(pt, basis):
+        # the side's rows of basis, as _tangent_stacks orders them, at pt
+        t = (mod.infinitesimal_left(basis, pt) if side == "left"
+             else mod.infinitesimal_right(pt, basis))
         v = mod.to_real(t).reshape(-1, width)
         return v if side == "left" else np.hstack([v[:, width // 2:], -v[:, :width // 2]])
 
-    v = stack(probe)
-    exact = np.array_equal(v, np.round(v)) and np.all(np.abs(v) <= width)
-    if exact:
-        pos = np.flatnonzero(v).astype(np.int32)
-        src = (v.reshape(-1)[pos] + width).astype(np.int32)
-        g = np.random.default_rng(0).standard_normal(width)
-        exact = np.array_equal(_gather(g, len(v), pos, src), stack(g))
-    if not exact:
-        raise ValueError(f"the {side} tangents of the {pair_id} pair are not "
-                         "signed coordinates of the point")
+    pos, src = [np.zeros(0, np.int32)], [np.zeros(0, np.int32)]
+    for first, count in _family_rows(algebra, size):
+        basis = _write_basis(np.zeros((count, size, size), _dtype(algebra)), algebra, first)
+        v = stack(x, basis)
+        exact = np.array_equal(v, np.round(v)) and np.all(np.abs(v) <= width)
+        if exact:
+            p = np.flatnonzero(v).astype(np.int32)
+            s = (v.reshape(-1)[p] + width).astype(np.int32)
+            exact = np.array_equal(_gather(g, count, p, s), stack(y, basis))
+        if not exact:
+            raise ValueError(f"the {side} tangents of the {pair_id} pair are not "
+                             "signed coordinates of the point")
+        pos.append(p + np.int32(first * width))
+        src.append(s)
+    pos, src = np.concatenate(pos), np.concatenate(src)
     for a in (pos, src):
         a.setflags(write=False)
-    return len(v), pos, src
+    return algebra_dim(algebra, size), pos, src
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,13 @@ Darboux coordinates of the two tangent stacks).  Those stacks are
 gathered from the point through cached index maps: they equal the
 products of basis_stack with the point entry for entry, the cross term
 equals that of the products bit for bit, and the maps are read-only,
-small, and leave no basis in basis_stack's cache.  Its orbit dimensions are
+small, and leave no basis in basis_stack's cache.  Each map is probed one
+family row of the basis at a time: it equals, position for position, the
+map read off one probe of the whole basis, every row's tangents are
+checked (a fault in the last row alone is refused), and a build at the
+16 x 16 cap peaks under 1.5 MB.  algebra_element, the suite's way to
+draw an algebra element, equals the sum over basis_stack bit for bit.
+The orbit dimensions of check_lie_weinstein are
 still compared exactly.  They are read off the point's own singular
 values: those closed-form values are compared within a rounding bound
 with the SVD of each loop-assembled stack in orthonormal algebra
@@ -38,6 +44,8 @@ compared exactly too; that the real model carries the complex form
 Im Tr(E^dagger F) is checked in test_seesaw and by the suite's
 omega_realification record.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -448,6 +456,78 @@ def test_tangent_map_refuses_an_action_that_is_not_a_gather(moved, side, monkeyp
     with pytest.raises(ValueError, match=f"^the {side} tangents of the symplectic pair "
                                          "are not signed coordinates of the point$"):
         pairs._tangent_map.__wrapped__("symplectic", side, 3, 2)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_tangent_map_refuses_when_only_the_last_row_is_not_a_gather(side, monkeypatch):
+    # the doubled tangents belong to the last element of the side's basis
+    # alone, the one element of its last family row: only that row's own
+    # checks can refuse the map
+    last = basis_stack.__wrapped__(algebra_tag("symplectic", side), 6 if side == "left" else 3)[-1]
+
+    def moved(xi, t):
+        t[np.all(xi == last, axis=(-2, -1))] *= 2.0
+        return t
+    monkeypatch.setattr(symplectic, "infinitesimal_left",
+                        lambda xi, x: moved(xi, np.matmul(xi, x)))
+    monkeypatch.setattr(symplectic, "infinitesimal_right",
+                        lambda x, xi: moved(xi, np.matmul(x, xi)))
+    with pytest.raises(ValueError, match=f"^the {side} tangents of the symplectic pair "
+                                         "are not signed coordinates of the point$"):
+        pairs._tangent_map.__wrapped__("symplectic", side, 3, 3)
+
+
+def _whole_basis_map(pair, side, n, m):
+    # the map read off one probe of the whole dense basis, as the
+    # positions and sources of the nonzero entries of its tangent stack
+    mod = pairs.PAIRS[pair]
+    width = 2 * n * m
+    x = mod.from_real(np.arange(1.0, width + 1).reshape(2 * n, m))
+    size = x.shape[0 if side == "left" else 1]
+    basis = basis_stack.__wrapped__(algebra_tag(pair, side), size)
+    t = mod.infinitesimal_left(basis, x) if side == "left" else mod.infinitesimal_right(x, basis)
+    v = mod.to_real(t).reshape(-1, width)
+    if side == "right":
+        v = np.hstack([v[:, width // 2:], -v[:, :width // 2]])
+    pos = np.flatnonzero(v)
+    return len(v), pos, v.reshape(-1)[pos] + width
+
+
+@pytest.mark.parametrize("n,m", [(2, 1), (3, 5), (5, 3), (12, 8), (16, 16)])
+@pytest.mark.parametrize("pair", ["unitary", "symplectic", "general_linear"])
+def test_row_probed_maps_equal_the_whole_basis_probe(pair, n, m):
+    # (2, 1) includes the empty o(1)
+    for side in ("left", "right"):
+        dim, pos, src = pairs._tangent_map(pair, side, n, m)
+        want_dim, want_pos, want_src = _whole_basis_map(pair, side, n, m)
+        assert dim == want_dim, side
+        assert np.array_equal(pos, want_pos) and np.array_equal(src, want_src), side
+
+
+@pytest.mark.parametrize("pair", ["unitary", "symplectic", "general_linear"])
+def test_tangent_map_builds_stay_small_at_the_cap(pair):
+    # a whole-basis probe peaks at 2.4-10.7 MB here; one family row at a
+    # time stays under 1.5 MB
+    for side in ("left", "right"):
+        pairs._tangent_map.__wrapped__(pair, side, 16, 16)  # imports and caches warm
+        tracemalloc.start()
+        try:
+            pairs._tangent_map.__wrapped__(pair, side, 16, 16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5e6, (side, peak)
+
+
+@pytest.mark.parametrize("algebra,sizes", [("u", range(2, 9)), ("o", range(2, 9)),
+                                           ("sp", range(2, 17, 2)), ("gl", range(1, 9))])
+def test_algebra_element_is_the_basis_sum_bit_for_bit(algebra, sizes):
+    rng = stream_rng(89, len(algebra))
+    for size in sizes:
+        basis = basis_stack(algebra, size)
+        coef = rng.standard_normal(len(basis))
+        want = sum(c * b for c, b in zip(coef, basis))
+        assert _same_bits(pairs.algebra_element(algebra, size, coef), want), size
 
 
 @pytest.mark.parametrize("pair", ["unitary", "symplectic", "general_linear"])
