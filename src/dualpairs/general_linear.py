@@ -14,17 +14,18 @@ with nilpotent sizes d >= 2, subject to sum c + sum (d - 1) = m and at
 most n - m nilpotent blocks.  ``build_qp_from_jordan`` realizes a label
 as a sparse (Q, P), ``jordan_structure`` recovers the label from either
 momentum value, and ``jordan_correspond`` emits the matched pair of
-canonical values.  Labels come from one pass: exact integer ranks,
-sympy's exact eigenvalues or clustered float eigenvalues give a nullity
-chain per eigenvalue, and ``_label`` turns the chains into
-``JordanData``, whose checks are the only ones a label passes.  The
-module is the general linear record of ``pairs.PAIRS``.
+canonical values.  Labels come from one pass: exact integer ranks
+taken one diagonal block at a time, sympy's exact eigenvalues or
+clustered float eigenvalues give a nullity chain per eigenvalue, and
+``_label`` turns the chains into ``JordanData``, whose checks are the
+only ones a label passes.  The blocks and the clusters are both
+``_components`` of a graph.  The module is the general linear record
+of ``pairs.PAIRS``.
 """
 
 from __future__ import annotations
 
 import collections
-import itertools
 import operator
 from dataclasses import dataclass
 
@@ -469,14 +470,9 @@ def _label(chains, side: str, n: int, m) -> JordanData:
 
 
 def _int_matmul(A, B):
-    """Exact product of integer matrices (lists of rows): in int64 when
-    no entry of the product can overflow, in Python ints otherwise."""
-    bound = (max(map(abs, itertools.chain(*A)), default=0)
-             * max(map(abs, itertools.chain(*B)), default=0) * len(B))
-    if bound < 2 ** 63:
-        return (np.array(A, dtype=np.int64) @ np.array(B, dtype=np.int64)).tolist()
-    cols = list(zip(*B))
-    return [[sum(map(operator.mul, row, col)) for col in cols] for row in A]
+    """Exact product of integer matrices (lists of rows): numpy's object
+    matmul, in Python ints, which do not overflow."""
+    return (np.array(A, dtype=object) @ np.array(B, dtype=object)).tolist()
 
 
 def _bareiss_rank(rows) -> int:
@@ -516,57 +512,75 @@ def _nullity_chain(A, nullity, matmul, cap):
         power = matmul(power, A)
 
 
+def _components(linked) -> list:
+    """The connected components of the graph that joins i and j wherever
+    linked[i][j] is nonzero, each as its ascending vertex indices, listed
+    by their first vertex: union-find, with each component's least
+    vertex as its root."""
+    root = list(range(len(linked)))
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    for i, j in zip(*np.nonzero(linked)):
+        low, high = sorted((find(i), find(j)))
+        root[high] = low
+    roots = [find(v) for v in range(len(root))]
+    return [[v for v, r in enumerate(roots) if r == first] for first in sorted(set(roots))]
+
+
 def _structure_exact(M_int, side: str, n: int, m) -> JordanData:
-    """Exact label of an integral matrix, in integer arithmetic.
+    """Exact label of an integral matrix, in integer arithmetic, one
+    diagonal block at a time.
 
-    The characteristic polynomial of an integral matrix is monic with
-    integer coefficients, so each of its roots in Q(i) is a Gaussian
-    integer a + bi.  The candidates are the float eigenvalues rounded to
-    Z[i].  A real candidate a gets the nullity chain of (M - aI)^k; a
-    candidate with b > 0 gets half the nullities of
-    ((M - aI)^2 + b^2 I)^k, whose kernel is the sum of the generalized
-    eigenspaces of a + bi and a - bi.  Ranks are exact (Bareiss).
+    The ``_components`` of M's nonzero pattern are the diagonal blocks B
+    of a symmetric permutation of M.  Each power of M - aI is block
+    diagonal in the same permutation, so its nullity is the sum of the
+    blocks'; identical blocks are labelled once and counted by their
+    multiplicity.  The characteristic polynomial of an integral block is
+    monic with integer coefficients, so each of its roots in Q(i) is a
+    Gaussian integer a + bi.  The candidates are B's float eigenvalues
+    rounded to Z[i].  A real candidate a gets the nullity chain of
+    (B - aI)^k; a candidate with b > 0 gets half the nullities of
+    ((B - aI)^2 + b^2 I)^k, whose kernel is the sum of the generalized
+    eigenspaces of a + bi and a - bi.  Ranks are exact (Bareiss), and
+    each chain runs until it stops growing or fills its block, at
+    size // step.
 
-    Each chain stops at the number of float eigenvalues that round to
-    its candidate (halved when b > 0), or earlier when it stops growing.
-    The label is built only when the final nullities, each counted step
-    times, fill the whole size.  No nullity exceeds its algebraic
-    multiplicity, so that sum certifies that every chain reached its
-    multiplicity and that no eigenvalue was missed, and a chain stopped
-    at its count needs no confirming rank.  When the sum falls short,
-    the chains that stopped at their count rerun with the cap
-    size // step, ending one rank past the multiplicity; if the sum
-    still falls short, the spectrum leaves Z[i] (as for
-    [[0, 2], [1, 0]]) and sympy's exact eigenvalues take over.
+    No nullity exceeds its algebraic multiplicity, so final nullities
+    that, each counted step times, fill a block certify that its every
+    chain reached its multiplicity and that none of its eigenvalues was
+    missed.  Nor can they overfill it, so they fill every block exactly
+    when their sum over the blocks fills the whole size.  When some
+    block is not filled, its spectrum leaves Z[i] (as for
+    [[0, 2], [1, 0]]) and sympy's exact eigenvalues label the whole
+    value.  Otherwise each candidate's chain is the sum of its blocks',
+    each continued as constant past its end, cut where it stops growing.
     """
     size = len(M_int)
-    eigs = np.linalg.eigvals(np.array(M_int, dtype=float).reshape(size, size))
-    counts = collections.Counter((int(round(z.real)), abs(int(round(z.imag)))) for z in eigs)
-    step = {key: 2 if key[1] else 1 for key in counts}
-
-    def chain(key, cap):
-        a, b = key
-        A = [[x - a if i == j else x for j, x in enumerate(row)]
-             for i, row in enumerate(M_int)]
-        if b:
-            A = _int_matmul(A, A)
-            for i in range(size):
-                A[i][i] += b * b
-        return _nullity_chain(A, lambda P: (size - _bareiss_rank(P)) // step[key],
-                              _int_matmul, cap)
-
-    def filled():
-        return sum(step[key] * nullities[-1] for key, nullities in chains.items())
-
-    chains = {key: chain(key, counts[key] // step[key]) for key in sorted(counts)}
-    if filled() != size:
-        for key, nullities in list(chains.items()):
-            if nullities[-1] >= counts[key] // step[key]:
-                chains[key] = chain(key, size // step[key])
-        if filled() != size:
-            return _structure_sympy(M_int, side, n, m)
-    return _label([(complex(*key), nullities) for key, nullities in chains.items()],
-                  side, n, m)
+    blocks = collections.Counter(tuple(tuple(M_int[i][j] for j in idx) for i in idx)
+                                 for idx in _components(M_int))
+    chains = {}
+    for B, mult in blocks.items():
+        k = len(B)
+        eigs = np.linalg.eigvals(np.array(B, dtype=float))
+        for a, b in {(int(round(z.real)), abs(int(round(z.imag)))) for z in eigs}:
+            step = 2 if b else 1
+            A = [[x - a if i == j else x for j, x in enumerate(row)] for i, row in enumerate(B)]
+            if b:
+                A = _int_matmul(A, A)
+                for i in range(k):
+                    A[i][i] += b * b
+            nullities = _nullity_chain(A, lambda P: (k - _bareiss_rank(P)) // step,
+                                       _int_matmul, k // step)
+            chains[a, b] = [x + mult * nullities[min(s, len(nullities) - 1)]
+                            for s, x in enumerate(chains.get((a, b), [0] * size))]
+    if sum((2 if b else 1) * nu[-1] for (_, b), nu in chains.items()) != size:
+        return _structure_sympy(M_int, side, n, m)
+    return _label([(complex(*key), nu[:nu.index(nu[-1]) + 1])
+                   for key, nu in sorted(chains.items())], side, n, m)
 
 
 def _structure_sympy(M_int, side: str, n: int, m) -> JordanData:
@@ -593,15 +607,11 @@ def _structure_sympy(M_int, side: str, n: int, m) -> JordanData:
 
 def _cluster_eigenvalues(eigs, delta):
     """Single-linkage clusters of points in the complex plane: the
-    connected components of the graph joining points at most delta
-    apart, each in (real, imag) order and listed by its first point."""
+    ``_components`` of the graph joining points at most delta apart,
+    each in (real, imag) order and listed by its first point."""
     z = np.asarray(eigs)  # no complex cast: numpy sums complex means in another order
     z = z[np.lexsort((z.imag, z.real))]
-    reach = np.abs(z[:, None] - z[None, :]) <= delta
-    for _ in range(len(z).bit_length()):  # k squarings span paths of 2^k edges
-        reach = reach @ reach
-    first = reach.argmax(axis=1)
-    return [list(z[first == i]) for i in np.unique(first)]
+    return [list(z[idx]) for idx in _components(np.abs(z[:, None] - z[None, :]) <= delta)]
 
 
 def _power_nullity():
@@ -695,10 +705,11 @@ def jordan_structure(value: np.ndarray, side: str, n: int = None) -> JordanData:
 
     side="left" takes the n x n value (m is its rank); side="right"
     takes the m x m value and needs the ambient row count n.  Exactly
-    integral input is analyzed in exact integer arithmetic: the label
-    is built only when the algebraic multiplicities found at the
-    Gaussian-integer candidates sum to the matrix size, which certifies
-    it, and a spectrum outside Z[i] falls back to sympy (imported only
+    integral input is analyzed in exact integer arithmetic, one diagonal
+    block of its nonzero pattern at a time: the label is built only when
+    the algebraic multiplicities found at the Gaussian-integer
+    candidates fill every block, which certifies it, and a spectrum
+    outside Z[i] falls back to sympy for the whole value (imported only
     then).  On both exact paths the left rank is exact too, size minus
     the nullity at 0 of the certified chains.  Otherwise m on the left
     is ``rank_tol``'s, eigenvalues are clustered, and the call raises

@@ -505,7 +505,8 @@ _SYMPY_FREE = {
         " rep = gl.orbit(gl.build_qp_from_jordan(jd));"
         " assert (rep.left, rep.right) == (jd, jd)"),
     # one 16 x 16 block at -1 whose float eigenvalues scatter, so its chain
-    # reruns; det 1, though the float rank reads less than 16
+    # runs until it fills the block; det 1, though the float rank reads
+    # less than 16
     "scattered_jordan_block": (
         "import json, numpy as np; from dualpairs import general_linear as gl;"
         f" M = np.array(json.load(open({str(_SCATTERED_BLOCK)!r}))['matrix'], dtype=float);"

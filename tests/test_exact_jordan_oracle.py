@@ -4,10 +4,11 @@ The first reference keeps the sympy version verbatim.  Both are exact,
 so every label must equal its reference, and every input whose spectrum
 lies in the Gaussian integers must be certified without the fallback.
 
-The second keeps the integer version whose chains each ran one rank past
-their multiplicity (or to size // step).  The chains now stop at their
-float eigenvalue count and rerun only when the certificate fails, so the
-chains that reach the label, and the labels, must equal it exactly.
+The second keeps the integer version whose chains ran on the whole
+value, each one rank past its multiplicity (or to size // step).  The
+chains now run one diagonal block at a time, each until it stops growing
+or fills its block, and are summed over the blocks, so the chains that
+reach the label, and the labels, must equal it exactly.
 """
 
 import json
@@ -172,13 +173,16 @@ def test_zero_matrix_matches_reference(size, fallbacks):
 @pytest.mark.parametrize("M", [
     [[0, 2], [1, 0]],                    # eigenvalues +-sqrt(2)
     [[0, 0, 2], [1, 0, 0], [0, 1, 0]],   # companion matrix of x^3 - 2
-], ids=["sqrt2", "cbrt2"])
+    # diag(J_2(1), [[0, 2], [1, 0]]): one block leaves Z[i], and sympy
+    # labels the whole value
+    [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 0, 2], [0, 0, 1, 0]],
+], ids=["sqrt2", "cbrt2", "jordan_and_sqrt2"])
 def test_spectrum_outside_gaussian_integers_falls_back(M, fallbacks):
     size = len(M)
     for side in ("left", "right"):
         got = gl._structure_exact(M, side, size, size)
         assert got == _ref_structure_exact(M, side, size, size)
-    assert len(fallbacks) == 2
+    assert [args[0] for args in fallbacks] == [M, M]
 
 
 def test_bareiss_rank_matches_numpy_on_low_rank_products():
@@ -195,10 +199,11 @@ def test_int_matmul_is_exact_on_both_sides_of_the_int64_bound():
         expect = [[sum(A[i][k] * A[k][j] for k in range(4)) for j in range(4)]
                   for i in range(4)]
         assert gl._int_matmul(A, A) == expect
+        assert (max(map(max, expect)) > 2 ** 63) == (big > 7)
 
 
 # ---------------------------------------------------------------------------
-# chains stopped at their float eigenvalue count
+# chains run block by block
 
 def _scattering_unimodular(k, rng):
     """An integer A with det 1 and its exact inverse, from rng.integers(10,
@@ -258,7 +263,7 @@ SHAPES = [(2, 1), (3, 2), (4, 4), (6, 3), (8, 6), (10, 5), (12, 12), (16, 8), (1
 
 
 @pytest.mark.parametrize("n,m", SHAPES)
-def test_count_stopped_chains_equal_the_uncapped_reference(n, m, labelled, fallbacks):
+def test_block_chains_sum_to_the_uncapped_reference(n, m, labelled, fallbacks):
     for seed in range(15):
         for M, side, jd in _orbit_values(n, m, seed):
             assert gl.jordan_structure(M, side=side, n=n) == jd
@@ -277,19 +282,22 @@ def _scattered_block():
 def test_short_count_reruns_its_chain_instead_of_falling_back(side, monkeypatch, labelled,
                                                               fallbacks):
     # fewer than 16 float eigenvalues of this 16 x 16 block at -1 round to
-    # -1, so its first chain stops short and only the rerun certifies it
+    # -1, so a cap at that count would stop its chain short; every chain
+    # runs until it stops growing or fills its block
     caps = []
     inner = gl._nullity_chain
 
     def spy(A, nullity, matmul, cap):
-        caps.append(cap)
+        # the nullity of the zero block is the block's size // step
+        caps.append((cap, nullity([[0] * len(A)] * len(A))))
         return inner(A, nullity, matmul, cap)
 
     monkeypatch.setattr(gl, "_nullity_chain", spy)
     M = _scattered_block()
     assert gl.jordan_structure(M, side=side, n=17) == \
         JordanData(((-1.0, 16),), (), 16 if side == "left" else 17, 16)
-    assert caps.count(16) == 1 and min(caps) < 16
+    assert caps and all(cap == filled for cap, filled in caps)
+    assert {filled for _, filled in caps} == {16, 8}
     assert labelled == [_ref_chains_uncapped(_ints(M))]
     assert fallbacks == []
 
@@ -301,3 +309,45 @@ def test_chain_at_its_count_takes_no_confirming_rank(monkeypatch):
     assert gl.jordan_structure(np.diag([1.0, 2.0, 3.0]), side="left") == \
         JordanData(((1.0, 1), (2.0, 1), (3.0, 1)), (), 3, 3)
     assert len(ranks) == 3
+
+
+# ---------------------------------------------------------------------------
+# diagonal blocks
+
+def _largest_block(jd):
+    return max([c for _, c in jd.blocks] + list(jd.nilpotent) + [1])
+
+
+@pytest.mark.parametrize("n,m", SHAPES)
+def test_permuted_values_are_labelled_block_by_block(n, m, monkeypatch, fallbacks):
+    # P M P^T has the blocks of M, so no rank sees more than one of them
+    sizes = []
+    inner = gl._bareiss_rank
+    monkeypatch.setattr(gl, "_bareiss_rank", lambda rows: sizes.append(len(rows)) or inner(rows))
+    for seed in range(6):
+        jd = gl._random_jordan(n, m, stream_rng(seed, 4))
+        rng = np.random.default_rng([seed, n, m])
+        for M, side in zip(gl.jordan_correspond(jd), ("left", "right")):
+            perm = rng.permutation(len(M))
+            assert gl.jordan_structure(M[perm][:, perm], side=side, n=n) == \
+                gl.jordan_structure(M, side=side, n=n) == jd
+        assert max(sizes) <= _largest_block(jd)
+        sizes.clear()
+    assert fallbacks == []
+
+
+def test_identical_blocks_are_labelled_once(monkeypatch, labelled):
+    # diag(J_2(1), J_2(1)): one chain, on one 2 x 2 block, counted twice
+    blocks = []
+    inner = gl._nullity_chain
+
+    def spy(A, nullity, matmul, cap):
+        blocks.append(A)
+        return inner(A, nullity, matmul, cap)
+
+    monkeypatch.setattr(gl, "_nullity_chain", spy)
+    J = [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1], [0, 0, 0, 1]]
+    assert gl.jordan_structure(np.array(J, dtype=float), side="left") == \
+        JordanData(((1.0, 2), (1.0, 2)), (), 4, 4)
+    assert blocks == [[[0, 1], [0, 0]]]
+    assert labelled == [[(1 + 0j, [2, 4])]]
