@@ -14,11 +14,13 @@ with nilpotent sizes d >= 2, subject to sum c + sum (d - 1) = m and at
 most n - m nilpotent blocks.  ``build_qp_from_jordan`` realizes a label
 as a sparse (Q, P), ``jordan_structure`` recovers the label from either
 momentum value, and ``jordan_correspond`` emits the matched pair of
-canonical values.  Labels come from one pass: exact integer ranks
-taken one diagonal block at a time, sympy's exact eigenvalues or
-clustered float eigenvalues give a nullity chain per eigenvalue, and
-``_label`` turns the chains into ``JordanData``, whose checks are the
-only ones a label passes.  The blocks and the clusters are both
+canonical values.  Labels come from one pass: exact integer ranks of
+g(B)^k, taken one diagonal block B at a time for a Gaussian-integer
+candidate's g or, in a block whose spectrum leaves Z[i], for each
+irreducible factor g of its characteristic polynomial, or clustered
+float eigenvalues give a nullity chain per eigenvalue, and ``_label``
+turns the chains into ``JordanData``, whose checks are the only ones a
+label passes.  The blocks and the clusters are both
 ``_components`` of a graph.  The module is the general linear record
 of ``pairs.PAIRS``.
 """
@@ -26,7 +28,6 @@ of ``pairs.PAIRS``.
 from __future__ import annotations
 
 import collections
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -377,9 +378,14 @@ def jordan_correspond(jd: JordanData):
 def orbit(pt: CotangentPoint) -> OrbitReport:
     """The Jordan data of the left momentum label both orbits (the right
     form drops one from each nilpotent block size); only full-rank
-    points have a label."""
+    points have a label.  A full-rank point's left momentum has rank m
+    exactly, so a label of any other rank is refused: it can only come
+    from a momentum whose rounding changed its rank."""
     column_frames("orbit labelling", ("Q", pt.Q), ("P", pt.P), uv=False)
     jd = jordan_structure(momentum_left(pt), side="left")
+    if jd.m != pt.shape[1]:
+        raise ValueError(f"orbit labelling: the left momentum Q P^T has rank {jd.m}, "
+                         f"not m = {pt.shape[1]}; rounding in Q P^T changed its rank")
     return OrbitReport(jd, jd, jd.to_obj(), *jordan_correspond(jd))
 
 
@@ -531,78 +537,96 @@ def _components(linked) -> list:
     return [[v for v, r in enumerate(roots) if r == first] for first in sorted(set(roots))]
 
 
+def _chain(B, g, cap):
+    """The nullities of g(B), g(B)^2, ..., each divided by deg g, up to
+    cap (``_nullity_chain``), for an integral block B and a monic integer
+    polynomial g, given by its coefficients, leading first.  g(B) is
+    formed by Horner's rule in Python ints and each power is ranked by
+    Bareiss.  When every root of g has the same Jordan blocks in B, each
+    nullity is deg g times that of one root, so the quotients are each
+    root's chain.  That holds for the roots a +- bi of (x - a)^2 + b^2,
+    which are conjugate, and for the roots of a factor irreducible over
+    Q, which are conjugate over Q: conjugation maps (B - rho I)^k to
+    (B - rho' I)^k and keeps its rank."""
+    k, d = len(B), len(g) - 1
+    A = [[x + g[1] * (i == j) for j, x in enumerate(row)] for i, row in enumerate(B)]
+    for c in g[2:]:
+        A = [[x + c * (i == j) for j, x in enumerate(row)]
+             for i, row in enumerate(_int_matmul(A, B))]
+    return _nullity_chain(A, lambda P: (k - _bareiss_rank(P)) // d, _int_matmul, cap)
+
+
+def _factor_chains(B, eigs) -> dict:
+    """The nullity chain of each eigenvalue lambda (Im lambda >= 0) of an
+    integral block B, keyed by (Re lambda, Im lambda), from the factors
+    of its characteristic polynomial over Q (sympy, imported only here).
+
+    Each irreducible factor g of multiplicity mu gives one ``_chain``,
+    capped at mu, which all of g's roots share.  mpmath's ``polyroots``
+    refines g's roots to 30 digits, with as many extra working bits as
+    g's largest coefficient has.  It starts from B's float eigenvalues
+    eigs, those where |g| is least first, and lists the real roots
+    first; Sturm sequences count them exactly (``Poly.count_roots``).
+    Raises ValueError when the roots do not converge.
+    """
+    import mpmath
+    import sympy
+
+    chains = {}
+    for g, mu in sympy.Matrix(B).charpoly().factor_list()[1]:
+        coeffs = [int(c) for c in g.all_coeffs()]
+        start = sorted(eigs, key=lambda z: abs(mpmath.polyval(coeffs, z)))
+        try:
+            with mpmath.workdps(30):
+                roots = mpmath.polyroots(coeffs, extraprec=max(map(abs, coeffs)).bit_length(),
+                                         roots_init=start)
+        except mpmath.libmp.NoConvergence:
+            raise ValueError("exact Jordan label: the eigenvalues do not converge") from None
+        nullities, real = _chain(B, coeffs, mu), g.count_roots()
+        lams = [complex(z.real if i < real else z) for i, z in enumerate(roots)]
+        chains.update(((lam.real, lam.imag), nullities) for lam in lams if lam.imag >= 0)
+    return chains
+
+
 def _structure_exact(M_int, side: str, n: int, m) -> JordanData:
     """Exact label of an integral matrix, in integer arithmetic, one
     diagonal block at a time.
 
     The ``_components`` of M's nonzero pattern are the diagonal blocks B
-    of a symmetric permutation of M.  Each power of M - aI is block
+    of a symmetric permutation of M.  Each power of g(M) is block
     diagonal in the same permutation, so its nullity is the sum of the
     blocks'; identical blocks are labelled once and counted by their
     multiplicity.  The characteristic polynomial of an integral block is
     monic with integer coefficients, so each of its roots in Q(i) is a
     Gaussian integer a + bi.  The candidates are B's float eigenvalues
-    rounded to Z[i].  A real candidate a gets the nullity chain of
-    (B - aI)^k; a candidate with b > 0 gets half the nullities of
-    ((B - aI)^2 + b^2 I)^k, whose kernel is the sum of the generalized
-    eigenspaces of a + bi and a - bi.  Ranks are exact (Bareiss), and
-    each chain runs until it stops growing or fills its block, at
-    size // step.
+    rounded to Z[i], and each gets the ``_chain`` of x - a or, for b > 0,
+    of (x - a)^2 + b^2, run until it stops growing or fills the room the
+    chains before it left.
 
     No nullity exceeds its algebraic multiplicity, so final nullities
-    that, each counted step times, fill a block certify that its every
+    that, each counted deg g times, fill a block certify that its every
     chain reached its multiplicity and that none of its eigenvalues was
-    missed.  Nor can they overfill it, so they fill every block exactly
-    when their sum over the blocks fills the whole size.  When some
-    block is not filled, its spectrum leaves Z[i] (as for
-    [[0, 2], [1, 0]]) and sympy's exact eigenvalues label the whole
-    value.  Otherwise each candidate's chain is the sum of its blocks',
+    missed, and a chain that fills the room the others left has reached
+    its multiplicity.  A block they leave unfilled has a spectrum outside
+    Z[i] (as [[0, 2], [1, 0]] has), and ``_factor_chains`` gives its
+    chains instead.  Each eigenvalue's chain is the sum of its blocks',
     each continued as constant past its end, cut where it stops growing.
     """
-    size = len(M_int)
     blocks = collections.Counter(tuple(tuple(M_int[i][j] for j in idx) for i in idx)
                                  for idx in _components(M_int))
     chains = {}
     for B, mult in blocks.items():
-        k = len(B)
+        found, room = {}, len(B)
         eigs = np.linalg.eigvals(np.array(B, dtype=float))
         for a, b in {(int(round(z.real)), abs(int(round(z.imag)))) for z in eigs}:
-            step = 2 if b else 1
-            A = [[x - a if i == j else x for j, x in enumerate(row)] for i, row in enumerate(B)]
-            if b:
-                A = _int_matmul(A, A)
-                for i in range(k):
-                    A[i][i] += b * b
-            nullities = _nullity_chain(A, lambda P: (k - _bareiss_rank(P)) // step,
-                                       _int_matmul, k // step)
-            chains[a, b] = [x + mult * nullities[min(s, len(nullities) - 1)]
-                            for s, x in enumerate(chains.get((a, b), [0] * size))]
-    if sum((2 if b else 1) * nu[-1] for (_, b), nu in chains.items()) != size:
-        return _structure_sympy(M_int, side, n, m)
+            g = (1, -2 * a, a * a + b * b) if b else (1, -a)
+            found[a, b] = _chain(B, g, room // (len(g) - 1))
+            room -= (len(g) - 1) * found[a, b][-1]
+        for key, nullities in (_factor_chains(B, eigs) if room else found).items():
+            chains[key] = [x + mult * nullities[min(s, len(nullities) - 1)]
+                           for s, x in enumerate(chains.get(key, [0] * len(M_int)))]
     return _label([(complex(*key), nu[:nu.index(nu[-1]) + 1])
                    for key, nu in sorted(chains.items())], side, n, m)
-
-
-def _structure_sympy(M_int, side: str, n: int, m) -> JordanData:
-    """Exact label from sympy's eigenvalues, for integral matrices whose
-    spectrum leaves the Gaussian integers."""
-    import sympy
-
-    sm = sympy.Matrix(M_int)
-    size = sm.shape[0]
-    chains = []
-    for lam, alg_mult in sm.eigenvals().items():
-        lam_c = complex(sympy.N(lam, 30))
-        if lam_c.imag < -1e-25:
-            continue  # handled through the conjugate eigenvalue
-        if lam.is_zero:
-            lam_c = 0j
-        elif abs(lam_c.imag) <= 1e-25:
-            lam_c = complex(lam_c.real, 0.0)
-        nullities = _nullity_chain(sm - lam * sympy.eye(size),
-                                   lambda P: size - P.rank(), operator.mul, alg_mult)
-        chains.append((lam_c, nullities))
-    return _label(chains, side, n, m)
 
 
 def _cluster_eigenvalues(eigs, delta):
@@ -706,12 +730,14 @@ def jordan_structure(value: np.ndarray, side: str, n: int = None) -> JordanData:
     side="left" takes the n x n value (m is its rank); side="right"
     takes the m x m value and needs the ambient row count n.  Exactly
     integral input is analyzed in exact integer arithmetic, one diagonal
-    block of its nonzero pattern at a time: the label is built only when
-    the algebraic multiplicities found at the Gaussian-integer
-    candidates fill every block, which certifies it, and a spectrum
-    outside Z[i] falls back to sympy for the whole value (imported only
-    then).  On both exact paths the left rank is exact too, size minus
-    the nullity at 0 of the certified chains.  Otherwise m on the left
+    block of its nonzero pattern at a time: a block's chains are
+    certified when the algebraic multiplicities found at its
+    Gaussian-integer candidates fill it, and a block whose spectrum
+    leaves Z[i] takes its chains from the factors of its characteristic
+    polynomial over Q (sympy, imported only then), its eigenvalues to 30
+    digits.  The left rank is exact too, size minus the nullity at 0 of
+    the certified chains; raises ValueError when the eigenvalues of a
+    factor do not converge.  Otherwise m on the left
     is ``rank_tol``'s, eigenvalues are clustered, and the call raises
     AmbiguousStructureError when clusters are too close to tell apart
     or the nullity chains give no label (a chain that is not concave,

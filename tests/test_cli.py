@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -441,6 +442,31 @@ def test_overflowing_gl_momentum_exits_2(tmp_path, capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {f}: the {side} momentum overflows float64\n"
+
+
+@pytest.mark.parametrize("scale", [1e12, 1e150])
+def test_scaled_integral_gl_point_is_refused_in_one_line(tmp_path, capsys, scale):
+    # the rounded left momentum of this 4 x 2 point is a whole-number
+    # matrix of exact rank 4, not 2: its label is refused in one line,
+    # where the exact path used to stall
+    pt = cli._random_instance("general_linear", 4, 2, 0, 0).point
+    f = _write_instance(tmp_path / "s.json", "general_linear", 4, 2,
+                        Q=scale * pt.Q, P=scale * pt.P)
+    start = time.perf_counter()
+    assert cli.main(["orbit", f]) == 2
+    assert time.perf_counter() - start < 2.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_unconverged_root_evaluation_is_refused_in_one_line(tmp_path, capsys):
+    pt = cli._random_instance("general_linear", 4, 2, 0, 0).point
+    f = _write_instance(tmp_path / "s.json", "general_linear", 4, 2,
+                        Q=1e100 * pt.Q, P=1e100 * pt.P)
+    assert cli.main(["orbit", f]) == 2
+    assert capsys.readouterr().err == \
+        "error: exact Jordan label: the eigenvalues do not converge\n"
 
 
 def test_matrix_to_obj_refuses_a_nonfinite_entry():

@@ -2,7 +2,8 @@
 
 The first reference keeps the sympy version verbatim.  Both are exact,
 so every label must equal its reference, and every input whose spectrum
-lies in the Gaussian integers must be certified without the fallback.
+lies in the Gaussian integers must be certified without the factor
+route, which only a block whose spectrum leaves Z[i] reaches.
 
 The second keeps the integer version whose chains ran on the whole
 value, each one rank past its multiplicity (or to size // step).  The
@@ -12,6 +13,7 @@ reach the label, and the labels, must equal it exactly.
 """
 
 import json
+import time
 from pathlib import Path
 
 import numpy as np
@@ -126,15 +128,15 @@ HAND = [
 
 @pytest.fixture
 def fallbacks(monkeypatch):
-    """Count the calls that reach the sympy fallback."""
+    """The blocks that reach the factor route."""
     calls = []
-    inner = gl._structure_sympy
+    inner = gl._factor_chains
 
-    def counted(*args):
-        calls.append(args)
-        return inner(*args)
+    def counted(B, eigs):
+        calls.append(B)
+        return inner(B, eigs)
 
-    monkeypatch.setattr(gl, "_structure_sympy", counted)
+    monkeypatch.setattr(gl, "_factor_chains", counted)
     return calls
 
 
@@ -173,8 +175,8 @@ def test_zero_matrix_matches_reference(size, fallbacks):
 @pytest.mark.parametrize("M", [
     [[0, 2], [1, 0]],                    # eigenvalues +-sqrt(2)
     [[0, 0, 2], [1, 0, 0], [0, 1, 0]],   # companion matrix of x^3 - 2
-    # diag(J_2(1), [[0, 2], [1, 0]]): one block leaves Z[i], and sympy
-    # labels the whole value
+    # diag(J_2(1), [[0, 2], [1, 0]]): one block leaves Z[i], and only that
+    # block reaches the factor route
     [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 0, 2], [0, 0, 1, 0]],
 ], ids=["sqrt2", "cbrt2", "jordan_and_sqrt2"])
 def test_spectrum_outside_gaussian_integers_falls_back(M, fallbacks):
@@ -182,7 +184,8 @@ def test_spectrum_outside_gaussian_integers_falls_back(M, fallbacks):
     for side in ("left", "right"):
         got = gl._structure_exact(M, side, size, size)
         assert got == _ref_structure_exact(M, side, size, size)
-    assert [args[0] for args in fallbacks] == [M, M]
+    leaving = M if size < 4 else [[0, 2], [1, 0]]
+    assert [[list(row) for row in B] for B in fallbacks] == [leaving, leaving]
 
 
 def test_bareiss_rank_matches_numpy_on_low_rank_products():
@@ -283,21 +286,26 @@ def test_short_count_reruns_its_chain_instead_of_falling_back(side, monkeypatch,
                                                               fallbacks):
     # fewer than 16 float eigenvalues of this 16 x 16 block at -1 round to
     # -1, so a cap at that count would stop its chain short; every chain
-    # runs until it stops growing or fills its block
-    caps = []
+    # runs until it stops growing or fills the room the chains before it
+    # left, which is the whole block for the first
+    calls = []
     inner = gl._nullity_chain
 
     def spy(A, nullity, matmul, cap):
         # the nullity of the zero block is the block's size // step
-        caps.append((cap, nullity([[0] * len(A)] * len(A))))
-        return inner(A, nullity, matmul, cap)
+        calls.append((cap, nullity([[0] * len(A)] * len(A)), inner(A, nullity, matmul, cap)))
+        return calls[-1][2]
 
     monkeypatch.setattr(gl, "_nullity_chain", spy)
     M = _scattered_block()
     assert gl.jordan_structure(M, side=side, n=17) == \
         JordanData(((-1.0, 16),), (), 16 if side == "left" else 17, 16)
-    assert caps and all(cap == filled for cap, filled in caps)
-    assert {filled for _, filled in caps} == {16, 8}
+    room = 16
+    for cap, filled, chain in calls:
+        assert cap == room // (16 // filled)
+        room -= 16 // filled * chain[-1]
+    assert calls[0][0] == 16 and room == 0
+    assert {filled for _, filled, _ in calls} == {16, 8}
     assert labelled == [_ref_chains_uncapped(_ints(M))]
     assert fallbacks == []
 
@@ -351,3 +359,112 @@ def test_identical_blocks_are_labelled_once(monkeypatch, labelled):
         JordanData(((1.0, 2), (1.0, 2)), (), 4, 4)
     assert blocks == [[[0, 1], [0, 0]]]
     assert labelled == [[(1 + 0j, [2, 4])]]
+
+
+def test_last_chain_of_a_dense_block_takes_no_confirming_rank(monkeypatch):
+    # diag(J_3(1), J_2(2)) conjugated into one dense block: the first chain
+    # runs one rank past its multiplicity to see it stop growing, and the
+    # second stops when it fills the room the first left, so 4 + 2 or
+    # 3 + 3 ranks, where a confirming rank on both would take 7
+    jd = JordanData(((1.0, 3), (2.0, 2)), (), 5, 5)
+    M = _moved(*_scattering_unimodular(5, np.random.default_rng(0)), gl.jordan_correspond(jd)[0])
+    assert len(gl._components(_ints(M))) == 1
+    ranks = []
+    inner = gl._bareiss_rank
+    monkeypatch.setattr(gl, "_bareiss_rank", lambda rows: ranks.append(1) or inner(rows))
+    assert gl.jordan_structure(M, side="left") == jd
+    assert len(ranks) == 6
+
+
+# ---------------------------------------------------------------------------
+# the factor route
+
+def _companion(coeffs):
+    """The companion matrix of the monic polynomial with these integer
+    coefficients, leading first."""
+    d = len(coeffs) - 1
+    C = np.zeros((d, d))
+    C[1:, :-1] = np.eye(d - 1)
+    C[:, -1] = [-c for c in coeffs[:0:-1]]
+    return C
+
+
+def _block_diag(*blocks):
+    out = np.zeros((sum(map(len, blocks)),) * 2)
+    i = 0
+    for B in blocks:
+        out[i:i + len(B), i:i + len(B)] = B
+        i += len(B)
+    return out
+
+
+def _timed_label(M, side="left", n=None):
+    start = time.perf_counter()
+    jd = gl.jordan_structure(M, side=side, n=n)
+    assert time.perf_counter() - start < 1.0
+    return jd
+
+
+def test_squarefree_cubic_is_labelled_within_a_second(fallbacks):
+    # its characteristic polynomial is irreducible with one real root; the
+    # whole-value sympy route took seconds on it
+    M = np.array([[2, -1, 1], [-1, 0, -2], [1, 2, 1]], dtype=float)
+    assert _timed_label(M) == JordanData(
+        ((0.2420098861535897 + 1.6503475506894547j, 2), (2.5159802276928205, 1)), (), 3, 3)
+    assert len(fallbacks) == 1
+
+
+SQRT2, SQRT3 = 1.4142135623730951, 1.7320508075688772
+
+
+@pytest.mark.parametrize("M,jd", [
+    # C((x^2 - 2)^2): one block of size 2 at each of +-sqrt 2
+    (_companion([1, 0, -4, 0, 4]), JordanData(((SQRT2, 2), (-SQRT2, 2)), (), 4, 4)),
+    # diag(C((x^2 - 2)^2) x2, C(x^2 - 3) x4): the roots of (x^2 - 2)(x^2 - 3)
+    # do not share one partition, (2, 2) at +-sqrt 2 and (1, 1, 1, 1) at
+    # +-sqrt 3, so an averaged chain would read (2, 1, 1) at all four
+    (_block_diag(*[_companion([1, 0, -4, 0, 4])] * 2, *[_companion([1, 0, -3])] * 4),
+     JordanData(((SQRT2, 2),) * 2 + ((-SQRT2, 2),) * 2 + ((SQRT3, 1),) * 4
+                + ((-SQRT3, 1),) * 4, (), 16, 16)),
+], ids=["C((x2-2)^2)", "16x16"])
+def test_built_values_outside_gaussian_integers_give_their_labels(M, jd, fallbacks):
+    assert _timed_label(M) == jd
+    assert fallbacks
+
+
+def _nonzero_spectrum(jd):
+    """The nonzero eigenvalues of a value with label jd, each repeated by
+    its algebraic multiplicity."""
+    eigs = []
+    for lam, c in jd.blocks:
+        eigs += [lam] * c if lam.imag == 0 else [lam, lam.conjugate()] * (c // 2)
+    return eigs
+
+
+@pytest.mark.parametrize("n,m", [(4, 3), (5, 4), (8, 6), (16, 12)])
+@pytest.mark.parametrize("seed", range(3))
+def test_integer_points_are_labelled_within_a_second(n, m, seed, fallbacks):
+    Q, P = np.random.default_rng(seed).integers(-3, 4, size=(2, n, m)).astype(float)
+    M = Q @ P.T
+    jd = _timed_label(M)
+    assert fallbacks
+    # the zero eigenvalue is checked by exact ranks, as numpy's eigenvalues
+    # scatter where it is defective: the rank is m, and each nilpotent
+    # block is one drop of rank from M to M^2
+    M_int = _ints(M)
+    assert jd.m == gl._bareiss_rank(M_int) == m
+    assert len(jd.nilpotent) == m - gl._bareiss_rank(gl._int_matmul(M_int, M_int))
+    want = list(np.linalg.eigvals(M))
+    scale = max(map(abs, want))
+    for lam in _nonzero_spectrum(jd):
+        nearest = min(want, key=lambda z: abs(z - lam))
+        assert abs(nearest - lam) <= 1e-8 * scale
+        want.remove(nearest)
+
+
+def test_only_the_block_outside_gaussian_integers_is_factored(fallbacks):
+    # diag(J_8(2), [[0, 2], [1, 0]]): the 8 x 8 block is certified in
+    # integers, and only the 2 x 2 block reaches the factor route
+    M = _block_diag(gl._real_jordan_block(2.0, 8), [[0, 2], [1, 0]])
+    assert _timed_label(M) == JordanData(((2.0, 8), (SQRT2, 1), (-SQRT2, 1)), (), 10, 10)
+    assert fallbacks == [((0, 2), (1, 0))]

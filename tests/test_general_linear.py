@@ -215,6 +215,13 @@ def test_witness_left_on_normal_form_partners_of_every_shape():
                 assert rep.residual <= 1e-13
 
 
+def test_random_jordan_draws_a_complex_block_into_two_last_columns():
+    # at n = m = 2 no nilpotent block fits, so both columns remain for the
+    # first block, and some seeds fill them with one complex 2-block
+    labels = [gl._random_jordan(2, 2, stream_rng(seed, 4)) for seed in range(20)]
+    assert any(lam.imag for jd in labels for lam, _ in jd.blocks)
+
+
 @pytest.mark.parametrize("who,name", [("witness_left", "Q'"), ("witness_right", "P"),
                                       ("orbit labelling", "Q")])
 def test_refusal_names_witness_matrix_and_rank(who, name):
@@ -457,10 +464,12 @@ def test_structure_right_zero_matrix():
 
 
 def test_structure_left_rank_is_exact_on_both_exact_paths():
-    # eigenvalues +-sqrt 2 and 0 leave Z[i], so sympy labels the value, and
-    # m = 3 - nu_1(0) = 2 comes from its chains as it does on the integer path
-    M = [[0, 2, 0], [1, 0, 0], [0, 0, 0]]
-    jd = gl._structure_sympy(M, "left", 3, None)
+    # one block with eigenvalues +-sqrt 2 and 0 leaves Z[i], so the factor
+    # route gives its chains, and m = 3 - nu_1(0) = 2 comes from them as it
+    # does on the integer path
+    M = [[0, 2, 0], [1, 0, 1], [0, 0, 0]]
+    assert gl._factor_chains(M, np.linalg.eigvals(M))[0, 0] == [1]
+    jd = gl._structure_exact(M, "left", 3, None)
     assert (jd.n, jd.m, jd.nilpotent) == (3, 2, ())
     assert sorted(round(lam.real, 12) for lam, _ in jd.blocks) == [-1.414213562373, 1.414213562373]
     assert gl.jordan_structure(np.array(M, dtype=float), side="left") == jd

@@ -45,6 +45,18 @@ def test_embed_u_rejects_non_anti_hermitian():
         seesaw.embed_u_to_sp(np.eye(2))
 
 
+def test_embed_u_tolerance_is_relative_to_the_norm():
+    # |zeta|_F is about 1e8 and the defect about 1e-4, a relative 1e-12
+    # below ANTI_HERMITIAN_RTOL: accepted, though the defect is far above
+    # ANTI_HERMITIAN_RTOL in absolute terms
+    rng = stream_rng(162, 0)
+    A = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    zeta = 1e8 * (A - A.conj().T) + 1e-4 * np.eye(3)
+    np.testing.assert_array_equal(seesaw.embed_u_to_sp(zeta)[:3, :3], zeta.real)
+    with pytest.raises(ValueError):
+        seesaw.embed_u_to_sp(zeta + 1e-1 * np.eye(3))
+
+
 def test_embed_gl_identity():
     out = seesaw.embed_gl_to_sp(np.eye(2))
     expected = np.zeros((4, 4))
