@@ -350,17 +350,14 @@ def _build_registry():
 
 def cmd_suite(args) -> int:
     pairs = {_normalize_pair(p) for p in args.pair} if args.pair else set(PAIR_IDS)
-    if args.tol is not None and not np.isfinite(args.tol):
-        raise ValueError(f"--tol must be a finite number, not {args.tol!r}")
     if args.trials < 1:
         raise ValueError("trials must be at least 1")
 
     t0 = time.perf_counter()
     records = []
-    for idx, (check, pair, default_thr, runner) in enumerate(_build_registry()):
+    for idx, (check, pair, threshold, runner) in enumerate(_build_registry()):
         if pair not in pairs:
             continue
-        threshold = default_thr if args.tol is None else args.tol
         dims_cycle = _SUITE_DIMS[pair]
         for t in range(args.trials):
             n, m = dims = dims_cycle[t % len(dims_cycle)]
@@ -372,8 +369,7 @@ def cmd_suite(args) -> int:
     records.sort(key=lambda r: (r["check"], r["pair"], str(r["dims"]), r["seed"]))
     passed = sum(1 for r in records if r["pass"])
     report = {
-        "config": {"pairs": sorted(pairs), "seed": args.seed, "trials": args.trials,
-                   "tol": args.tol},
+        "config": {"pairs": sorted(pairs), "seed": args.seed, "trials": args.trials},
         "records": records,
         "summary": {"total": len(records), "passed": passed,
                     "failed": len(records) - passed},
@@ -427,7 +423,6 @@ def _build_parser():
                    help="a pair to check, repeatable (default: all three)")
     p.add_argument("--trials", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float)
     p.add_argument("--out", default="suite_report.json")
     p.set_defaults(func=cmd_suite)
     return parser

@@ -166,7 +166,7 @@ def witness_right(pt: CotangentPoint, pt_prime: CotangentPoint) -> WitnessReport
     except np.linalg.LinAlgError:
         res_p = np.inf
     cond = float(s[0] / s[-1]) if s.size else 1.0
-    return WitnessReport(B, max(res_q, res_p), "right", cond=cond)
+    return WitnessReport(B, max(res_q, res_p), cond=cond)
 
 
 def _common_complement(B1: np.ndarray, B2: np.ndarray) -> np.ndarray:
@@ -223,7 +223,7 @@ def witness_left(pt: CotangentPoint, pt_prime: CotangentPoint) -> WitnessReport:
     res_p = relative_diff(np.linalg.solve(A.T, P), P2)
     s = np.linalg.svd(np.stack([QX, P2Y]), compute_uv=False)
     cond = float(np.max(s[:, 0] / s[:, -1]))
-    return WitnessReport(A, max(res_q, res_p), "left", cond=cond)
+    return WitnessReport(A, max(res_q, res_p), cond=cond)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import accumulate
 from typing import Any
 
 import numpy as np
@@ -40,9 +39,8 @@ from .linalg import (MATCH_RTOL, algebra_residual, omega_real, relative_diff, re
 
 @dataclass(frozen=True)
 class MomentumValue:
-    """A Lie-algebra-valued momentum, tagged with side and algebra."""
+    """A Lie-algebra-valued momentum, tagged with its algebra."""
 
-    side: str
     algebra: str  # "u", "o", "sp" or "gl"
     value: np.ndarray
 
@@ -81,7 +79,6 @@ class WitnessReport:
 
     witness: np.ndarray
     residual: float
-    side: str
     cond: float | None = None
 
 
@@ -148,13 +145,11 @@ def basis_stack(algebra: str, size: int) -> np.ndarray:
     * sp(2n): the J^T S_kl = [-S_kl bottom rows; S_kl top rows]
     * gl(n): the units E_ij, row-major
 
-    Each family is a run of rows, the elements that share their first
-    index k (``_family_rows``), and any window of consecutive elements
-    can be written alone (``_write_basis``).  No library code builds a
-    whole stack: ``check_lie_weinstein`` gathers its tangent stacks
-    through maps read once off a probe of one family row at a time
-    (``_tangent_map``), and ``algebra_element`` writes a combination's
-    coefficients straight into its entries.
+    Any window of consecutive elements can be written alone
+    (``_write_basis``).  No library code keeps a whole stack:
+    ``check_lie_weinstein`` gathers its tangent stacks through maps read
+    once off probes of ``size`` elements at a time (``_tangent_map``), and
+    ``algebra_element`` sums over a basis written for the call alone.
     """
     if algebra not in ("gl", "o", "u", "sp"):
         raise ValueError(f"unknown algebra tag {algebra!r}")
@@ -166,76 +161,54 @@ def basis_stack(algebra: str, size: int) -> np.ndarray:
 
 def algebra_dim(algebra: str, size: int) -> int:
     """The count of ``basis_stack(algebra, size)``'s elements."""
-    return sum(count for _, count in _family_rows(algebra, size))
+    return {"gl": size * size, "u": size * size, "o": size * (size - 1) // 2,
+            "sp": size * (size + 1) // 2}[algebra]
 
 
 def algebra_element(algebra: str, size: int, coef: np.ndarray) -> np.ndarray:
-    """sum_i coef[i] basis_stack(algebra, size)[i], bit for bit, with each
-    coefficient written into its entries and no basis built."""
-    coef = np.asarray(coef, dtype=float)
-    return _write_basis(np.zeros((size, size), _dtype(algebra)), algebra, coef=coef)
+    """sum_i coef[i] basis_stack(algebra, size)[i], over a basis written
+    for the call and not cached."""
+    basis = _write_basis(np.zeros((algebra_dim(algebra, size), size, size),
+                                  _dtype(algebra)), algebra)
+    return sum((c * b for c, b in zip(coef, basis)), np.zeros((size, size), _dtype(algebra)))
 
 
 def _dtype(algebra: str):
     return complex if algebra == "u" else float
 
 
-def _family_rows(algebra: str, size: int) -> list:
-    """(first, count) of each nonempty row of ``basis_stack``'s families,
-    in order: the run of elements of one family that share their first
-    index k (k < l for the A_kl, k <= l for the S_kl, the E_kj of gl)."""
-    skew, sym = range(size - 1, 0, -1), range(size, 0, -1)
-    counts = {"gl": [size] * size, "o": skew, "u": [*skew, *sym], "sp": sym}[algebra]
-    return list(zip(accumulate(counts, initial=0), counts))
-
-
-def _write_basis(out: np.ndarray, algebra: str, first: int = 0, coef=None) -> np.ndarray:
+def _write_basis(out: np.ndarray, algebra: str, first: int = 0) -> np.ndarray:
     # Writes the elements first, first + 1, ... of basis_stack(algebra,
-    # size) into the zero array out: one per slice of the stack out, or,
-    # given their coefficients coef, their combination into the one
-    # matrix out.  No two elements of a family share an entry, and u's
-    # two families fill different parts, so each entry is written once
-    # with its coefficient, exactly as the sum.
+    # size) into the zero stack out, one per slice.
     size = out.shape[-1]
-    count = len(out) if coef is None else len(coef)
     if algebra == "gl":
-        p = np.arange(first, first + count)
-        at = () if coef is not None else (p - first,)
-        out[(*at, p // size, p % size)] = 1.0 if coef is None else coef
+        p = np.arange(first, first + len(out))
+        out[p - first, p // size, p % size] = 1.0
     elif algebra == "o":
-        _place_pairs(out, -1.0, first=first, coef=coef)
+        _place_pairs(out, -1.0, first=first)
     elif algebra == "sp":
-        _place_pairs(out, 1.0, size // 2, first, coef)
+        _place_pairs(out, 1.0, size // 2, first)
     else:
         # u: the A_kl in the real part, then the S_kl in the imaginary part
         d = size * (size - 1) // 2
-        a = min(max(d - first, 0), count)
-        if coef is None:
-            _place_pairs(out.real[:a], -1.0, first=first)
-            _place_pairs(out.imag[a:], 1.0, first=max(first - d, 0))
-        else:
-            _place_pairs(out.real, -1.0, first=first, coef=coef[:a])
-            _place_pairs(out.imag, 1.0, first=max(first - d, 0), coef=coef[a:])
+        a = min(max(d - first, 0), len(out))
+        _place_pairs(out.real[:a], -1.0, first=first)
+        _place_pairs(out.imag[a:], 1.0, first=max(first - d, 0))
     return out
 
 
-def _place_pairs(out: np.ndarray, sign: float, half: int = 0, first: int = 0,
-                 coef=None) -> np.ndarray:
-    # Writes into the zero array out the A_kl (sign -1, k < l) or S_kl
-    # (sign +1, k <= l) from number first on, row-major in (k, l): one
-    # per slice of the stack out, or, given coef, each times its
-    # coefficient into the one matrix out.  half = n moves row r to row
-    # r + n (mod 2n), negated for r >= n: that is J^T times it, with no
-    # product and no signed zeros.
+def _place_pairs(out: np.ndarray, sign: float, half: int = 0, first: int = 0) -> np.ndarray:
+    # Writes into the zero stack out the A_kl (sign -1, k < l) or S_kl
+    # (sign +1, k <= l) from number first on, row-major in (k, l), one per
+    # slice.  half = n moves row r to row r + n (mod 2n), negated for
+    # r >= n: that is J^T times it, with no product and no signed zeros.
     size = out.shape[-1]
     # the row-major upper triangle, as np.triu_indices at a third of its cost
     k, l = np.nonzero(~np.tri(size, k=-1 if sign > 0 else 0, dtype=bool))
-    count = len(out) if coef is None else len(coef)
-    k, l = k[first:first + count], l[first:first + count]
-    at = () if coef is not None else (np.arange(count),)
-    v = 1.0 if coef is None else coef
+    k, l = k[first:first + len(out)], l[first:first + len(out)]
+    at = np.arange(len(out))
     for r, c, s in ((k, l, 1.0), (l, k, sign)):
-        out[(*at, (r + half) % size, c)] = np.where(r < size - half, s * v, -s * v)
+        out[at, (r + half) % size, c] = np.where(r < size - half, s, -s)
     return out
 
 
@@ -264,7 +237,7 @@ def momentum(inst: DualPairInstance, side: str) -> MomentumValue:
         raise ValueError("side must be 'left' or 'right'")
     mod = inst.module
     fn = mod.momentum_left if side == "left" else mod.momentum_right
-    return MomentumValue(side, algebra_tag(inst.pair_id, side), fn(inst.point))
+    return MomentumValue(algebra_tag(inst.pair_id, side), fn(inst.point))
 
 
 def act(inst: DualPairInstance, side: str, g: np.ndarray) -> DualPairInstance:
@@ -418,10 +391,11 @@ def _tangent_map(pair_id: str, side: str, n: int, m: int) -> tuple:
     as read-only int32 arrays.  The right side's swap (q, p) -> (p, -q)
     is folded in.  A sum of coordinates can also land on a probe value,
     so the map is refused unless it reproduces the action exactly at a
-    second, Gaussian point too.  The basis goes through the action one
-    family row at a time (``_family_rows``), each row with its own probe
-    and Gaussian check and its positions offset to its first element,
-    so no (dim, size, size) basis or (dim, 2nm) stack is ever built.
+    second, Gaussian point too.  The basis goes through the action in
+    windows of ``size`` consecutive elements (``_write_basis``), each
+    window with its own probe and Gaussian check and its positions offset
+    to its first element, so no (dim, size, size) basis or (dim, 2nm)
+    stack is ever built.
     """
     mod = PAIRS[pair_id]
     width = 2 * n * m
@@ -438,8 +412,10 @@ def _tangent_map(pair_id: str, side: str, n: int, m: int) -> tuple:
         v = mod.to_real(t).reshape(-1, width)
         return v if side == "left" else np.hstack([v[:, width // 2:], -v[:, :width // 2]])
 
+    dim = algebra_dim(algebra, size)
     pos, src = [np.zeros(0, np.int32)], [np.zeros(0, np.int32)]
-    for first, count in _family_rows(algebra, size):
+    for first in range(0, dim, size):
+        count = min(size, dim - first)
         basis = _write_basis(np.zeros((count, size, size), _dtype(algebra)), algebra, first)
         v = stack(x, basis)
         exact = np.array_equal(v, np.round(v)) and np.all(np.abs(v) <= width)
@@ -455,7 +431,7 @@ def _tangent_map(pair_id: str, side: str, n: int, m: int) -> tuple:
     pos, src = np.concatenate(pos), np.concatenate(src)
     for a in (pos, src):
         a.setflags(write=False)
-    return algebra_dim(algebra, size), pos, src
+    return dim, pos, src
 
 
 # ---------------------------------------------------------------------------

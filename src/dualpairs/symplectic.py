@@ -190,7 +190,7 @@ def witness_left(E: np.ndarray, E_prime: np.ndarray) -> WitnessReport:
     J = standard_J(E.shape[0] // 2)
     B, B_prime = (_darboux_basis(F @ T, len(a), J) for F in (E, E_prime))
     S = B_prime @ np.linalg.inv(B)
-    return WitnessReport(S, relative_diff(S @ E, E_prime), "left")
+    return WitnessReport(S, relative_diff(S @ E, E_prime))
 
 
 def witness_right(E: np.ndarray, E_prime: np.ndarray) -> WitnessReport:
@@ -206,7 +206,7 @@ def witness_right(E: np.ndarray, E_prime: np.ndarray) -> WitnessReport:
     column_frames("witness_right", ("E", E), ("E'", E_prime), uv=False)
     _require_level_match(momentum_left(E), momentum_left(E_prime), "left")
     O = isometry_between(E.T, E_prime.T)
-    return WitnessReport(O, relative_diff(E @ O.T, E_prime), "right")
+    return WitnessReport(O, relative_diff(E @ O.T, E_prime))
 
 
 def symplectic_svd(E: np.ndarray):

@@ -80,7 +80,7 @@ def witness_left(E: np.ndarray, E_prime: np.ndarray) -> WitnessReport:
     E_prime = np.asarray(E_prime, dtype=complex)
     _require_level_match(momentum_right(E), momentum_right(E_prime), "right")
     U = isometry_between(E, E_prime)
-    return WitnessReport(U, relative_diff(U @ E, E_prime), "left")
+    return WitnessReport(U, relative_diff(U @ E, E_prime))
 
 
 def witness_right(E: np.ndarray, E_prime: np.ndarray) -> WitnessReport:
@@ -94,7 +94,7 @@ def witness_right(E: np.ndarray, E_prime: np.ndarray) -> WitnessReport:
     _require_level_match(momentum_left(E), momentum_left(E_prime), "left")
     W = isometry_between(np.conj(E).T, np.conj(E_prime).T)
     V = np.conj(W).T
-    return WitnessReport(V, relative_diff(E @ V, E_prime), "right")
+    return WitnessReport(V, relative_diff(E @ V, E_prime))
 
 
 def orbit_invariants(E: np.ndarray) -> np.ndarray:

@@ -11,12 +11,13 @@ Darboux coordinates of the two tangent stacks).  Those stacks are
 gathered from the point through cached index maps: they equal the
 products of basis_stack with the point entry for entry, the cross term
 equals that of the products bit for bit, and the maps are read-only,
-small, and leave no basis in basis_stack's cache.  Each map is probed one
-family row of the basis at a time: it equals, position for position, the
-map read off one probe of the whole basis, every row's tangents are
-checked (a fault in the last row alone is refused), and a build at the
-16 x 16 cap peaks under 1.5 MB.  algebra_element, the suite's way to
-draw an algebra element, equals the sum over basis_stack bit for bit.
+small, and leave no basis in basis_stack's cache.  Each map is probed in
+windows of size consecutive basis elements: it equals, position for
+position, the map read off one probe of the whole basis, every window's
+tangents are checked (a fault in the last element alone is refused), and
+a build at the 16 x 16 cap peaks under 1.5 MB.  algebra_element, the
+suite's way to draw an algebra element, equals the sum over basis_stack
+bit for bit and leaves no basis in its cache either.
 The orbit dimensions of check_lie_weinstein are
 still compared exactly.  They are read off the point's own singular
 values: those closed-form values are compared within a rounding bound
@@ -431,12 +432,16 @@ def test_tangent_maps_are_read_only():
 
 def test_check_lie_weinstein_caches_no_basis():
     # with the maps rebuilt from scratch, the probe's bases stay out of
-    # basis_stack's cache, so no dense basis outlives the call
+    # basis_stack's cache, so no dense basis outlives the call; nor does
+    # the basis of an algebra_element draw at the 16 x 16 cap
     pairs._tangent_map.cache_clear()
     size = basis_stack.cache_info().currsize
     for n, m in [(3, 2), (16, 16)]:
         for inst in _instances(n, m, 83):
             check_lie_weinstein(inst)
+    rng = stream_rng(83, 1)
+    for algebra, k in (("u", 16), ("o", 16), ("sp", 32), ("gl", 16)):
+        pairs.algebra_element(algebra, k, rng.standard_normal(pairs.algebra_dim(algebra, k)))
     assert pairs._tangent_map.cache_info().currsize > 0
     assert basis_stack.cache_info().currsize == size
 
@@ -461,8 +466,8 @@ def test_tangent_map_refuses_an_action_that_is_not_a_gather(moved, side, monkeyp
 @pytest.mark.parametrize("side", ["left", "right"])
 def test_tangent_map_refuses_when_only_the_last_row_is_not_a_gather(side, monkeypatch):
     # the doubled tangents belong to the last element of the side's basis
-    # alone, the one element of its last family row: only that row's own
-    # checks can refuse the map
+    # alone, in its last probe window: only that window's own checks can
+    # refuse the map
     last = basis_stack.__wrapped__(algebra_tag("symplectic", side), 6 if side == "left" else 3)[-1]
 
     def moved(xi, t):
@@ -506,8 +511,8 @@ def test_row_probed_maps_equal_the_whole_basis_probe(pair, n, m):
 
 @pytest.mark.parametrize("pair", ["unitary", "symplectic", "general_linear"])
 def test_tangent_map_builds_stay_small_at_the_cap(pair):
-    # a whole-basis probe peaks at 2.4-10.7 MB here; one family row at a
-    # time stays under 1.5 MB
+    # a whole-basis probe peaks at 2.4-10.7 MB here; windows of size
+    # elements stay under 1.5 MB
     for side in ("left", "right"):
         pairs._tangent_map.__wrapped__(pair, side, 16, 16)  # imports and caches warm
         tracemalloc.start()

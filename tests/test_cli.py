@@ -178,8 +178,6 @@ def test_witness_missing_file(tmp_path, capsys):
     (["witness", "{u32}", "{u22}", "--side", "left"],
      "the two instances have different dimensions"),
     (["suite", "--trials", "0", "--out", "{out}"], "trials must be at least 1"),
-    (["suite", "--tol", "nan", "--out", "{out}"], "--tol must be a finite number, not nan"),
-    (["suite", "--tol", "inf", "--out", "{out}"], "--tol must be a finite number, not inf"),
     (["suite", "--pair", "u", "--pair", "quaternionic", "--out", "{out}"],
      "unknown pair 'quaternionic'; use unitary, symplectic or gl"),
     (["witness", "{u22}", "{gl22}", "--side", "left"],
@@ -209,9 +207,11 @@ def test_junk_arguments_use_argparse_exit():
 @pytest.mark.parametrize("argv", [["suite", "--config", "c.json"],
                                   ["momentum", "a.json", "--pair", "u", "--side", "left"],
                                   ["witness", "a.json", "b.json", "--pair", "u", "--side", "left"],
-                                  ["orbit", "a.json", "--pair", "u"]])
+                                  ["orbit", "a.json", "--pair", "u"],
+                                  ["suite", "--tol", "0"]])
 def test_file_commands_and_suite_take_no_second_source(argv, capsys):
-    # suite reads flags only; the file commands take their pair from the file
+    # suite reads flags only, and each check's own threshold alone decides
+    # its records; the file commands take their pair from the file
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 2
@@ -342,13 +342,24 @@ def test_suite_single_pair_green_and_deterministic(tmp_path, capsys):
     assert report["config"]["pairs"] == ["unitary"]
 
 
-def test_suite_impossible_tolerance_fails(tmp_path, capsys):
+@pytest.mark.parametrize("scale,failed", [(1.0, 0), (2.0, 2)])
+def test_suite_fails_exactly_the_records_over_their_threshold(scale, failed, tmp_path,
+                                                               capsys, monkeypatch):
+    # one unitary check's runner returns scale times its threshold: its
+    # records pass at the threshold and fail over it, and no others fail
+    rows = cli._build_registry()
+    idx = next(i for i, row in enumerate(rows) if row[1] == "unitary")
+    check, pair, threshold, _ = rows[idx]
+    rows[idx] = (check, pair, threshold, lambda inst, seed, base: scale * threshold)
+    monkeypatch.setattr(cli, "_build_registry", lambda: rows)
     out = tmp_path / "r.json"
-    code, _ = _run(["suite", "--pair", "u", "--trials", "1", "--seed", "5",
-                    "--tol", "0", "--out", str(out)], capsys)
-    assert code == 1
+    code, _ = _run(["suite", "--pair", "u", "--trials", "2", "--seed", "5",
+                    "--out", str(out)], capsys)
+    assert code == (1 if failed else 0)
     report = json.loads(out.read_text())
-    assert report["summary"]["failed"] > 0
+    bad = [r for r in report["records"] if not r["pass"]]
+    assert [(r["check"], r["residual"]) for r in bad] == [(check, scale * threshold)] * failed
+    assert report["summary"]["failed"] == failed
 
 
 def test_suite_repeated_pairs_run_their_union(tmp_path, capsys):

@@ -180,7 +180,7 @@ def test_membership_residuals_and_refusals(group):
     assert np.all(algebra_residual(group, basis) == 0.0)
     # a hand-made non-member of the algebra, when it has an identity
     X = basis.sum(axis=0) + 1e-6 * np.eye(k)
-    identity = MomentumValue(side, algebra, X).identity_residual()
+    identity = MomentumValue(algebra, X).identity_residual()
     if group == "general_linear":
         # no form to preserve: only rank decides, and the action's solve
         # refuses an exactly singular element

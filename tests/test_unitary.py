@@ -55,7 +55,7 @@ def test_witness_left_fixed_point():
     E = _random_complex(3, 2, 62)
     rep = unitary.witness_left(E, E)
     assert rep.residual <= 1e-12
-    assert rep.side == "left"
+    assert rep.witness.shape == (3, 3)
 
 
 def test_witness_left_swap_case():
