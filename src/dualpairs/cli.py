@@ -43,8 +43,6 @@ from .pairs import (
     DualPairInstance,
     LevelMismatchError,
     act,
-    algebra_dim,
-    algebra_element,
     algebra_size,
     algebra_tag,
     bracket,
@@ -53,6 +51,7 @@ from .pairs import (
     check_lie_weinstein,
     check_pairing_identity,
     momentum,
+    random_algebra_element,
 )
 
 _PAIR_ALIASES = {
@@ -243,10 +242,7 @@ def _witness_residual(inst, side, g):
 
 
 def _random_algebra_element(inst, side, rng):
-    """Standard-normal coordinates in ``basis_stack``'s basis, drawn in
-    its order and written straight into the element."""
-    algebra, size = algebra_tag(inst.pair_id, side), algebra_size(inst, side)
-    return algebra_element(algebra, size, rng.standard_normal(algebra_dim(algebra, size)))
+    return random_algebra_element(algebra_tag(inst.pair_id, side), algebra_size(inst, side), rng)
 
 
 def _run_pairing(side, inst, seed, base):

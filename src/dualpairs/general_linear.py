@@ -105,11 +105,6 @@ def to_real(x) -> np.ndarray:
     return np.concatenate([q, p], axis=-2)
 
 
-def from_real(r: np.ndarray) -> CotangentPoint:
-    """The point of real model r = [Q; P]."""
-    return CotangentPoint(*np.split(r, 2))
-
-
 def tangent_scales(pt: CotangentPoint) -> dict:
     """The scales of ``pairs.tangent_singular_values`` by side, from one
     stacked SVD of Q and P: (sigma(P), sigma(Q)) on the left and
@@ -556,15 +551,17 @@ def _chain(B, g, cap):
     return _nullity_chain(A, lambda P: (k - _bareiss_rank(P)) // d, _int_matmul, cap)
 
 
-def _factor_chains(B, eigs) -> dict:
+def _factor_chains(B, eigs, known) -> dict:
     """The nullity chain of each eigenvalue lambda (Im lambda >= 0) of an
     integral block B, keyed by (Re lambda, Im lambda), from the factors
     of its characteristic polynomial over Q (sympy, imported only here).
 
     Each irreducible factor g of multiplicity mu gives one ``_chain``,
-    capped at mu, which all of g's roots share.  mpmath's ``polyroots``
-    refines g's roots to 30 digits, with as many extra working bits as
-    g's largest coefficient has.  It starts from B's float eigenvalues
+    capped at mu, which all of g's roots share; known maps the
+    coefficient tuples of polynomials already ranked in B to their
+    chains, and a factor among them reuses its chain.  mpmath's
+    ``polyroots`` refines g's roots to 30 digits, with as many extra
+    working bits as g's largest coefficient has.  It starts from B's float eigenvalues
     eigs, those where |g| is least first, and lists the real roots
     first; Sturm sequences count them exactly (``Poly.count_roots``).
     Raises ValueError when the roots do not converge.
@@ -582,7 +579,8 @@ def _factor_chains(B, eigs) -> dict:
                                          roots_init=start)
         except mpmath.libmp.NoConvergence:
             raise ValueError("exact Jordan label: the eigenvalues do not converge") from None
-        nullities, real = _chain(B, coeffs, mu), g.count_roots()
+        nullities = known.get(tuple(coeffs)) or _chain(B, coeffs, mu)
+        real = g.count_roots()
         lams = [complex(z.real if i < real else z) for i, z in enumerate(roots)]
         chains.update(((lam.real, lam.imag), nullities) for lam in lams if lam.imag >= 0)
     return chains
@@ -609,20 +607,21 @@ def _structure_exact(M_int, side: str, n: int, m) -> JordanData:
     missed, and a chain that fills the room the others left has reached
     its multiplicity.  A block they leave unfilled has a spectrum outside
     Z[i] (as [[0, 2], [1, 0]] has), and ``_factor_chains`` gives its
-    chains instead.  Each eigenvalue's chain is the sum of its blocks',
-    each continued as constant past its end, cut where it stops growing.
+    chains instead, reusing the candidates' chains of its factors.  Each
+    eigenvalue's chain is the sum of its blocks', each continued as
+    constant past its end, cut where it stops growing.
     """
     blocks = collections.Counter(tuple(tuple(M_int[i][j] for j in idx) for i in idx)
                                  for idx in _components(M_int))
     chains = {}
     for B, mult in blocks.items():
-        found, room = {}, len(B)
+        found, known, room = {}, {}, len(B)
         eigs = np.linalg.eigvals(np.array(B, dtype=float))
         for a, b in {(int(round(z.real)), abs(int(round(z.imag)))) for z in eigs}:
             g = (1, -2 * a, a * a + b * b) if b else (1, -a)
-            found[a, b] = _chain(B, g, room // (len(g) - 1))
+            found[a, b] = known[g] = _chain(B, g, room // (len(g) - 1))
             room -= (len(g) - 1) * found[a, b][-1]
-        for key, nullities in (_factor_chains(B, eigs) if room else found).items():
+        for key, nullities in (_factor_chains(B, eigs, known) if room else found).items():
             chains[key] = [x + mult * nullities[min(s, len(nullities) - 1)]
                            for s, x in enumerate(chains.get(key, [0] * len(M_int)))]
     return _label([(complex(*key), nu[:nu.index(nu[-1]) + 1])

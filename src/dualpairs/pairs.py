@@ -13,7 +13,7 @@ and supplies the point checks, random points, instance-file fields,
 actions, momenta, witnesses, orbit labels and the scales of its tangent
 maps (``tangent_scales``) under the same names, and
 ``to_real``, which writes a point or tangent as a real 2n x m matrix
-carrying the form ``omega_real`` (``from_real`` reads a point back).
+carrying the form ``omega_real``.
 A side's algebra follows from its group, and its size from the point's
 shape (the left group acts on the rows, the right group on the
 columns).  ``PAIRS`` maps each pair id to its module and is the only
@@ -28,13 +28,12 @@ algebra bracket, and the orbit-dimension bookkeeping behind the duality.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from typing import Any
 
 import numpy as np
 
 from .linalg import (MATCH_RTOL, algebra_residual, omega_real, relative_diff, require_member,
-                     shared_array, svd_rank, trace_pairing)
+                     shared_array, standard_J, stream_rng, svd_rank, trace_pairing)
 
 
 @dataclass(frozen=True)
@@ -125,91 +124,26 @@ class DualPairInstance:
 
 
 # ---------------------------------------------------------------------------
-# algebra bases
+# algebra elements
 
-@shared_array
-def basis_stack(algebra: str, size: int) -> np.ndarray:
-    """Fixed enumerated basis of u(n), o(m), sp(2n,R) or gl(n,R), as one
-    (dim, size, size) array, built once per key and shared read-only
-    (see ``linalg.shared_array``).
-
-    Each basis follows from the defining identity X^H F + F X = 0
-    (``linalg.algebra_residual``): FX is skew-Hermitian for F = I and
-    symmetric for F = J.  With A_kl = E_kl - E_lk (k < l) and
-    S_kl = E_kl + E_lk (k <= l, so S_kk = E_kk), both row-major in
-    (k, l), the orderings are part of the contract (orbit-dimension
-    computations and oracle solves must be reproducible):
-
-    * o(m): the A_kl
-    * u(n): the A_kl, then the i S_kl
-    * sp(2n): the J^T S_kl = [-S_kl bottom rows; S_kl top rows]
-    * gl(n): the units E_ij, row-major
-
-    Any window of consecutive elements can be written alone
-    (``_write_basis``).  No library code keeps a whole stack:
-    ``check_lie_weinstein`` gathers its tangent stacks through maps read
-    once off probes of ``size`` elements at a time (``_tangent_map``), and
-    ``algebra_element`` sums over a basis written for the call alone.
-    """
+def random_algebra_element(algebra: str, size: int, rng: np.random.Generator) -> np.ndarray:
+    """A Gaussian element of u(size), o(size), sp(size,R) or gl(size,R),
+    drawn by projecting one Gaussian matrix G (Z = G + iG' for u) onto
+    the algebra: G for gl, (G - G^T)/sqrt 2 for o, J^T (G + G^T)/sqrt 2
+    for sp and (Z - Z^H)/2 for u."""
     if algebra not in ("gl", "o", "u", "sp"):
         raise ValueError(f"unknown algebra tag {algebra!r}")
     if algebra == "sp" and size % 2 != 0:
         raise ValueError("sp size must be even")
-    shape = (algebra_dim(algebra, size), size, size)
-    return _write_basis(np.zeros(shape, _dtype(algebra)), algebra)
-
-
-def algebra_dim(algebra: str, size: int) -> int:
-    """The count of ``basis_stack(algebra, size)``'s elements."""
-    return {"gl": size * size, "u": size * size, "o": size * (size - 1) // 2,
-            "sp": size * (size + 1) // 2}[algebra]
-
-
-def algebra_element(algebra: str, size: int, coef: np.ndarray) -> np.ndarray:
-    """sum_i coef[i] basis_stack(algebra, size)[i], over a basis written
-    for the call and not cached."""
-    basis = _write_basis(np.zeros((algebra_dim(algebra, size), size, size),
-                                  _dtype(algebra)), algebra)
-    return sum((c * b for c, b in zip(coef, basis)), np.zeros((size, size), _dtype(algebra)))
-
-
-def _dtype(algebra: str):
-    return complex if algebra == "u" else float
-
-
-def _write_basis(out: np.ndarray, algebra: str, first: int = 0) -> np.ndarray:
-    # Writes the elements first, first + 1, ... of basis_stack(algebra,
-    # size) into the zero stack out, one per slice.
-    size = out.shape[-1]
+    G = rng.standard_normal((size, size))
     if algebra == "gl":
-        p = np.arange(first, first + len(out))
-        out[p - first, p // size, p % size] = 1.0
-    elif algebra == "o":
-        _place_pairs(out, -1.0, first=first)
-    elif algebra == "sp":
-        _place_pairs(out, 1.0, size // 2, first)
-    else:
-        # u: the A_kl in the real part, then the S_kl in the imaginary part
-        d = size * (size - 1) // 2
-        a = min(max(d - first, 0), len(out))
-        _place_pairs(out.real[:a], -1.0, first=first)
-        _place_pairs(out.imag[a:], 1.0, first=max(first - d, 0))
-    return out
-
-
-def _place_pairs(out: np.ndarray, sign: float, half: int = 0, first: int = 0) -> np.ndarray:
-    # Writes into the zero stack out the A_kl (sign -1, k < l) or S_kl
-    # (sign +1, k <= l) from number first on, row-major in (k, l), one per
-    # slice.  half = n moves row r to row r + n (mod 2n), negated for
-    # r >= n: that is J^T times it, with no product and no signed zeros.
-    size = out.shape[-1]
-    # the row-major upper triangle, as np.triu_indices at a third of its cost
-    k, l = np.nonzero(~np.tri(size, k=-1 if sign > 0 else 0, dtype=bool))
-    k, l = k[first:first + len(out)], l[first:first + len(out)]
-    at = np.arange(len(out))
-    for r, c, s in ((k, l, 1.0), (l, k, sign)):
-        out[at, (r + half) % size, c] = np.where(r < size - half, s, -s)
-    return out
+        return G
+    if algebra == "o":
+        return (G - G.T) / np.sqrt(2.0)
+    if algebra == "sp":
+        return standard_J(size // 2).T @ (G + G.T) / np.sqrt(2.0)
+    Z = G + 1j * rng.standard_normal((size, size))
+    return (Z - np.conj(Z).T) / 2.0
 
 
 def bracket(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -329,109 +263,57 @@ def check_lie_weinstein(inst: DualPairInstance) -> dict:
     the ambient dimension (the three must satisfy dim_left + dim_right =
     ambient), and the largest symplectic product between tangent
     directions of the two orbits, which must vanish since each momentum
-    map is constant along the other group's orbits.  The products come
-    from one matrix product X of the Darboux coordinates of the two
-    tangent stacks, omega(t1, t2) = q1 . p2 - p1 . q2, each stack
-    gathered from the point's own coordinates (``_tangent_stacks``); a
-    point so large that X overflows is refused.  The point is factored
-    once: its ``tangent_scales`` give both the full-rank test
-    (``full_rank``) and the dimensions.
+    map is constant along the other group's orbits.  The products are
+    taken over the pairs of the two sides' fixed probes (``_probes``):
+    omega(xi_i . x, x . eta_j) / (|xi_i . x| |x . eta_j|), which does not
+    depend on the scale of the point and reads 0 on a zero tangent.
+    omega is bilinear in (xi, eta), so Gaussian probes miss a nonzero
+    cross form with probability 0 (Freivalds 1977; Hutchinson 1989).
+    Each side's probes go through one stacked infinitesimal action, and
+    one matrix product of their Darboux coordinates gives every value,
+    omega(t1, t2) = q1 . p2 - p1 . q2; a point so large that a product
+    or a tangent's norm overflows is refused.  The point is factored once: its
+    ``tangent_scales`` give both the full-rank test (``full_rank``) and
+    the dimensions.
     """
     scales = inst.module.tangent_scales(inst.point)
     if not full_rank(inst, scales):
         raise ValueError("orbit-dimension check requires a full-rank point")
-    left, right = _tangent_stacks(inst)
+    left, right = (inst.module.to_real(infinitesimal_action(
+        inst, side, _probes(algebra_tag(inst.pair_id, side), algebra_size(inst, side))))
+        for side in ("left", "right"))
+    # (q, p) on the left and (p, -q) on the right, one row per probe
+    half = left.shape[-2] // 2
+    left = left.reshape(PROBES, -1)
+    right = np.concatenate([right[:, half:], -right[:, :half]], axis=1).reshape(PROBES, -1)
     with np.errstate(over="ignore", invalid="ignore"):
         X = left @ right.T
-    if not np.all(np.isfinite(X)):
-        raise ValueError("the cross omega products of the two orbits' tangents "
-                         "overflow at this point")
+        norms = np.linalg.norm([left, right], axis=-1)
+    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(norms))):
+        raise ValueError("the cross omega products of the two orbits' tangents, "
+                         "or their norms, overflow at this point")
+    # a zero tangent has zero products: its norm is taken as 1
+    a, b = np.where(norms > 0, norms, 1.0)
     dims = orbit_dims(inst, scales)
     return {
         "dim_left_orbit": dims["left"],
         "dim_right_orbit": dims["right"],
         "ambient_dim": inst.ambient_dim(),
-        "cross_omega_residual": float(np.max(np.abs(X), initial=0.0)),
+        "cross_omega_residual": float(np.max(np.abs(X) / a[:, None] / b)),
     }
 
 
-def _tangent_stacks(inst: DualPairInstance) -> list:
-    """Real coordinates of both sides' orbit tangents at the point, one
-    row per ``basis_stack`` element: the left rows as (q, p), with the n m
-    entries of the Darboux half q (the top n rows of the real model) read
-    row-major before those of p, and the right rows swapped to (p, -q),
-    so that the product of the two stacks is omega over all left x right
-    pairs.  Each row is gathered from the signed coordinates of the point
-    through ``_tangent_map``; no basis element is multiplied."""
-    x = inst.module.to_real(inst.point).ravel()
-    return [_gather(x, *_tangent_map(inst.pair_id, side, inst.n, inst.m))
-            for side in ("left", "right")]
+PROBES = 4
 
 
-def _gather(x: np.ndarray, dim: int, pos: np.ndarray, src: np.ndarray) -> np.ndarray:
-    """The (dim, x.size) stack whose flat entries pos hold the entries src
-    of the signed coordinates [-x reversed, 0, x], and zeros elsewhere."""
-    signed = np.concatenate([-x[::-1], [0.0], x])
-    out = np.zeros((dim, x.size))
-    out.reshape(-1)[pos] = signed.take(src)
-    return out
-
-
-@cache
-def _tangent_map(pair_id: str, side: str, n: int, m: int) -> tuple:
-    """(dim, positions, sources) of one side's gathered tangent stack.
-
-    Every entry of to_real(xi . x) or to_real(x . xi), for every element
-    xi of the side's ``basis_stack``, is 0 or +- one coordinate of
-    to_real(x).  So one probe point whose real model holds 1 .. 2nm,
-    pushed through the pair module's own infinitesimal action, reads
-    off the map: an entry +-k sits at index 2nm +- k of the signed
-    coordinates [-x reversed, 0, x], and the flat position of each
-    nonzero entry in the (dim, 2nm) stack is kept with that index, both
-    as read-only int32 arrays.  The right side's swap (q, p) -> (p, -q)
-    is folded in.  A sum of coordinates can also land on a probe value,
-    so the map is refused unless it reproduces the action exactly at a
-    second, Gaussian point too.  The basis goes through the action in
-    windows of ``size`` consecutive elements (``_write_basis``), each
-    window with its own probe and Gaussian check and its positions offset
-    to its first element, so no (dim, size, size) basis or (dim, 2nm)
-    stack is ever built.
-    """
-    mod = PAIRS[pair_id]
-    width = 2 * n * m
-    probe = np.arange(1.0, width + 1)
-    g = np.random.default_rng(0).standard_normal(width)
-    x, y = (mod.from_real(r.reshape(2 * n, m)) for r in (probe, g))
-    size = x.shape[0 if side == "left" else 1]
-    algebra = algebra_tag(pair_id, side)
-
-    def stack(pt, basis):
-        # the side's rows of basis, as _tangent_stacks orders them, at pt
-        t = (mod.infinitesimal_left(basis, pt) if side == "left"
-             else mod.infinitesimal_right(pt, basis))
-        v = mod.to_real(t).reshape(-1, width)
-        return v if side == "left" else np.hstack([v[:, width // 2:], -v[:, :width // 2]])
-
-    dim = algebra_dim(algebra, size)
-    pos, src = [np.zeros(0, np.int32)], [np.zeros(0, np.int32)]
-    for first in range(0, dim, size):
-        count = min(size, dim - first)
-        basis = _write_basis(np.zeros((count, size, size), _dtype(algebra)), algebra, first)
-        v = stack(x, basis)
-        exact = np.array_equal(v, np.round(v)) and np.all(np.abs(v) <= width)
-        if exact:
-            p = np.flatnonzero(v).astype(np.int32)
-            s = (v.reshape(-1)[p] + width).astype(np.int32)
-            exact = np.array_equal(_gather(g, count, p, s), stack(y, basis))
-        if not exact:
-            raise ValueError(f"the {side} tangents of the {pair_id} pair are not "
-                             "signed coordinates of the point")
-        pos.append(p + np.int32(first * width))
-        src.append(s)
-    pos, src = np.concatenate(pos), np.concatenate(src)
-    for a in (pos, src):
-        a.setflags(write=False)
-    return dim, pos, src
+@shared_array
+def _probes(algebra: str, size: int) -> np.ndarray:
+    """The PROBES fixed ``random_algebra_element`` draws of
+    ``check_lie_weinstein``, as one (PROBES, size, size) stack drawn once
+    per key from one seeded stream and shared read-only (see
+    ``linalg.shared_array``)."""
+    rng = stream_rng(0)
+    return np.stack([random_algebra_element(algebra, size, rng) for _ in range(PROBES)])
 
 
 # ---------------------------------------------------------------------------
@@ -442,17 +324,16 @@ def tangent_singular_values(algebra: str, size: int, a, b) -> np.ndarray:
     descending, from the side's scales (a, b) in the pair module's
     ``tangent_scales``, each zero-padded to the algebra's size.
 
-    The map is taken on the orthonormal coordinates of the algebra that
-    ``basis_stack`` gives once each element is divided by its Frobenius
-    norm.  Rotating by the point's singular frames is orthogonal on the
-    algebra and on R^{2nm}, and after it each coordinate, on the entry
-    (p, q) of the rotated algebra element, moves entries of the image
-    that no other coordinate moves, with weights a_p and b_q.  So the
-    map's Gram is diagonal and its singular values are hypot(a_p, b_q),
-    over the entries basis_stack's families select: all of them for gl
-    and u (the A_kl and i S_kl of u hold p != q twice and p = q once),
-    p <= q for sp (the S_kl) and p < q for o (the A_kl).  hypot neither
-    overflows nor underflows at any scale of the point.
+    The map is taken on orthonormal coordinates of the algebra, in the
+    Frobenius inner product.  Rotating by the point's singular frames is
+    orthogonal on the algebra and on R^{2nm}, and after it each
+    coordinate, on the entry (p, q) of the rotated algebra element, moves
+    entries of the image that no other coordinate moves, with weights a_p
+    and b_q.  So the map's Gram is diagonal and its singular values are
+    hypot(a_p, b_q), one per coordinate: over all entries (p, q) for gl
+    and u (the real skew and imaginary symmetric parts of u hold p != q
+    twice and p = q once), p <= q for sp = J^T Sym and p < q for o.
+    hypot neither overflows nor underflows at any scale of the point.
     """
     pad = np.zeros((2, size))
     pad[0, :len(a)], pad[1, :len(b)] = a, b

@@ -37,7 +37,7 @@ GROUP = {"left": "symplectic", "right": "orthogonal"}
 # both actions and their derivatives are matrix products
 act_left = act_right = infinitesimal_left = infinitesimal_right = np.matmul
 # a point, a tangent or a stack of tangents is its own real model
-to_real = from_real = np.asarray
+to_real = np.asarray
 
 
 def check_dims(n: int, m: int):
@@ -260,16 +260,17 @@ def normal_form_left(inv: SpOrbitInvariants) -> np.ndarray:
     Block pattern on the (p|q|r|p|q|r) partition: -sigma_i^2/2 at
     (i, n+i), +sigma_i^2/2 at (n+i, i), the q nilpotent cells -1/2 at
     (p+j, n+p+j), zeros elsewhere.  Computed as the left momentum of the
-    template so equality with momenta of template-built points is exact.
+    template so equality with momenta of template-built points is exact;
+    + 0.0 turns its signed zeros into zeros.
     """
-    return momentum_left(build_template(inv))
+    return momentum_left(build_template(inv)) + 0.0
 
 
 def normal_form_right(inv: SpOrbitInvariants) -> np.ndarray:
     """Canonical o(m) momentum value: -sigma_i^2/2 coupling cells at
     (i, p+q+i), the mirrored positive cells below, and a q x q zero
-    block in the middle of the partition (p|q|p)."""
-    return momentum_right(build_template(inv))
+    block in the middle of the partition (p|q|p), with no signed zeros."""
+    return momentum_right(build_template(inv)) + 0.0
 
 
 def correspond(inv: SpOrbitInvariants):

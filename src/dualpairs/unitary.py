@@ -49,12 +49,6 @@ def to_real(x) -> np.ndarray:
     return np.concatenate([np.real(x), np.imag(x)], axis=-2)
 
 
-def from_real(r: np.ndarray) -> np.ndarray:
-    """The point of real model r, the inverse of ``to_real``."""
-    re, im = np.split(r, 2)
-    return re + 1j * im
-
-
 def momentum_left(E: np.ndarray) -> np.ndarray:
     """(i/2) E E^dagger, anti-Hermitian by construction."""
     E = np.asarray(E, dtype=complex)

@@ -5,19 +5,16 @@ batched code does the same arithmetic in the same order, one basis stack
 at a time, so every result must equal its reference exactly, not merely
 approximately.
 
-One sum is formed by a matrix product instead and is compared within a
-rounding bound: the cross term of check_lie_weinstein (one product of the
-Darboux coordinates of the two tangent stacks).  Those stacks are
-gathered from the point through cached index maps: they equal the
-products of basis_stack with the point entry for entry, the cross term
-equals that of the products bit for bit, and the maps are read-only,
-small, and leave no basis in basis_stack's cache.  Each map is probed in
-windows of size consecutive basis elements: it equals, position for
-position, the map read off one probe of the whole basis, every window's
-tangents are checked (a fault in the last element alone is refused), and
-a build at the 16 x 16 cap peaks under 1.5 MB.  algebra_element, the
-suite's way to draw an algebra element, equals the sum over basis_stack
-bit for bit and leaves no basis in its cache either.
+Some sums are formed by a matrix product instead and are compared within
+a rounding bound.  The cross term of check_lie_weinstein is one product
+of the Darboux coordinates of its probes' tangents: it equals the loop
+over the probe pairs within rounding, and, on actions moved off the
+omega complement, the value the loop basis's cross products give in the
+probes' coordinates.  The probes' stacked tangents equal their loop
+products exactly.  The probes are fixed, read-only and few, so a call
+at the 16 x 16 cap caches no basis and stays small.
+random_algebra_element, the suite's and the probes' sampler, draws
+isotropic Gaussians on the span of the loop basis.
 The orbit dimensions of check_lie_weinstein are
 still compared exactly.  They are read off the point's own singular
 values: those closed-form values are compared within a rounding bound
@@ -58,9 +55,9 @@ from dualpairs.pairs import (
     DualPairInstance,
     algebra_size,
     algebra_tag,
-    basis_stack,
     check_lie_weinstein,
     infinitesimal_action,
+    random_algebra_element,
     tangent_omega,
 )
 
@@ -114,6 +111,12 @@ def _ref_algebra_basis(algebra, size):
     return out
 
 
+def _ref_basis_stack(algebra, size):
+    # the loop basis as one (dim, size, size) stack
+    dtype = complex if algebra == "u" else float
+    return np.array(_ref_algebra_basis(algebra, size), dtype=dtype).reshape(-1, size, size)
+
+
 def _ref_omega_real(X, Y):
     n = X.shape[0] // 2
     return float(np.sum(X[:n] * Y[n:]) - np.sum(X[n:] * Y[:n]))
@@ -152,22 +155,9 @@ def _ref_vectorize_tangent(inst, t):
 
 
 def _vectorize_tangent(inst, t):
-    # the batched route check_lie_weinstein took before it gathered its
-    # stacks: the real models of a stack of tangents, read row-major
+    # the real models of a stack of tangents, read row-major
     x = inst.module.to_real(t)
     return x.reshape(x.shape[0], x.shape[-2] * x.shape[-1])
-
-
-def _product_stacks(inst):
-    # each side's stack as the product of its basis_stack with the point,
-    # the right one swapped to (p, -q) as the gathered one is
-    out = []
-    for side in ("left", "right"):
-        basis = basis_stack(algebra_tag(inst.pair_id, side), algebra_size(inst, side))
-        out.append(_vectorize_tangent(inst, infinitesimal_action(inst, side, basis)))
-    h = inst.n * inst.m
-    out[1] = np.hstack([out[1][:, h:], -out[1][:, :h]])
-    return out
 
 
 def _ref_check_lie_weinstein(inst):
@@ -183,10 +173,17 @@ def _ref_check_lie_weinstein(inst):
             continue
         cols = np.column_stack([_ref_vectorize_tangent(inst, t) for t in tangents[side]])
         dims[side] = rank_tol(cols)
+    # omega over the pairs of the check's probes, each value divided by
+    # the norms of its two tangents (a zero tangent counts as norm 1)
+    probes = {side: pairs._probes(algebra_tag(inst.pair_id, side), algebra_size(inst, side))
+              for side in ("left", "right")}
     cross = 0.0
-    for t1 in tangents["left"]:
-        for t2 in tangents["right"]:
-            cross = max(cross, abs(_ref_tangent_omega(inst, t1, t2)))
+    for xi in probes["left"]:
+        t1 = _ref_infinitesimal_action(inst, "left", xi)
+        for eta in probes["right"]:
+            t2 = _ref_infinitesimal_action(inst, "right", eta)
+            norms = [np.linalg.norm(_ref_vectorize_tangent(inst, t)) or 1.0 for t in (t1, t2)]
+            cross = max(cross, abs(_ref_tangent_omega(inst, t1, t2)) / norms[0] / norms[1])
     return {
         "dim_left_orbit": dims["left"],
         "dim_right_orbit": dims["right"],
@@ -331,26 +328,43 @@ def _lift(t, key):
 # ---------------------------------------------------------------------------
 # tests
 
+class _Feed:
+    # a stand-in generator whose standard_normal hands out the entries of
+    # one fixed vector in turn
+    def __init__(self, values):
+        self.values = values
+
+    def standard_normal(self, shape):
+        count = int(np.prod(shape))
+        out, self.values = self.values[:count], self.values[count:]
+        return out.reshape(shape)
+
+
 @pytest.mark.parametrize("algebra,sizes", [("u", range(1, 9)), ("o", range(1, 9)),
                                            ("sp", range(2, 17, 2)), ("gl", range(1, 9))])
-def test_basis_stack_matches_the_loop_basis(algebra, sizes):
+def test_random_algebra_element_is_isotropic_on_the_loop_basis(algebra, sizes):
+    # the sampler is linear in its Gaussian entries: fed each unit vector
+    # in turn, it gives the columns of its map.  Every column lies in the
+    # span of the loop basis, and in the basis's orthonormal coordinates C
+    # (the elements are orthogonal; each is divided by its norm) C C^T is
+    # a multiple of the identity, so a draw is an isotropic Gaussian on
+    # the algebra.  Each coordinate has variance 2 for the projections of
+    # G +- G^T scaled by 1/sqrt 2, and 1 for G itself and for (Z - Z^H)/2
+    variance = 2.0 if algebra in ("o", "sp") else 1.0
     for size in sizes:
-        ref = _ref_algebra_basis(algebra, size)
-        stack = basis_stack(algebra, size)
-        assert stack.shape == (len(ref), size, size)
-        assert all(_same_bits(a, b) for a, b in zip(ref, stack))
-        # the cached stack is the one every call shares, and equals a build
-        # that bypasses the cache
-        assert basis_stack(algebra, size) is stack
-        assert not stack.flags.writeable
-        with pytest.raises(ValueError):
-            stack += stack
-        assert _same_bits(stack, basis_stack.__wrapped__(algebra, size))
+        basis = _ref_basis_stack(algebra, size)
+        unit = basis / np.linalg.norm(basis, axis=(-2, -1))[:, None, None]
+        width = (2 if algebra == "u" else 1) * size * size
+        cols = np.array([random_algebra_element(algebra, size, _Feed(e)) for e in np.eye(width)])
+        C = np.real(np.einsum("aij,tij->at", np.conj(unit), cols))
+        assert np.max(np.abs(np.einsum("at,aij->tij", C, unit) - cols)) <= 1e-15, size
+        gram = C @ C.T
+        assert np.max(np.abs(gram - variance * np.eye(len(gram))), initial=0.0) <= 1e-15, size
 
 
 @pytest.mark.parametrize("n", range(1, 13))
 def test_embed_u_to_sp_matches_the_block_reference(n):
-    basis = basis_stack("u", n)
+    basis = _ref_basis_stack("u", n)
     got = seesaw.embed_u_to_sp(basis)
     assert got.shape == (n * n, 2 * n, 2 * n)
     assert all(_same_bits(g, _ref_embed_u_to_sp(b)) for g, b in zip(got, basis))
@@ -364,7 +378,7 @@ def test_batched_tangents_and_omega_match_per_element_calls(n, m):
     for inst in _instances(n, m, 7):
         stacks, k = {}, {}
         for side in ("left", "right"):
-            basis = basis_stack(algebra_tag(inst.pair_id, side), algebra_size(inst, side))
+            basis = _ref_basis_stack(algebra_tag(inst.pair_id, side), algebra_size(inst, side))
             stacks[side], k[side] = infinitesimal_action(inst, side, basis), len(basis)
             for a, b in enumerate(basis):
                 want = _ref_infinitesimal_action(inst, side, b)
@@ -381,167 +395,132 @@ def test_batched_tangents_and_omega_match_per_element_calls(n, m):
         assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("n,m", SHAPES)
+# the shapes of the batched tests, the two largest the structure checks
+# reach, and a wide unitary point
+CROSS_SHAPES = SHAPES + [(12, 8), (16, 16), (6, 12)]
+
+
+@pytest.mark.parametrize("n,m", CROSS_SHAPES)
 def test_check_lie_weinstein_equals_the_loop_reference(n, m):
     eps = np.finfo(float).eps
-    for seed in range(4):
+    for seed in range(4 if n * m <= 64 else 1):
         for inst in _instances(n, m, seed):
             if not inst.full_rank():
                 continue
             got = check_lie_weinstein(inst)
             want = _ref_check_lie_weinstein(inst)
             cross = got.pop("cross_omega_residual")
-            assert abs(cross - want.pop("cross_omega_residual")) <= (
-                2 * n * m * eps * _norm2(inst.point))
+            assert abs(cross - want.pop("cross_omega_residual")) <= 4 * n * m * eps
             assert got == want
             assert isinstance(got["dim_left_orbit"], int)
             assert isinstance(cross, float)
 
 
-# the gathered stacks, at every shape of the batched tests, the two
-# largest the structure checks reach, and a wide unitary point
-GATHER_SHAPES = SHAPES + [(12, 8), (16, 16), (6, 12)]
-
-
-@pytest.mark.parametrize("n,m", GATHER_SHAPES)
+@pytest.mark.parametrize("n,m", CROSS_SHAPES)
 def test_gathered_stacks_equal_the_basis_products(n, m):
+    # the stacks check_lie_weinstein gathers from its probes: one stacked
+    # action gives, row for row, each probe's loop product with the point
+    # bit for bit, and, within rounding, the loop basis's products with
+    # the point combined by the probe's coordinates in the basis
     for inst in _instances(n, m, 71):
-        for got, want in zip(pairs._tangent_stacks(inst), _product_stacks(inst)):
-            # == holds for zeros of either sign, the one freedom of a gather
-            assert got.shape == want.shape and np.array_equal(got, want), inst.pair_id
-
-
-@pytest.mark.parametrize("n,m", GATHER_SHAPES)
-def test_cross_omega_residual_is_the_basis_product_value(n, m):
-    for inst in _instances(n, m, 73):
-        left, right = _product_stacks(inst)
-        want = float(np.max(np.abs(left @ right.T), initial=0.0))
-        got = check_lie_weinstein(inst)["cross_omega_residual"]
-        assert _same_bits(np.float64(got), np.float64(want)), inst.pair_id
-
-
-def test_tangent_maps_are_read_only():
-    for inst in _instances(4, 3, 79):
         for side in ("left", "right"):
-            _, pos, src = pairs._tangent_map(inst.pair_id, side, inst.n, inst.m)
-            for a in (pos, src):
-                assert a.dtype == np.int32 and not a.flags.writeable
-                with pytest.raises(ValueError):
-                    a[0] = 0
+            algebra, size = algebra_tag(inst.pair_id, side), algebra_size(inst, side)
+            probes = pairs._probes(algebra, size)
+            got = _vectorize_tangent(inst, infinitesimal_action(inst, side, probes))
+            assert got.shape == (pairs.PROBES, 2 * n * m), (inst.pair_id, side)
+            for row, xi in zip(got, probes):
+                want = _ref_vectorize_tangent(inst, _ref_infinitesimal_action(inst, side, xi))
+                assert _same_bits(row, want), (inst.pair_id, side)
+            basis = _ref_basis_stack(algebra, size)
+            coords = np.real(np.einsum("aij,kij->ka", np.conj(basis), probes))
+            coords /= np.sum(np.abs(basis) ** 2, axis=(-2, -1))
+            products = _vectorize_tangent(inst, infinitesimal_action(inst, side, basis))
+            np.testing.assert_allclose(got, coords @ products, rtol=0,
+                                       atol=1e-12 * max(1.0, np.max(np.abs(got))),
+                                       err_msg=f"{inst.pair_id} {side}")
+
+
+@pytest.mark.parametrize("n,m", CROSS_SHAPES)
+def test_cross_omega_residual_is_the_basis_product_value(n, m, monkeypatch):
+    # with the left tangents taken at another point y, the orbits are no
+    # longer omega-orthogonal.  The residual is then the largest value of
+    # the loop basis's cross products, carried to the probes by their
+    # coordinates in the basis and divided by the norms of the probes'
+    # tangents (a zero tangent, on o(1), counts as norm 1)
+    for inst, other in zip(_instances(n, m, 73), _instances(n, m, 74)):
+        mod = inst.module
+        left = mod.infinitesimal_left
+        monkeypatch.setattr(mod, "infinitesimal_left", lambda xi, x: left(xi, other.point))
+        got = check_lie_weinstein(inst)["cross_omega_residual"]
+        monkeypatch.undo()
+        rows = []
+        for side, at in (("left", other), ("right", inst)):
+            algebra, size = algebra_tag(inst.pair_id, side), algebra_size(inst, side)
+            basis = _ref_basis_stack(algebra, size)
+            probes = pairs._probes(algebra, size)
+            coords = np.real(np.einsum("aij,kij->ka", np.conj(basis), probes))
+            coords /= np.sum(np.abs(basis) ** 2, axis=(-2, -1))
+            rows.append(coords @ _vectorize_tangent(at, infinitesimal_action(at, side, basis)))
+        h = n * m
+        left_rows, right_rows = rows[0], np.hstack([rows[1][:, h:], -rows[1][:, :h]])
+        norms = [np.linalg.norm(r, axis=1) for r in (left_rows, right_rows)]
+        a, b = (np.where(v > 0, v, 1.0) for v in norms)
+        want = np.max(np.abs(left_rows @ right_rows.T) / a[:, None] / b)
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-15), inst.pair_id
+        assert (got > 1e-3) == (min(n, m) > 1 or inst.pair_id != "symplectic"), inst.pair_id
+
+
+def test_lie_weinstein_probes_are_fixed_and_read_only():
+    for algebra, size in (("u", 3), ("o", 1), ("o", 4), ("sp", 6), ("gl", 5)):
+        probes = pairs._probes(algebra, size)
+        assert probes.shape == (pairs.PROBES, size, size)
+        assert pairs._probes(algebra, size) is probes
+        assert _same_bits(probes, pairs._probes.__wrapped__(algebra, size))
+        assert not probes.flags.writeable
+        with pytest.raises(ValueError):
+            probes += probes
 
 
 def test_check_lie_weinstein_caches_no_basis():
-    # with the maps rebuilt from scratch, the probe's bases stay out of
-    # basis_stack's cache, so no dense basis outlives the call; nor does
-    # the basis of an algebra_element draw at the 16 x 16 cap
-    pairs._tangent_map.cache_clear()
-    size = basis_stack.cache_info().currsize
-    for n, m in [(3, 2), (16, 16)]:
-        for inst in _instances(n, m, 83):
-            check_lie_weinstein(inst)
-    rng = stream_rng(83, 1)
-    for algebra, k in (("u", 16), ("o", 16), ("sp", 32), ("gl", 16)):
-        pairs.algebra_element(algebra, k, rng.standard_normal(pairs.algebra_dim(algebra, k)))
-    assert pairs._tangent_map.cache_info().currsize > 0
-    assert basis_stack.cache_info().currsize == size
-
-
-@pytest.mark.parametrize("moved", [
-    # differences of two coordinates: on the left, whole numbers within
-    # the probe's range, so only the Gaussian point tells them from one
-    # coordinate
-    lambda t: t - np.roll(t, 1, axis=-1),
-    # twice a coordinate: out of the probe's range
-    lambda t: 2.0 * t,
-], ids=["difference", "double"])
-@pytest.mark.parametrize("side", ["left", "right"])
-def test_tangent_map_refuses_an_action_that_is_not_a_gather(moved, side, monkeypatch):
-    for name in ("infinitesimal_left", "infinitesimal_right"):
-        monkeypatch.setattr(symplectic, name, lambda a, b: moved(np.matmul(a, b)))
-    with pytest.raises(ValueError, match=f"^the {side} tangents of the symplectic pair "
-                                         "are not signed coordinates of the point$"):
-        pairs._tangent_map.__wrapped__("symplectic", side, 3, 2)
-
-
-@pytest.mark.parametrize("side", ["left", "right"])
-def test_tangent_map_refuses_when_only_the_last_row_is_not_a_gather(side, monkeypatch):
-    # the doubled tangents belong to the last element of the side's basis
-    # alone, in its last probe window: only that window's own checks can
-    # refuse the map
-    last = basis_stack.__wrapped__(algebra_tag("symplectic", side), 6 if side == "left" else 3)[-1]
-
-    def moved(xi, t):
-        t[np.all(xi == last, axis=(-2, -1))] *= 2.0
-        return t
-    monkeypatch.setattr(symplectic, "infinitesimal_left",
-                        lambda xi, x: moved(xi, np.matmul(xi, x)))
-    monkeypatch.setattr(symplectic, "infinitesimal_right",
-                        lambda x, xi: moved(xi, np.matmul(x, xi)))
-    with pytest.raises(ValueError, match=f"^the {side} tangents of the symplectic pair "
-                                         "are not signed coordinates of the point$"):
-        pairs._tangent_map.__wrapped__("symplectic", side, 3, 3)
-
-
-def _whole_basis_map(pair, side, n, m):
-    # the map read off one probe of the whole dense basis, as the
-    # positions and sources of the nonzero entries of its tangent stack
-    mod = pairs.PAIRS[pair]
-    width = 2 * n * m
-    x = mod.from_real(np.arange(1.0, width + 1).reshape(2 * n, m))
-    size = x.shape[0 if side == "left" else 1]
-    basis = basis_stack.__wrapped__(algebra_tag(pair, side), size)
-    t = mod.infinitesimal_left(basis, x) if side == "left" else mod.infinitesimal_right(x, basis)
-    v = mod.to_real(t).reshape(-1, width)
-    if side == "right":
-        v = np.hstack([v[:, width // 2:], -v[:, :width // 2]])
-    pos = np.flatnonzero(v)
-    return len(v), pos, v.reshape(-1)[pos] + width
-
-
-@pytest.mark.parametrize("n,m", [(2, 1), (3, 5), (5, 3), (12, 8), (16, 16)])
-@pytest.mark.parametrize("pair", ["unitary", "symplectic", "general_linear"])
-def test_row_probed_maps_equal_the_whole_basis_probe(pair, n, m):
-    # (2, 1) includes the empty o(1)
-    for side in ("left", "right"):
-        dim, pos, src = pairs._tangent_map(pair, side, n, m)
-        want_dim, want_pos, want_src = _whole_basis_map(pair, side, n, m)
-        assert dim == want_dim, side
-        assert np.array_equal(pos, want_pos) and np.array_equal(src, want_src), side
-
-
-@pytest.mark.parametrize("pair", ["unitary", "symplectic", "general_linear"])
-def test_tangent_map_builds_stay_small_at_the_cap(pair):
-    # a whole-basis probe peaks at 2.4-10.7 MB here; windows of size
-    # elements stay under 1.5 MB
-    for side in ("left", "right"):
-        pairs._tangent_map.__wrapped__(pair, side, 16, 16)  # imports and caches warm
-        tracemalloc.start()
-        try:
-            pairs._tangent_map.__wrapped__(pair, side, 16, 16)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.5e6, (side, peak)
-
-
-@pytest.mark.parametrize("algebra,sizes", [("u", range(2, 9)), ("o", range(2, 9)),
-                                           ("sp", range(2, 17, 2)), ("gl", range(1, 9))])
-def test_algebra_element_is_the_basis_sum_bit_for_bit(algebra, sizes):
-    rng = stream_rng(89, len(algebra))
-    for size in sizes:
-        basis = basis_stack(algebra, size)
-        coef = rng.standard_normal(len(basis))
-        want = sum(c * b for c, b in zip(coef, basis))
-        assert _same_bits(pairs.algebra_element(algebra, size, coef), want), size
+    # a call keeps only its probes, PROBES elements per algebra and size:
+    # at the 16 x 16 cap, 64 KB for all three pairs, where the dense bases
+    # of the same algebras hold 4.9 MB
+    pairs._probes.cache_clear()
+    for inst in _instances(16, 16, 83):
+        check_lie_weinstein(inst)
+    keys = [("u", 16), ("sp", 32), ("o", 16), ("gl", 16)]
+    assert pairs._probes.cache_info().currsize == len(keys)
+    assert all(len(pairs._probes(*key)) == pairs.PROBES for key in keys)
+    assert sum(pairs._probes(*key).nbytes for key in keys) == 65536
 
 
 @pytest.mark.parametrize("pair", ["unitary", "symplectic", "general_linear"])
 def test_tangent_maps_hold_a_quarter_of_the_dense_basis_at_the_cap(pair):
+    # what a 16 x 16 call keeps or builds a side in place of the dense
+    # basis's tangent map: the cached probes and their PROBES x 2nm
+    # stack of tangents
+    inst = next(i for i in _instances(16, 16, 87) if i.pair_id == pair)
     for side in ("left", "right"):
-        _, pos, src = pairs._tangent_map(pair, side, 16, 16)
-        size = 16 if side == "right" or pair != "symplectic" else 32
-        dense = basis_stack.__wrapped__(algebra_tag(pair, side), size)
-        assert pos.nbytes + src.nbytes <= dense.nbytes / 4, side
+        algebra, size = algebra_tag(pair, side), algebra_size(inst, side)
+        probes = pairs._probes(algebra, size)
+        tangents = _vectorize_tangent(inst, infinitesimal_action(inst, side, probes))
+        dense = _ref_basis_stack(algebra, size)
+        assert probes.nbytes + tangents.nbytes <= dense.nbytes / 4, side
+
+
+@pytest.mark.parametrize("pair", ["unitary", "symplectic", "general_linear"])
+def test_check_lie_weinstein_stays_small_at_the_cap(pair):
+    # a 16 x 16 call builds its probes' tangents, PROBES x 2nm a side, and
+    # factors the point once: no dim x 2nm stack (1.0-2.2 MB here)
+    inst = next(i for i in _instances(16, 16, 85) if i.pair_id == pair)
+    check_lie_weinstein(inst)  # probes cached
+    tracemalloc.start()
+    try:
+        check_lie_weinstein(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5e5, peak
 
 
 def _conditioned(rng, rows, m, kappa, cplx=False, k=None):
@@ -571,7 +550,7 @@ def _stack_ranks(inst):
     # dimensions read off the point's singular values must agree with
     out = {}
     for side in ("left", "right"):
-        basis = basis_stack(algebra_tag(inst.pair_id, side), algebra_size(inst, side))
+        basis = _ref_basis_stack(algebra_tag(inst.pair_id, side), algebra_size(inst, side))
         out[side] = rank_tol(_vectorize_tangent(inst, infinitesimal_action(inst, side, basis)).T)
     return out
 
@@ -593,22 +572,16 @@ def test_certified_orbit_dims_are_rank_tol_dims(n, m, kappa):
 
 @pytest.mark.parametrize("eps", [1e-3, 1e-9])
 def test_orbit_dims_certificate_refuses_a_stack_off_the_omega_complement(eps, monkeypatch):
-    # the gathered left tangents of a unitary 3x2 point, moved off the
-    # omega complement of the right orbit by eps times noise: the 9 moved
-    # rows are independent in R^12, so the two stacks no longer split
-    # R^12.  The dimensions are read off the point, not the moved stack,
-    # and stay (8, 4); the move shows in the cross residual, which the
-    # suite refuses above 1e-10 (measured: 7.7e-3 and 7.7e-9)
+    # the left tangents of a unitary 3x2 point, moved off the omega
+    # complement of the right orbit by eps times noise, one noise matrix
+    # per probe.  The dimensions are read off the point, not the moved
+    # tangents, and stay (8, 4); the move shows in the cross residual,
+    # which the suite refuses above 1e-10
     rng = stream_rng(59, 0)
     inst = DualPairInstance("unitary", 3, 2, _complex(rng, 3, 2))
-    noise = unitary.to_real(_complex(rng, 9, 3, 2)).reshape(9, 12)
-    stacks = pairs._tangent_stacks
-
-    def moved(at):
-        left, right = stacks(at)
-        return left + eps * noise, right
-    assert check_lie_weinstein(inst)["cross_omega_residual"] <= 1e-14
-    monkeypatch.setattr(pairs, "_tangent_stacks", moved)
+    noise = _complex(rng, pairs.PROBES, 3, 2)
+    assert check_lie_weinstein(inst)["cross_omega_residual"] <= 1e-15
+    monkeypatch.setattr(unitary, "infinitesimal_left", lambda xi, x: xi @ x + eps * noise)
     got = check_lie_weinstein(inst)
     assert (got["dim_left_orbit"], got["dim_right_orbit"]) == (8, 4)
     assert got["cross_omega_residual"] > 1e-10
@@ -681,7 +654,7 @@ def test_tangent_singular_values_are_those_of_the_loop_stack(n, m):
                 a, b = inst.module.tangent_scales(inst.point)[side]
                 got = pairs.tangent_singular_values(algebra, size, a, b)
                 want = _ref_stack_values(inst, side)
-                assert len(got) == len(basis_stack(algebra, size))
+                assert len(got) == len(_ref_algebra_basis(algebra, size))
                 longer = max(len(got), len(want))
                 got = np.concatenate([got, np.zeros(longer - len(got))])
                 want = np.concatenate([want, np.zeros(longer - len(want))])
@@ -701,13 +674,24 @@ def test_lie_weinstein_refuses_overflowing_cross_products(pair):
         check_lie_weinstein(_scaled(inst, 1e170))
 
 
+@pytest.mark.filterwarnings("error")
+def test_lie_weinstein_refuses_overflowing_tangent_norms():
+    # Q scaled by 1e200 and P by 1e-100: every cross product pairs one
+    # half with the other and stays near 1e100, but the left tangents'
+    # norms overflow, and an infinite norm would read the residual as 0
+    Q, P = stream_rng(103, 0).standard_normal((2, 4, 2))
+    inst = DualPairInstance("general_linear", 4, 2, gl.CotangentPoint(1e200 * Q, 1e-100 * P))
+    with pytest.raises(ValueError, match="or their norms, overflow"):
+        check_lie_weinstein(inst)
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_sp_restrictions_are_the_trace_form_duals_of_the_embeddings(n):
     # the per-basis pairing the seesaw's left leg once looped over:
     # <j, embed(b)> = <restrict(j), b> for every basis element b, up to
     # the order in which the few nonzero products are summed
     rng = stream_rng(53, n)
-    sp = basis_stack("sp", 2 * n)
+    sp = _ref_basis_stack("sp", 2 * n)
     j = np.tensordot(rng.standard_normal(len(sp)), sp, axes=1)
     bound = 4 * np.finfo(float).eps * np.max(np.abs(j))
     for algebra, embed, restrict, ref in (

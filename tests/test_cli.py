@@ -243,6 +243,19 @@ def test_orbit_symplectic_template_label(tmp_path, capsys):
     np.testing.assert_allclose(label["sigmas"], [2.0], atol=1e-12)
 
 
+def test_orbit_symplectic_prints_no_signed_zeros(tmp_path, capsys):
+    # the normal forms are momenta of a sparse template, whose zero
+    # products come out as -0.0 before the + 0.0 that clears their sign
+    base = tmp_path / "sp"
+    code, _ = _run(["gen", "sp", "4", "3", "--seed", "2", "--partner", "normal-form",
+                    "--out", str(base)], capsys)
+    assert code == 0
+    for name in ("sp.json", "sp.partner.json"):
+        code, out = _run(["orbit", str(tmp_path / name)], capsys)
+        assert code == 0
+        assert "-0.0" not in out
+
+
 def test_orbit_gl_echoes_canonical_forms(tmp_path, capsys):
     from dualpairs import general_linear as gl
     jd = gl.JordanData(blocks=((3.0, 1),), nilpotent=(2,), n=3, m=2)

@@ -132,9 +132,9 @@ def fallbacks(monkeypatch):
     calls = []
     inner = gl._factor_chains
 
-    def counted(B, eigs):
+    def counted(B, eigs, known):
         calls.append(B)
-        return inner(B, eigs)
+        return inner(B, eigs, known)
 
     monkeypatch.setattr(gl, "_factor_chains", counted)
     return calls

@@ -1,5 +1,6 @@
 """Cotangent-lift pair on matrix space: momenta, witnesses, Jordan forms."""
 
+import collections
 import json
 from pathlib import Path
 
@@ -463,12 +464,29 @@ def test_structure_right_zero_matrix():
     assert jd.nilpotent == (2,)
 
 
+def test_factor_route_reuses_the_candidate_chains_of_its_factors(monkeypatch):
+    # the companion of (x - 2)(x^2 - 2): its candidates 2, 1 and -1 leave
+    # the block unfilled, so it takes the factor route, where x - 2 is a
+    # factor whose chain the candidates already ranked
+    calls = collections.Counter()
+    inner = gl._chain
+
+    def counted(B, g, cap):
+        calls[tuple(g)] += 1
+        return inner(B, g, cap)
+    monkeypatch.setattr(gl, "_chain", counted)
+    jd = gl._structure_exact([[0, 0, -4], [1, 0, 2], [0, 1, 2]], "left", 3, None)
+    root2 = float(np.sqrt(2.0))
+    assert jd == gl.JordanData(((-root2, 1), (root2, 1), (2.0, 1)), (), 3, 3)
+    assert calls == {(1, -2): 1, (1, -1): 1, (1, 1): 1, (1, 0, -2): 1}
+
+
 def test_structure_left_rank_is_exact_on_both_exact_paths():
     # one block with eigenvalues +-sqrt 2 and 0 leaves Z[i], so the factor
     # route gives its chains, and m = 3 - nu_1(0) = 2 comes from them as it
     # does on the integer path
     M = [[0, 2, 0], [1, 0, 1], [0, 0, 0]]
-    assert gl._factor_chains(M, np.linalg.eigvals(M))[0, 0] == [1]
+    assert gl._factor_chains(M, np.linalg.eigvals(M), {})[0, 0] == [1]
     jd = gl._structure_exact(M, "left", 3, None)
     assert (jd.n, jd.m, jd.nilpotent) == (3, 2, ())
     assert sorted(round(lam.real, 12) for lam, _ in jd.blocks) == [-1.414213562373, 1.414213562373]

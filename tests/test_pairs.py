@@ -1,9 +1,9 @@
-"""Instance plumbing, algebra bases and the structural checks."""
+"""Instance plumbing, algebra elements and the structural checks."""
 
 import numpy as np
 import pytest
 
-from dualpairs import general_linear, seesaw, symplectic, unitary
+from dualpairs import general_linear, pairs, seesaw, symplectic, unitary
 from dualpairs.linalg import (
     SKEW_RTOL,
     algebra_residual,
@@ -20,16 +20,17 @@ from dualpairs.pairs import (
     act,
     algebra_size,
     algebra_tag,
-    basis_stack,
     check_equivariance,
     check_level_invariance,
     check_lie_weinstein,
     check_pairing_identity,
     infinitesimal_action,
     momentum,
+    random_algebra_element,
     require_level_match,
     tangent_omega,
 )
+from test_batched_oracles import _ref_algebra_basis, _ref_basis_stack
 
 
 def _unitary_inst(n, m, seed):
@@ -91,7 +92,7 @@ def test_gl_instance_needs_point_pair():
 
 
 # ---------------------------------------------------------------------------
-# algebra bases
+# algebra bases and elements
 
 @pytest.mark.parametrize("algebra,size,expected", [
     ("u", 3, 9),
@@ -100,33 +101,38 @@ def test_gl_instance_needs_point_pair():
     ("gl", 3, 9),
 ])
 def test_algebra_basis_dimension(algebra, size, expected):
-    assert len(basis_stack(algebra, size)) == expected
+    # the loop basis of the oracles, and the span of the sampler's draws
+    assert len(_ref_algebra_basis(algebra, size)) == expected
+    rng = stream_rng(33, size)
+    draws = [random_algebra_element(algebra, size, rng) for _ in range(expected + 3)]
+    coords = np.array([np.concatenate([d.real.ravel(), np.imag(d).ravel()]) for d in draws])
+    assert np.linalg.matrix_rank(coords) == expected
 
 
 def test_algebra_basis_defining_identities():
-    for b in basis_stack("u", 3):
-        np.testing.assert_allclose(b + np.conj(b).T, 0.0, atol=1e-15)
-    for b in basis_stack("o", 3):
-        np.testing.assert_array_equal(b, -b.T)
-    J = standard_J(2)
-    for b in basis_stack("sp", 4):
-        np.testing.assert_allclose(b.T @ J + J @ b, 0.0, atol=1e-15)
+    rng = stream_rng(34, 0)
+    for algebra, group, size in (("u", "unitary", 3), ("o", "orthogonal", 3),
+                                 ("sp", "symplectic", 4)):
+        for b in _ref_algebra_basis(algebra, size) + [random_algebra_element(algebra, size, rng)]:
+            assert algebra_residual(group, b) == 0.0
 
 
 def test_algebra_basis_independent():
-    cols = np.column_stack([b.ravel() for b in basis_stack("sp", 4)])
+    cols = np.column_stack([b.ravel() for b in _ref_algebra_basis("sp", 4)])
     assert np.linalg.matrix_rank(cols) == 10
 
 
 def test_algebra_basis_rejects_bad_tags():
-    size = basis_stack.cache_info().currsize
+    size = pairs._probes.cache_info().currsize
     # a refused key raises on every call and is never cached
     for _ in range(2):
-        with pytest.raises(ValueError):
-            basis_stack("x", 2)
-        with pytest.raises(ValueError):
-            basis_stack("sp", 3)
-    assert basis_stack.cache_info().currsize == size
+        with pytest.raises(ValueError, match="unknown algebra tag"):
+            random_algebra_element("x", 2, stream_rng(0))
+        with pytest.raises(ValueError, match="sp size must be even"):
+            random_algebra_element("sp", 3, stream_rng(0))
+        with pytest.raises(ValueError, match="sp size must be even"):
+            pairs._probes("sp", 3)
+    assert pairs._probes.cache_info().currsize == size
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +182,7 @@ def test_membership_residuals_and_refusals(group):
     k = algebra_size(inst, side)
     g = random_group_element(group, k, 32, 1)
     assert group_residual(group, g) <= 1e-14
-    basis = basis_stack(algebra, k)
+    basis = _ref_basis_stack(algebra, k)
     assert np.all(algebra_residual(group, basis) == 0.0)
     # a hand-made non-member of the algebra, when it has an identity
     X = basis.sum(axis=0) + 1e-6 * np.eye(k)
@@ -349,6 +355,52 @@ def test_lie_weinstein_cross_residual_random():
         assert rep["cross_omega_residual"] <= 1e-10
 
 
+def _transpose(xi):
+    return np.swapaxes(xi, -1, -2)
+
+
+# faults in the general linear actions that move the two orbits off
+# omega-orthogonality, by the action they replace
+_GL_MUTANTS = {
+    "right_sign_flipped": ("infinitesimal_right",
+                           lambda pt, xi: (pt.Q @ xi, pt.P @ _transpose(xi))),
+    "right_without_transpose": ("infinitesimal_right", lambda pt, xi: (pt.Q @ xi, -pt.P @ xi)),
+    "left_without_transpose": ("infinitesimal_left", lambda xi, pt: (xi @ pt.Q, -xi @ pt.P)),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(_GL_MUTANTS))
+def test_lie_weinstein_probes_catch_faulted_gl_actions(mutant, monkeypatch):
+    # each fault reads far above the suite's 1e-10 at every one of 20 4x3
+    # points (measured: at least 0.17)
+    name, action = _GL_MUTANTS[mutant]
+    monkeypatch.setattr(general_linear, name, action)
+    worst = min(check_lie_weinstein(_gl_inst(4, 3, seed))["cross_omega_residual"]
+                for seed in range(20))
+    assert worst > 1e-10
+
+
+@pytest.mark.parametrize("scale", [1e3, 1e4])
+def test_lie_weinstein_residual_does_not_grow_with_the_point(scale):
+    # an absolute residual of this unitary 8x6 point read 6.1e-10 at 1e3
+    # and 7.8e-8 at 1e4, past the suite's 1e-10; the cross values are
+    # divided by the norms of their tangents
+    rng = np.random.default_rng(0)
+    E = rng.standard_normal((8, 6)) + 1j * rng.standard_normal((8, 6))
+    rep = check_lie_weinstein(DualPairInstance("unitary", 8, 6, scale * E))
+    assert rep["cross_omega_residual"] <= 1e-10
+    assert rep["dim_left_orbit"] + rep["dim_right_orbit"] == rep["ambient_dim"]
+
+
+@pytest.mark.filterwarnings("error")
+def test_lie_weinstein_reads_zero_on_the_empty_orthogonal_algebra():
+    # o(1) has dimension 0: its probes are zero, so are their tangents and
+    # every cross value, which reads 0 with no division warning
+    rep = check_lie_weinstein(_symplectic_inst(3, 1, 62))
+    assert rep["cross_omega_residual"] == 0.0
+    assert (rep["dim_left_orbit"], rep["dim_right_orbit"], rep["ambient_dim"]) == (6, 0, 6)
+
+
 @pytest.mark.parametrize("make", [_unitary_inst, _symplectic_inst, _gl_inst])
 def test_tangent_parts_are_darboux_halves(make):
     # the halves of to_real give (q, p) with omega(t1, t2) = q1 . p2 - p1 . q2,
@@ -356,7 +408,7 @@ def test_tangent_parts_are_darboux_halves(make):
     # Left x left values are O(1), not roundoff, so swapped halves or a
     # dropped sign show far above the tolerance.
     inst = make(4, 3, 61)
-    basis = basis_stack(algebra_tag(inst.pair_id, "left"), algebra_size(inst, "left"))
+    basis = _ref_basis_stack(algebra_tag(inst.pair_id, "left"), algebra_size(inst, "left"))
     t = infinitesimal_action(inst, "left", basis)
     q, p = (a.reshape(len(basis), -1) for a in np.split(inst.module.to_real(t), 2, axis=-2))
     gram = np.hstack([q, p]) @ np.hstack([p, -q]).T

@@ -6,7 +6,9 @@ import pytest
 from dualpairs import seesaw, symplectic, unitary
 from dualpairs.general_linear import CotangentPoint
 from dualpairs.linalg import omega_complex, omega_real, stream_rng
-from dualpairs.pairs import PAIRS, DualPairInstance, algebra_size, algebra_tag, basis_stack
+from dualpairs.pairs import (PAIRS, DualPairInstance, algebra_size, algebra_tag,
+                             random_algebra_element)
+from test_batched_oracles import _ref_algebra_basis
 
 
 def test_embed_u_zero():
@@ -127,11 +129,9 @@ def test_to_real_is_the_seesaw_real_model(pair, embed, n, m):
     inst = DualPairInstance(pair, n, m, mod.random_point(n, m, rng))
     x = mod.to_real(inst.point)
     assert x.shape == (2 * n, m)
-    o = basis_stack("o", m)
-    xi = np.tensordot(rng.standard_normal(len(o)), o, axes=1)
+    xi = random_algebra_element("o", m, rng)
     assert np.array_equal(mod.to_real(mod.infinitesimal_right(inst.point, xi)), x @ xi)
-    basis = basis_stack(algebra_tag(pair, "left"), algebra_size(inst, "left"))
-    zeta = np.tensordot(rng.standard_normal(len(basis)), basis, axes=1)
+    zeta = random_algebra_element(algebra_tag(pair, "left"), algebra_size(inst, "left"), rng)
     err = np.linalg.norm(mod.to_real(mod.infinitesimal_left(zeta, inst.point)) - embed(zeta) @ x)
     bound = 4 * 2 * n * np.finfo(float).eps * np.linalg.norm(zeta) * np.linalg.norm(x)
     assert err <= bound
@@ -158,7 +158,7 @@ def test_restrict_u_pairs_with_o_like_its_input(m):
     X = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
     assert np.linalg.norm(X + X.conj().T) > 1.0
     R = seesaw.restrict_u_to_o(X)
-    for b in basis_stack("o", m):
+    for b in _ref_algebra_basis("o", m):
         assert np.real(np.trace(X @ b)) == np.trace(R @ b)
 
 
