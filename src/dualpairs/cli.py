@@ -51,6 +51,7 @@ from .pairs import (
     check_lie_weinstein,
     check_pairing_identity,
     momentum,
+    orbit,
     random_algebra_element,
 )
 
@@ -202,7 +203,7 @@ def cmd_orbit(args) -> int:
     inst = _load_instance(args.file)
     for side in ("left", "right"):
         _finite_momentum(inst, side, args.file)
-    rep = inst.module.orbit(inst.point)
+    rep = orbit(inst)
     payload = {
         "pair": inst.pair_id,
         "label": rep.label,
@@ -265,9 +266,8 @@ def _run_svd(inst, seed, base):
 
 
 def _run_nf_charpoly(inst, seed, base):
-    _, _, _, inv = symplectic.symplectic_svd(inst.point)
     c1 = np.poly(symplectic.momentum_left(inst.point))
-    c2 = np.poly(symplectic.normal_form_left(inv))
+    c2 = np.poly(orbit(inst).normal_form_left)
     return float(np.abs(c1 - c2).max() / max(1.0, np.abs(c2).max()))
 
 

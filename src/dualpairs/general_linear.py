@@ -34,7 +34,7 @@ import numpy as np
 
 from .jsonio import matrix_from_obj, matrix_to_obj
 from .linalg import column_frames, rank_tol, relative_diff, stream_rng, svd_rank
-from .pairs import OrbitReport, WitnessReport, require_level_match as _require_level_match
+from .pairs import WitnessReport, require_level_match as _require_level_match
 
 GROUP = {"left": "general_linear", "right": "general_linear"}
 
@@ -370,18 +370,19 @@ def jordan_correspond(jd: JordanData):
     return momentum_left(pt), momentum_right(pt)
 
 
-def orbit(pt: CotangentPoint) -> OrbitReport:
+def orbit(pt: CotangentPoint) -> tuple:
     """The Jordan data of the left momentum label both orbits (the right
     form drops one from each nilpotent block size); only full-rank
     points have a label.  A full-rank point's left momentum has rank m
     exactly, so a label of any other rank is refused: it can only come
-    from a momentum whose rounding changed its rank."""
+    from a momentum whose rounding changed its rank.  The label's
+    canonical point is its ``build_qp_from_jordan``."""
     column_frames("orbit labelling", ("Q", pt.Q), ("P", pt.P), uv=False)
     jd = jordan_structure(momentum_left(pt), side="left")
     if jd.m != pt.shape[1]:
         raise ValueError(f"orbit labelling: the left momentum Q P^T has rank {jd.m}, "
                          f"not m = {pt.shape[1]}; rounding in Q P^T changed its rank")
-    return OrbitReport(jd, jd, jd.to_obj(), *jordan_correspond(jd))
+    return jd.to_obj(), build_qp_from_jordan(jd)
 
 
 def _random_jordan(n: int, m: int, rng) -> JordanData:
@@ -500,7 +501,8 @@ def _bareiss_rank(rows) -> int:
 def _nullity_chain(A, nullity, matmul, cap):
     """Nullities of A, A^2, ... up to the first that does not grow past
     the one before it, which is left out, or that reaches cap, the
-    algebraic multiplicity or a bound on it."""
+    algebraic multiplicity or a bound on it.  A nullity of 0 ends the
+    chain: an invertible A has invertible powers."""
     nullities = []
     power = A
     while True:
@@ -508,7 +510,7 @@ def _nullity_chain(A, nullity, matmul, cap):
         if nullities and nu <= nullities[-1]:
             return nullities
         nullities.append(nu)
-        if nu >= cap:
+        if nu >= cap or nu == 0:
             return nullities
         power = matmul(power, A)
 

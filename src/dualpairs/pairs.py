@@ -10,10 +10,12 @@ geometries with a concrete manifold point:
 
 Each pair module is the record of its pair: it names its side groups
 and supplies the point checks, random points, instance-file fields,
-actions, momenta, witnesses, orbit labels and the scales of its tangent
-maps (``tangent_scales``) under the same names, and
-``to_real``, which writes a point or tangent as a real 2n x m matrix
-carrying the form ``omega_real``.
+actions, momenta, witnesses and the scales of its tangent maps
+(``tangent_scales``) under the same names, ``orbit(point)``, which
+gives the JSON label of the point's matched orbits and the label's
+canonical point, whose momenta ``orbit`` here returns as both normal
+forms, and ``to_real``, which writes a point or tangent as a real
+2n x m matrix carrying the form ``omega_real``.
 A side's algebra follows from its group, and its size from the point's
 shape (the left group acts on the rows, the right group on the
 columns).  ``PAIRS`` maps each pair id to its module and is the only
@@ -83,15 +85,9 @@ class WitnessReport:
 
 @dataclass(frozen=True)
 class OrbitReport:
-    """Matched orbit labels of a point and both canonical momentum values.
+    """The JSON label of a point's two matched momentum orbits and their
+    canonical left and right momentum values (``orbit``)."""
 
-    left and right are the labels of the two momentum orbits, label is
-    their JSON form, and the normal forms are the canonical left and
-    right momentum values of the orbits.
-    """
-
-    left: Any
-    right: Any
     label: dict
     normal_form_left: np.ndarray
     normal_form_right: np.ndarray
@@ -172,6 +168,19 @@ def momentum(inst: DualPairInstance, side: str) -> MomentumValue:
     mod = inst.module
     fn = mod.momentum_left if side == "left" else mod.momentum_right
     return MomentumValue(algebra_tag(inst.pair_id, side), fn(inst.point))
+
+
+def orbit(inst: DualPairInstance) -> OrbitReport:
+    """The label of the point's matched orbits and both normal forms.
+
+    The pair module's ``orbit`` gives the label and its canonical point;
+    the normal forms are that point's left and right momenta, + 0.0
+    turning their signed zeros into zeros.
+    """
+    mod = inst.module
+    label, canonical = mod.orbit(inst.point)
+    return OrbitReport(label, mod.momentum_left(canonical) + 0.0,
+                       mod.momentum_right(canonical) + 0.0)
 
 
 def act(inst: DualPairInstance, side: str, g: np.ndarray) -> DualPairInstance:
@@ -387,7 +396,7 @@ def matrix_tangent_scales(E: np.ndarray) -> dict:
     return {"left": (s, s), "right": (s, s)}
 
 
-# The pair modules import the reports and require_level_match from here,
+# The pair modules import WitnessReport and require_level_match from here,
 # so the table is built last, once those names exist.
 from . import general_linear, symplectic, unitary  # noqa: E402
 

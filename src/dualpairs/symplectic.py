@@ -30,7 +30,7 @@ from .linalg import (
     standard_J,
     stream_rng,
 )
-from .pairs import (OrbitReport, WitnessReport, matrix_tangent_scales as tangent_scales,
+from .pairs import (WitnessReport, matrix_tangent_scales as tangent_scales,
                     require_level_match as _require_level_match)
 
 GROUP = {"left": "symplectic", "right": "orthogonal"}
@@ -229,12 +229,8 @@ def symplectic_svd(E: np.ndarray):
     s = column_frames("symplectic_svd", ("E", E), uv=False)
     O0, a_vals = skew_canonical(momentum_right(E), np.max(s, initial=0.0) ** 2)
     p = len(a_vals)
-    q = m - 2 * p
-    r = n - m + p
-    if q < 0 or r < 0:
-        raise ValueError("rank condition violated: inconsistent invariants")
     sigmas = tuple(float(np.sqrt(2.0 * a)) for a in a_vals)
-    inv = SpOrbitInvariants(p, sigmas, q, r, n, m)
+    inv = SpOrbitInvariants(p, sigmas, m - 2 * p, n - m + p, n, m)
 
     # reorder the canonical-form rows to the template's block layout: pair
     # (2a, 2a+1) goes to rows (p+q+a, a), kernel rows fill the middle block
@@ -251,37 +247,11 @@ def symplectic_svd(E: np.ndarray):
     return S, D, O, inv
 
 
-# ---------------------------------------------------------------------------
-# orbit normal forms
-
-def normal_form_left(inv: SpOrbitInvariants) -> np.ndarray:
-    """Canonical sp(2n,R) momentum value for the invariants.
-
-    Block pattern on the (p|q|r|p|q|r) partition: -sigma_i^2/2 at
-    (i, n+i), +sigma_i^2/2 at (n+i, i), the q nilpotent cells -1/2 at
-    (p+j, n+p+j), zeros elsewhere.  Computed as the left momentum of the
-    template so equality with momenta of template-built points is exact;
-    + 0.0 turns its signed zeros into zeros.
-    """
-    return momentum_left(build_template(inv)) + 0.0
-
-
-def normal_form_right(inv: SpOrbitInvariants) -> np.ndarray:
-    """Canonical o(m) momentum value: -sigma_i^2/2 coupling cells at
-    (i, p+q+i), the mirrored positive cells below, and a q x q zero
-    block in the middle of the partition (p|q|p), with no signed zeros."""
-    return momentum_right(build_template(inv)) + 0.0
-
-
-def correspond(inv: SpOrbitInvariants):
-    """The matched pair of canonical momentum values."""
-    return normal_form_left(inv), normal_form_right(inv)
-
-
-def orbit(E: np.ndarray) -> OrbitReport:
-    """The invariants of ``symplectic_svd`` label both orbits at once."""
-    _, _, _, inv = symplectic_svd(E)
-    return OrbitReport(inv, inv, inv.to_obj(), *correspond(inv))
+def orbit(E: np.ndarray) -> tuple:
+    """The invariants of ``symplectic_svd`` label both orbits at once;
+    their template is the label's canonical point."""
+    inv = symplectic_svd(E)[3]
+    return inv.to_obj(), build_template(inv)
 
 
 def normal_form_partners(n: int, m: int, seed: int) -> tuple:

@@ -20,7 +20,7 @@ import numpy as np
 from .jsonio import matrix_point_from_obj as point_from_obj, matrix_point_to_obj as point_to_obj
 from .linalg import (isometry_between, random_group_element, relative_diff, stream_rng,
                      svd_rank)
-from .pairs import (OrbitReport, WitnessReport, matrix_tangent_scales as tangent_scales,
+from .pairs import (WitnessReport, matrix_tangent_scales as tangent_scales,
                     require_level_match as _require_level_match, tangent_singular_values)
 
 GROUP = {"left": "unitary", "right": "unitary"}
@@ -91,17 +91,6 @@ def witness_right(E: np.ndarray, E_prime: np.ndarray) -> WitnessReport:
     return WitnessReport(V, relative_diff(E @ V, E_prime))
 
 
-def orbit_invariants(E: np.ndarray) -> np.ndarray:
-    """Singular values of E, descending.
-
-    The left momentum lies in the adjoint orbit of
-    diag((i/2) s_1^2, ..., (i/2) s_k^2, 0, ...) in u(n) and the right
-    momentum in the matching orbit in u(m), so the list labels both
-    orbits at once.
-    """
-    return np.linalg.svd(np.asarray(E, dtype=complex), compute_uv=False)
-
-
 def _diagonal(sigmas, n: int, m: int) -> np.ndarray:
     T = np.zeros((n, m), dtype=complex)
     k = np.arange(len(sigmas))
@@ -109,17 +98,13 @@ def _diagonal(sigmas, n: int, m: int) -> np.ndarray:
     return T
 
 
-def orbit(E: np.ndarray) -> OrbitReport:
-    """Singular values as the label of both orbits, padded with zeros to
-    n on the left and to m on the right; the normal forms are the
-    momenta of the diagonal matrix they fill."""
-    n, m = E.shape
-    s = orbit_invariants(E)
-    T = _diagonal(s, n, m)
-    return OrbitReport(np.concatenate([s, np.zeros(n - len(s))]),
-                       np.concatenate([s, np.zeros(m - len(s))]),
-                       {"sigmas": [float(x) for x in s]},
-                       momentum_left(T), momentum_right(T))
+def orbit(E: np.ndarray) -> tuple:
+    """The singular values of E, descending, label both orbits: the left
+    momentum lies in the adjoint orbit of diag((i/2) s_1^2, ..., 0, ...)
+    in u(n) and the right one in the matching orbit in u(m).  The
+    label's canonical point is the n x m diagonal of them."""
+    s = np.linalg.svd(np.asarray(E, dtype=complex), compute_uv=False)
+    return {"sigmas": [float(x) for x in s]}, _diagonal(s, *np.shape(E))
 
 
 def normal_form_partners(n: int, m: int, seed: int) -> tuple:

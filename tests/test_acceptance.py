@@ -18,7 +18,7 @@ from dualpairs.pairs import (DualPairInstance, algebra_size, algebra_tag,
                              check_equivariance,
                              check_level_invariance, check_lie_weinstein,
                              check_pairing_identity, infinitesimal_action,
-                             momentum, tangent_omega, trace_pairing)
+                             momentum, orbit, tangent_omega, trace_pairing)
 from test_batched_oracles import _ref_algebra_basis
 
 PAIRS = ("unitary", "symplectic", "general_linear")
@@ -434,8 +434,8 @@ def test_criterion_5_orbit_correspondence():
             continue
         done += 1
         E = E / np.linalg.norm(E, 2)
-        _, _, _, inv = symplectic.symplectic_svd(E)
-        nfl, nfr = symplectic.correspond(inv)
+        rep = orbit(DualPairInstance("symplectic", n, m, E))
+        nfl, nfr = rep.normal_form_left, rep.normal_form_right
         worst_poly = max(
             worst_poly,
             float(np.abs(np.poly(symplectic.momentum_left(E))

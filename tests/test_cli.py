@@ -243,17 +243,19 @@ def test_orbit_symplectic_template_label(tmp_path, capsys):
     np.testing.assert_allclose(label["sigmas"], [2.0], atol=1e-12)
 
 
-def test_orbit_symplectic_prints_no_signed_zeros(tmp_path, capsys):
-    # the normal forms are momenta of a sparse template, whose zero
-    # products come out as -0.0 before the + 0.0 that clears their sign
-    base = tmp_path / "sp"
-    code, _ = _run(["gen", "sp", "4", "3", "--seed", "2", "--partner", "normal-form",
-                    "--out", str(base)], capsys)
-    assert code == 0
-    for name in ("sp.json", "sp.partner.json"):
-        code, out = _run(["orbit", str(tmp_path / name)], capsys)
+def test_orbit_prints_no_signed_zeros(tmp_path, capsys):
+    # the normal forms are momenta of a sparse canonical point, whose zero
+    # products can come out as -0.0 (the symplectic template's do) before
+    # the + 0.0 that clears their sign
+    for pair, n, m in (("u", 3, 5), ("sp", 4, 3), ("gl", 5, 3)):
+        base = tmp_path / pair
+        code, _ = _run(["gen", pair, str(n), str(m), "--seed", "2", "--partner", "normal-form",
+                        "--out", str(base)], capsys)
         assert code == 0
-        assert "-0.0" not in out
+        for name in (f"{pair}.json", f"{pair}.partner.json"):
+            code, out = _run(["orbit", str(tmp_path / name)], capsys)
+            assert code == 0
+            assert "-0.0" not in out
 
 
 def test_orbit_gl_echoes_canonical_forms(tmp_path, capsys):
@@ -552,8 +554,9 @@ _SYMPY_FREE = {
     "gl_orbit": (
         "from dualpairs import general_linear as gl;"
         " jd = gl.JordanData(((1 + 1j, 4), (-2.0, 2)), (2, 3), 11, 9);"
-        " rep = gl.orbit(gl.build_qp_from_jordan(jd));"
-        " assert (rep.left, rep.right) == (jd, jd)"),
+        " pt = gl.build_qp_from_jordan(jd); label, canonical = gl.orbit(pt);"
+        " assert label == jd.to_obj();"
+        " assert (canonical.Q == pt.Q).all() and (canonical.P == pt.P).all()"),
     # one 16 x 16 block at -1 whose float eigenvalues scatter, so its chain
     # runs until it fills the block; det 1, though the float rank reads
     # less than 16

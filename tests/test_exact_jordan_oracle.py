@@ -319,6 +319,20 @@ def test_chain_at_its_count_takes_no_confirming_rank(monkeypatch):
     assert len(ranks) == 3
 
 
+def test_candidate_that_is_no_root_takes_one_rank(monkeypatch):
+    # the spectrum +-sqrt 2 rounds to the candidates 1 and -1: g(B) is
+    # invertible for each, so its chain stops at one rank, and the factor
+    # x^2 - 2 takes one more
+    ranks = []
+    inner = gl._bareiss_rank
+    monkeypatch.setattr(gl, "_bareiss_rank", lambda rows: ranks.append(1) or inner(rows))
+    jd = gl.jordan_structure(np.array([[0.0, 2.0], [1.0, 0.0]]), side="left")
+    assert len(ranks) == 3
+    assert [(c, lam.imag) for lam, c in jd.blocks] == [(1, 0.0), (1, 0.0)]
+    np.testing.assert_allclose(sorted(lam.real for lam, _ in jd.blocks),
+                               [-np.sqrt(2.0), np.sqrt(2.0)], rtol=1e-15)
+
+
 # ---------------------------------------------------------------------------
 # diagonal blocks
 

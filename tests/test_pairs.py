@@ -426,34 +426,55 @@ def test_tangent_parts_are_darboux_halves(make):
 # ---------------------------------------------------------------------------
 # orbit correspondence and level matching
 
-def test_orbit_correspondence_unitary_padding():
+def test_orbit_correspondence_unitary_canonical_diagonal():
+    # one label for both sides: the min(n, m) singular values, whose
+    # canonical point is the n x m diagonal they fill
     inst = _unitary_inst(3, 2, 52)
-    rep = inst.module.orbit(inst.point)
-    left, right = rep.left, rep.right
+    label, canonical = inst.module.orbit(inst.point)
     s = np.linalg.svd(inst.point, compute_uv=False)
-    assert left.shape == (3,)
-    assert right.shape == (2,)
-    np.testing.assert_allclose(left[:2], s)
-    assert left[2] == 0.0
+    np.testing.assert_allclose(label["sigmas"], s)
+    want = np.zeros((3, 2), dtype=complex)
+    want[[0, 1], [0, 1]] = label["sigmas"]
+    np.testing.assert_array_equal(canonical, want)
 
 
-def test_orbit_correspondence_symplectic_shared_label():
+def test_orbit_correspondence_symplectic_template_point():
     inst = _symplectic_inst(2, 2, 53)
-    rep = inst.module.orbit(inst.point)
-    left, right = rep.left, rep.right
-    assert left is right
-    assert left.m == 2
+    label, canonical = inst.module.orbit(inst.point)
+    inv = symplectic.symplectic_svd(inst.point)[3]
+    assert label == inv.to_obj()
+    assert inv.m == 2
+    np.testing.assert_array_equal(canonical, symplectic.build_template(inv))
 
 
 def test_orbit_correspondence_gl_nilpotent_case():
     pt = general_linear.CotangentPoint(np.array([[1.0], [0.0]]),
                                        np.array([[0.0], [1.0]]))
     inst = DualPairInstance("general_linear", 2, 1, pt)
-    rep = inst.module.orbit(inst.point)
-    left, right = rep.left, rep.right
-    assert left is right
-    assert left.blocks == ()
-    assert left.nilpotent == (2,)
+    rep = pairs.orbit(inst)
+    assert rep.label == {"blocks": [], "nilpotent": [2], "n": 2, "m": 1}
+    np.testing.assert_array_equal(rep.normal_form_left, [[0.0, 1.0], [0.0, 0.0]])
+    np.testing.assert_array_equal(rep.normal_form_right, [[0.0]])
+
+
+def _signed_zeros(a):
+    x = a.view(float) if np.iscomplexobj(a) else a
+    return int(np.sum((x == 0) & np.signbit(x)))
+
+
+@pytest.mark.parametrize("pair_id", sorted(pairs.PAIRS))
+def test_orbit_normal_forms_are_the_momenta_of_the_canonical_point(pair_id):
+    mod = pairs.PAIRS[pair_id]
+    for n, m, seed in ((3, 2, 0), (4, 3, 1), (2, 2, 2)):
+        x = mod.normal_form_partners(n, m, seed)[1]
+        rep = pairs.orbit(DualPairInstance(pair_id, n, m, x))
+        label, canonical = mod.orbit(x)
+        assert rep.label == label
+        for nf, value in ((rep.normal_form_left, mod.momentum_left(canonical)),
+                          (rep.normal_form_right, mod.momentum_right(canonical))):
+            assert nf.dtype == value.dtype
+            np.testing.assert_array_equal(nf, value)
+            assert _signed_zeros(nf) == 0
 
 
 RANK_ONE_Q = [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]

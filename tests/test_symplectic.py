@@ -4,9 +4,9 @@ decomposition."""
 import numpy as np
 import pytest
 
-from dualpairs import symplectic
+from dualpairs import pairs, symplectic
 from dualpairs.linalg import random_group_element, standard_J, stream_rng
-from dualpairs.pairs import LevelMismatchError
+from dualpairs.pairs import DualPairInstance, LevelMismatchError
 
 
 def _random_rank_m(n, m, seed, stream=0):
@@ -357,21 +357,30 @@ def test_one_svd_and_no_two_norm_per_call(monkeypatch, who):
 # ---------------------------------------------------------------------------
 # normal forms
 
+def _normal_forms(inv):
+    """``pairs.orbit``'s normal forms at the invariants' own template,
+    whose label it must read back."""
+    D = symplectic.build_template(inv)
+    rep = pairs.orbit(DualPairInstance("symplectic", inv.n, inv.m, D))
+    assert rep.label == inv.to_obj()
+    return rep.normal_form_left, rep.normal_form_right
+
+
 def test_normal_form_empty_edge():
     inv = symplectic.SpOrbitInvariants(0, (), 0, 2, 2, 0)
-    np.testing.assert_array_equal(symplectic.normal_form_left(inv),
-                                  np.zeros((4, 4)))
+    np.testing.assert_array_equal(_normal_forms(inv)[0], np.zeros((4, 4)))
 
 
 def test_normal_form_left_hand_case():
     inv = symplectic.SpOrbitInvariants(1, (1.0,), 0, 0, 1, 2)
-    np.testing.assert_allclose(symplectic.normal_form_left(inv),
-                               [[0.0, -0.5], [0.5, 0.0]])
+    np.testing.assert_allclose(_normal_forms(inv)[0], [[0.0, -0.5], [0.5, 0.0]])
 
 
 def test_normal_form_left_block_pattern():
+    # on the (p|q|r|p|q|r) partition: -sigma_i^2/2 at (i, n+i) and
+    # +sigma_i^2/2 at (n+i, i)
     inv = symplectic.SpOrbitInvariants(1, (2.0,), 0, 1, 2, 2)
-    out = symplectic.normal_form_left(inv)
+    out = _normal_forms(inv)[0]
     expected = np.zeros((4, 4))
     expected[0, 2] = -2.0
     expected[2, 0] = 2.0
@@ -379,8 +388,9 @@ def test_normal_form_left_block_pattern():
 
 
 def test_normal_form_left_nilpotent_cells():
+    # each of the q nilpotent cells is -1/2 at (p+j, n+p+j)
     inv = symplectic.SpOrbitInvariants(1, (1.0,), 1, 0, 2, 3)
-    out = symplectic.normal_form_left(inv)
+    out = _normal_forms(inv)[0]
     expected = np.zeros((4, 4))
     expected[0, 2] = -0.5
     expected[2, 0] = 0.5
@@ -390,33 +400,46 @@ def test_normal_form_left_nilpotent_cells():
 
 def test_normal_form_right_hand_case():
     inv = symplectic.SpOrbitInvariants(1, (np.sqrt(2.0),), 0, 0, 1, 2)
-    np.testing.assert_allclose(symplectic.normal_form_right(inv),
-                               [[0.0, -1.0], [1.0, 0.0]], atol=1e-15)
+    np.testing.assert_allclose(_normal_forms(inv)[1], [[0.0, -1.0], [1.0, 0.0]], atol=1e-15)
 
 
 def test_normal_form_right_spectrum():
     inv = symplectic.SpOrbitInvariants(1, (np.sqrt(2.0),), 0, 0, 1, 2)
-    eigs = np.sort_complex(np.linalg.eigvals(symplectic.normal_form_right(inv)))
+    eigs = np.sort_complex(np.linalg.eigvals(_normal_forms(inv)[1]))
     np.testing.assert_allclose(eigs, [-1j, 1j], atol=1e-12)
 
 
 def test_normal_form_matches_template_momentum_exactly():
     inv = symplectic.SpOrbitInvariants(1, (2.0,), 0, 1, 2, 2)
     D = symplectic.build_template(inv)
-    np.testing.assert_array_equal(symplectic.momentum_left(D),
-                                  symplectic.normal_form_left(inv))
-    np.testing.assert_array_equal(symplectic.momentum_right(D),
-                                  symplectic.normal_form_right(inv))
+    nfl, nfr = _normal_forms(inv)
+    np.testing.assert_array_equal(symplectic.momentum_left(D), nfl)
+    np.testing.assert_array_equal(symplectic.momentum_right(D), nfr)
 
 
 def test_correspond_charpoly_against_raw_momentum():
     E = _random_rank_m(2, 2, 100)
     E = E / np.linalg.norm(E, 2)
-    _, _, _, inv = symplectic.symplectic_svd(E)
-    nfl, _ = symplectic.correspond(inv)
+    nfl = pairs.orbit(DualPairInstance("symplectic", 2, 2, E)).normal_form_left
     c1 = np.poly(symplectic.momentum_left(E))
     c2 = np.poly(nfl)
     np.testing.assert_allclose(c1, c2, atol=1e-7)
+
+
+def test_svd_refuses_invariants_that_break_the_rank_condition(monkeypatch):
+    # one pair too few at m = 2n: p = 1 < m - n = 2 makes r = n - m + p
+    # negative, which SpOrbitInvariants refuses
+    inner = symplectic.skew_canonical
+
+    def short(*args):
+        O, a = inner(*args)
+        return O, a[:1]
+
+    E = _random_rank_m(2, 4, 101)
+    symplectic.symplectic_svd(E)
+    monkeypatch.setattr(symplectic, "skew_canonical", short)
+    with pytest.raises(ValueError, match="r must equal n - m \\+ p >= 0"):
+        symplectic.symplectic_svd(E)
 
 
 def _mp_sigmas(E):
